@@ -502,6 +502,9 @@ def run(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # A check run on no samples would pass vacuously.
+        if args.trials is not None and args.trials < 1:
+            raise ValidationError(f"--trials must be at least 1, got {args.trials}")
         if args.cmd == "verify":
             rep, ok = cmd_verify(args)
             sys.stdout.write(rep.render(args.machine))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .errors import ValidationError
-from .exactla import Matrix, QuotientSpace, Subspace, contains, intersect, kernel, quotient
+from .exactla import Matrix, QuotientSpace, Subspace, contains, kernel, quotient
 from .polycore import VForm
 
 MAX_DIMENSION = 3
@@ -30,6 +30,10 @@ class DeltaComplex:
     simplices[p] lists the p-simplices as vertex tuples (used for display and
     for face resolution when unambiguous); faces[p][s][i] is the index of the
     i-th face (the vertex-i deletion) of simplex s in degree p-1.
+
+    A complex is never mutated after __init__. Values derived from it (the
+    coboundary matrices, cup tables, cohomology per degree and the C^2/B^2
+    quotient) are therefore built on first request and cached on it.
     """
 
     def __init__(
@@ -69,6 +73,12 @@ class DeltaComplex:
                 self.faces[p] = self._derive_faces(p)
         self.explicit_faces = bool(given)
         self._validate()
+        self._cache: Dict[object, object] = {}
+
+    def _memo(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def _derive_faces(self, p: int) -> List[tuple]:
         lookup: Dict[tuple, int] = {}
@@ -126,6 +136,9 @@ class DeltaComplex:
 
     def coboundary_matrix(self, p: int) -> Matrix:
         """Matrix of d: C^p -> C^(p+1); the zero-row matrix above top degree."""
+        return self._memo(("coboundary", p), lambda: self._build_coboundary(p))
+
+    def _build_coboundary(self, p: int) -> Matrix:
         n_from = self.count(p)
         n_to = self.count(p + 1)
         if n_to == 0:
@@ -149,6 +162,19 @@ class DeltaComplex:
         for dim in range(degree, q, -1):
             cur = self.faces[dim][cur][0]
         return cur
+
+    def cup_table(self, p: int, q: int) -> tuple:
+        """(front p-face, back q-face) of each (p+q)-simplex s, so that
+        cup(a, b)[s] = a[front] * b[back]."""
+        return self._memo(("cup", p, q), lambda: tuple(
+            (self.front_face(p + q, s, p), self.back_face(p + q, s, q))
+            for s in range(self.count(p + q))
+        ))
+
+    @property
+    def cup_quotient(self) -> "CochainQuotient":
+        """C^2 modulo coboundaries, where the cup form takes its values."""
+        return self._memo("cup_quotient", lambda: CochainQuotient(self, 2))
 
 
 @dataclass(frozen=True)
@@ -212,17 +238,41 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
 
 
 def _cup_extended(a: Cochain, b: Cochain) -> Cochain:
-    cx = a.complex
-    p, q = a.degree, b.degree
-    deg = p + q
-    if cx.count(deg) == 0:
-        return Cochain(cx, deg, ())
-    vals = []
-    for s in range(cx.count(deg)):
-        front = cx.front_face(deg, s, p)
-        back = cx.back_face(deg, s, q)
-        vals.append(a.values[front] * b.values[back])
-    return Cochain(cx, deg, tuple(vals))
+    table = a.complex.cup_table(a.degree, b.degree)
+    return Cochain(a.complex, a.degree + b.degree, tuple(a.values[f] * b.values[k] for f, k in table))
+
+
+def _cup_matrix(
+    cx: DeltaComplex, p: int, q: int, left: Matrix, right: Matrix,
+    by_right: bool = False, proj: Optional[Matrix] = None,
+) -> Matrix:
+    """Projected cup products of the columns of left (p-cochains) and right
+    (q-cochains), read off one pass over the cup table.
+
+    proj defaults to the C^2/B^2 coordinates of the complex's cup quotient.
+    Row i*k + c, column j holds coordinate c of proj(left_i cup right_j), where
+    k = proj.rows; with by_right the roles swap, so row j*k + c, column i. The
+    result is the matrix of a linear map in the coefficients of the column
+    side, stacked over the block side.
+    """
+    if proj is None:
+        proj = cx.cup_quotient.presentation.projector
+
+    def sparse_rows(m):
+        return [[(j, x) for j, x in enumerate(row) if x] for row in m.entries]
+
+    lrows, rrows = sparse_rows(left), sparse_rows(right)
+    pcols = sparse_rows(proj.transpose())
+    k = proj.rows
+    blocks, cols = (right.cols, left.cols) if by_right else (left.cols, right.cols)
+    out = [[Fraction(0)] * cols for _ in range(blocks * k)]
+    for s, (f, b) in enumerate(cx.cup_table(p, q)):
+        for i, x in lrows[f]:
+            for j, y in rrows[b]:
+                block, col = (j, i) if by_right else (i, j)
+                for c, z in pcols[s]:
+                    out[block * k + c][col] += x * y * z
+    return Matrix._make(blocks * k, cols, tuple(map(tuple, out)))
 
 
 @dataclass(frozen=True)
@@ -250,6 +300,10 @@ class CohomologyPresentation:
 def cohomology(cx: DeltaComplex, p: int) -> CohomologyPresentation:
     if not (0 <= p <= cx.dimension):
         raise ValidationError("cohomology degree out of range")
+    return cx._memo(("cohomology", p), lambda: _cohomology(cx, p))
+
+
+def _cohomology(cx: DeltaComplex, p: int) -> CohomologyPresentation:
     z = kernel(cx.coboundary_matrix(p))
     if p == 0:
         b = Subspace.zero(cx.count(0))
@@ -311,31 +365,19 @@ class Coset:
         )
 
 
-def omega_disc(cx: DeltaComplex, alpha: Cochain, beta: Cochain, two_quotient: CochainQuotient = None) -> Coset:
+def omega_disc(cx: DeltaComplex, alpha: Cochain, beta: Cochain) -> Coset:
     """Value of the cup form on two 1-cochains: the coset of their product in
     C^2 modulo coboundaries, as its canonical representative."""
     if alpha.degree != 1 or beta.degree != 1:
         raise ValidationError("the cup form takes two 1-cochains")
-    q = two_quotient if two_quotient is not None else CochainQuotient(cx, 2)
-    return q.coset(_cup_extended(alpha, beta))
+    return cx.cup_quotient.coset(_cup_extended(alpha, beta))
 
 
 def omega_kernel(cx: DeltaComplex) -> Subspace:
-    """Degeneracy kernel of the cup form on C^1 (measured, never assumed zero)."""
-    n1 = cx.count(1)
-    q = CochainQuotient(cx, 2)
-    if q.dim == 0 or n1 == 0:
-        return Subspace.full(n1)
-    cols = []
-    for m in range(n1):
-        em = Cochain.basis(cx, 1, m)
-        col = []
-        for b in range(n1):
-            eb = Cochain.basis(cx, 1, b)
-            col.extend(q.coords(_cup_extended(em, eb)))
-        cols.append(col)
-    mat = Matrix(list(zip(*cols)))
-    return kernel(mat)
+    """Degeneracy kernel of the cup form on C^1 (measured, never assumed zero):
+    the 1-cochains whose product with every edge is a coboundary."""
+    edges = Matrix.identity(cx.count(1))
+    return kernel(_cup_matrix(cx, 1, 1, edges, edges, by_right=True))
 
 
 @dataclass(frozen=True)
@@ -365,31 +407,22 @@ class GaugeMoment:
 def gauge_moment(cx: DeltaComplex, a: Cochain) -> GaugeMoment:
     if a.degree != 1:
         raise ValidationError("the gauge moment takes a 1-cochain")
-    q = CochainQuotient(cx, 2)
-    da = _d_extended(a)
-    cols = []
-    for j in range(cx.count(0)):
-        fj = Cochain.basis(cx, 0, j)
-        cols.append(list(q.coords(_cup_extended(da, fj))))
-    mat = Matrix(list(zip(*cols))) if cols and q.dim else Matrix.zeros(q.dim, cx.count(0))
+    q = cx.cup_quotient
+    curvature = Matrix.column(_d_extended(a).values)
+    mat = _cup_matrix(cx, 2, 0, curvature, Matrix.identity(cx.count(0)))
     return GaugeMoment(complex=cx, connection=a, quotient_space=q, matrix=mat)
+
+
+def _curvature_moments(cx: DeltaComplex) -> Matrix:
+    """Matrix of alpha -> (coset(d alpha cup f_j))_j over the basis 0-cochains f_j."""
+    return _cup_matrix(cx, 2, 0, cx.coboundary_matrix(1), Matrix.identity(cx.count(0)), by_right=True)
 
 
 def check_gauge_moment_identity(cx: DeltaComplex) -> bool:
     """Exact linear-map equality: alpha -> coset(d alpha cup f) equals
     alpha -> coset(alpha cup d f) for every basis 0-cochain f."""
-    q = CochainQuotient(cx, 2)
-    n1 = cx.count(1)
-    for j in range(cx.count(0)):
-        fj = Cochain.basis(cx, 0, j)
-        dfj = _d_extended(fj) if cx.dimension >= 1 else None
-        for m in range(n1):
-            alpha = Cochain.basis(cx, 1, m)
-            lhs = q.coords(_cup_extended(_d_extended(alpha), fj))
-            rhs = q.coords(_cup_extended(alpha, dfj))
-            if lhs != rhs:
-                return False
-    return True
+    shifted = _cup_matrix(cx, 1, 1, Matrix.identity(cx.count(1)), cx.coboundary_matrix(0), by_right=True)
+    return _curvature_moments(cx) == shifted
 
 
 @dataclass(frozen=True)
@@ -403,22 +436,8 @@ class MomentZeroReport:
 def moment_zero_set(cx: DeltaComplex) -> MomentZeroReport:
     """{A : the moment functional of A vanishes}, with its relation to the
     closed 1-cochains reported rather than assumed."""
-    n1 = cx.count(1)
-    q = CochainQuotient(cx, 2)
+    zero = kernel(_curvature_moments(cx))
     z1 = kernel(cx.coboundary_matrix(1))
-    if q.dim == 0 or cx.count(0) == 0 or n1 == 0:
-        zero = Subspace.full(n1)
-    else:
-        cols = []
-        for m in range(n1):
-            em = Cochain.basis(cx, 1, m)
-            dem = _d_extended(em)
-            col = []
-            for j in range(cx.count(0)):
-                fj = Cochain.basis(cx, 0, j)
-                col.extend(q.coords(_cup_extended(dem, fj)))
-            cols.append(col)
-        zero = kernel(Matrix(list(zip(*cols))))
     return MomentZeroReport(
         zero_set=zero,
         cocycles=z1,
@@ -443,47 +462,29 @@ class GaugeReduction:
         return VForm(self.carrier.betti, self.pairing)
 
     def pairing_kernel(self) -> Subspace:
-        ker = Subspace.full(self.carrier.betti)
-        for m in self.pairing:
-            ker = intersect(ker, kernel(m))
-        return ker
+        form = self.pairing_form
+        return Subspace.full(self.carrier.betti) if form is None else form.degeneracy_kernel()
 
 
 def reduce_gauge(cx: DeltaComplex) -> GaugeReduction:
     carrier = cohomology(cx, 1)
-    if cx.dimension >= 2:
-        target = cohomology(cx, 2)
-    else:
-        target = CohomologyPresentation(
-            degree=2,
-            cocycles=Subspace.zero(0),
-            coboundaries=Subspace.zero(0),
-            presentation=quotient(Subspace.zero(0), Subspace.zero(0)),
-        )
+    # Below dimension 2 there are no 2-cochains, and this is the zero presentation.
+    target = cohomology(cx, 2) if cx.dimension >= 2 else _cohomology(cx, 2)
     b1 = carrier.betti
     b2 = target.betti
-    reps = [carrier.harmonic_section.col(j) for j in range(b1)]
-    rep_cochains = [Cochain(cx, 1, r) for r in reps]
+    reps = carrier.harmonic_section
 
     # Gauge invariance of the pairing: shifting a representative by a
     # coboundary moves the product by a coboundary only.
-    q2 = CochainQuotient(cx, 2)
-    for j in range(cx.count(0)):
-        dgamma = _d_extended(Cochain.basis(cx, 0, j)) if cx.dimension >= 1 else None
-        if dgamma is None:
-            continue
-        for h in rep_cochains:
-            if not q2.is_coboundary(_cup_extended(dgamma, h)):
-                raise AssertionError("pairing is not gauge invariant")
+    if not _cup_matrix(cx, 1, 1, cx.coboundary_matrix(0), reps).is_zero():
+        raise AssertionError("pairing is not gauge invariant")
 
-    grids = [[[Fraction(0)] * b1 for _ in range(b1)] for _ in range(b2)]
-    for ia, ha in enumerate(rep_cochains):
-        for ib, hb in enumerate(rep_cochains):
-            product = _cup_extended(ha, hb)
-            coords = target.class_coordinates(product)
-            for c in range(b2):
-                grids[c][ia][ib] = coords[c]
-    pairing = tuple(Matrix(g) for g in grids)
+    # Row a*b2 + c, column b: coordinate c of the class of reps_a cup reps_b.
+    products = _cup_matrix(cx, 1, 1, reps, reps, proj=target.presentation.projector)
+    pairing = tuple(
+        Matrix._make(b1, b1, tuple(products.row(a * b2 + c) for a in range(b1)))
+        for c in range(b2)
+    )
     return GaugeReduction(carrier=carrier, target=target, pairing=pairing)
 
 
@@ -502,20 +503,7 @@ def lagrangian_check(cx: DeltaComplex) -> LagrangianReport:
     z1 = kernel(cx.coboundary_matrix(1))
     if h2 != 0:
         return LagrangianReport(h2_trivial=False, z1_is_lagrangian=None, z1_dim=z1.dim, orthogonal_dim=None)
-    n1 = cx.count(1)
-    q = CochainQuotient(cx, 2)
-    if q.dim == 0 or z1.dim == 0:
-        orth = Subspace.full(n1)
-    else:
-        cols = []
-        for m in range(n1):
-            beta = Cochain.basis(cx, 1, m)
-            col = []
-            for a in range(z1.dim):
-                za = Cochain(cx, 1, z1.basis.col(a))
-                col.extend(q.coords(_cup_extended(za, beta)))
-            cols.append(col)
-        orth = kernel(Matrix(list(zip(*cols))))
+    orth = kernel(_cup_matrix(cx, 1, 1, z1.basis, Matrix.identity(cx.count(1))))
     return LagrangianReport(
         h2_trivial=True,
         z1_is_lagrangian=orth == z1,

@@ -234,14 +234,20 @@ def solve(a: Matrix, b: Sequence):
     return tuple(x)
 
 
+def left_inverse(m: Matrix) -> Matrix:
+    """A left inverse L (L @ m = I) of a matrix with independent columns, read
+    off one elimination of [m | I]; for a square matrix, its inverse."""
+    red, pivots = rref(m.hstack(Matrix.identity(m.rows)))
+    if pivots[: m.cols] != tuple(range(m.cols)):
+        raise ValidationError("matrix columns are dependent")
+    return Matrix._make(m.cols, m.rows, tuple(red.row(i)[m.cols :] for i in range(m.cols)))
+
+
 def inverse(m: Matrix) -> Matrix:
-    """Inverse of a square invertible matrix, via elimination on [m | I]."""
+    """Inverse of a square invertible matrix."""
     if m.rows != m.cols:
         raise ValidationError("only square matrices invert")
-    red, pivots = rref(m.hstack(Matrix.identity(m.rows)))
-    if len(pivots) != m.rows or any(p >= m.rows for p in pivots):
-        raise ValidationError("matrix is singular")
-    return Matrix([red.row(i)[m.rows :] for i in range(m.rows)])
+    return left_inverse(m)
 
 
 def kernel(m: Matrix) -> "Subspace":
@@ -336,9 +342,9 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
-    """True iff b is a subspace of a."""
+    """True iff b is a subspace of a: appending b's basis to a's adds no rank."""
     _check_same_ambient(a, b)
-    return all(a.contains_vector(b.basis.col(j)) for j in range(b.dim))
+    return rank(a.basis.hstack(b.basis)) == a.dim
 
 
 def _check_same_ambient(a: Subspace, b: Subspace):
@@ -365,15 +371,11 @@ class QuotientSpace:
         return self.section.cols
 
     @cached_property
-    def _full_space_projector(self):
-        # When ambient is the whole space, [section | sub] is square and
-        # invertible; caching its inverse turns projections into matvecs.
-        if self.ambient.dim != self.ambient.ambient_dim:
-            return None
-        system = self.section.hstack(self.sub.basis)
-        if system.rows != system.cols:
-            return None
-        return inverse(system)
+    def projector(self) -> Matrix:
+        """dim x n matrix sending each vector of ambient to its section
+        coordinates: the top rows of a left inverse of [section | sub]."""
+        left = left_inverse(self.section.hstack(self.sub.basis))
+        return Matrix._make(self.dim, left.cols, left.entries[: self.dim])
 
     def project(self, v: Sequence) -> tuple:
         """Section coordinates of the coset of v (v must lie in ambient)."""
@@ -381,9 +383,9 @@ class QuotientSpace:
             if any(_as_scalar(x) != 0 for x in v):
                 raise ValidationError("vector outside the ambient subspace")
             return ()
-        proj = self._full_space_projector
-        if proj is not None:
-            return proj.apply(v)[: self.section.cols]
+        if self.ambient.dim == self.ambient.ambient_dim:
+            # Every vector lies in a full ambient, so the projector suffices.
+            return self.projector.apply(v)
         system = self.section.hstack(self.sub.basis) if self.sub.dim else self.section
         sol = solve(system, v)
         if sol is None:
@@ -399,13 +401,14 @@ def quotient(ambient: Subspace, sub: Subspace) -> QuotientSpace:
 
     The greedy choice of section columns is read off one echelon pass over
     [sub | ambient]: pivot columns landing in the ambient block are exactly
-    the ambient basis columns that extend sub in index order.
+    the ambient basis columns that extend sub in index order. The same pass
+    checks containment, since sub lies in ambient iff the rank is dim ambient.
     """
     _check_same_ambient(ambient, sub)
-    if not contains(ambient, sub):
-        raise ValidationError("quotient requires sub to be contained in ambient")
     stacked = sub.basis.hstack(ambient.basis)
     _, pivots = rref(stacked)
+    if len(pivots) != ambient.dim:
+        raise ValidationError("quotient requires sub to be contained in ambient")
     chosen = [ambient.basis.col(p - sub.dim) for p in pivots if p >= sub.dim]
     section = (
         Matrix(list(zip(*chosen)))

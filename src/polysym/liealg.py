@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractViolation, ValidationError
 from .exactla import Matrix, Subspace, intersect, kernel
-from .polycore import LinearReduction, VForm, linear_reduce, orthogonal
+from .polycore import LinearReduction, VForm, linear_reduce
 
 GROUP_TOLERANCE = 1e-9
 ROTATION_TOLERANCE = 1e-12
@@ -141,11 +141,6 @@ def lie_reduce(g: LieAlgebra, a: Subspace) -> LinearReduction:
     if red.carrier.dim != cent.dim - intersect(a, cent).dim:
         raise AssertionError("reduction carrier disagrees with the centralizer quotient")
     return red
-
-
-def orthogonal_is_centralizer(g: LieAlgebra, a: Subspace) -> bool:
-    """Check the identity A-orthogonal == centralizer for a centerless algebra."""
-    return orthogonal(bracket_form(g), a) == centralizer(g, a)
 
 
 # Builtin algebras.

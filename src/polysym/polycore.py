@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .errors import ContractViolation, ValidationError
@@ -64,11 +65,9 @@ class VForm:
         return Matrix([m.transpose().apply(u) for m in self.components])
 
     def degeneracy_kernel(self) -> Subspace:
-        """Vectors killed by every component; zero iff the form is polysymplectic."""
-        ker = Subspace.full(self.dim_u)
-        for m in self.components:
-            ker = intersect(ker, kernel(m))
-        return ker
+        """Vectors killed by every component, i.e. the kernel of the stacked
+        components; zero iff the form is polysymplectic."""
+        return kernel(reduce(Matrix.vstack, self.components))
 
     def is_nondegenerate(self) -> bool:
         return self.degeneracy_kernel().is_zero()

@@ -58,8 +58,3 @@ def in_orthogonal(form, subspace, v):
         if any(x != 0 for x in form.evaluate(a, v)):
             return False
     return True
-
-
-def subspaces_equal_by_membership(form, a, b, probes):
-    """Compare two subspaces through a list of probe vectors (weak check)."""
-    return all(a.contains_vector(p) == b.contains_vector(p) for p in probes)

@@ -96,6 +96,17 @@ class TestExitCodes:
     def test_missing_input(self, capsys):
         assert run(["orth", "--subspace", "e1"]) == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--suite", "embedding"], ["verify", "--suite", "moment-identity"], ["lie", "arnold"]],
+    )
+    def test_trial_counts_below_one_rejected(self, capsys, argv, trials):
+        assert run(argv + ["--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
+
 
 class TestReports:
     def test_classify_cross_line(self, capsys):

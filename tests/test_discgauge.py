@@ -7,7 +7,7 @@ import pytest
 from _oracles import oracle_betti
 from polysym import discgauge as dg
 from polysym.errors import ValidationError
-from polysym.exactla import Subspace, contains
+from polysym.exactla import Matrix, Subspace, annihilator, contains, kernel
 
 
 def rand_cochain(rng, cx, degree, span=3):
@@ -22,14 +22,13 @@ def closed_cochain(rng, cx, degree=1):
     return dg.Cochain(cx, degree, z.basis.apply(coeffs))
 
 
-def grid_torus3() -> dg.DeltaComplex:
-    """Periodic 2x2x2 triangulated grid: same space as the quotient-cube
+def grid_torus(n: int, dim: int) -> dg.DeltaComplex:
+    """Periodic n^dim triangulated grid: same space as the quotient-cube
     torus, but with enough vertices to carry non-constant 0-cochains. Faces
     resolve by vertex-tuple lookup, exercising that construction path."""
-    n = 2
-    verts = list(itertools.product(range(n), repeat=3))
+    verts = list(itertools.product(range(n), repeat=dim))
     vid = {v: i for i, v in enumerate(verts)}
-    offsets = [o for o in itertools.product((0, 1), repeat=3) if any(o)]
+    offsets = [o for o in itertools.product((0, 1), repeat=dim) if any(o)]
 
     def disjoint(u, v):
         return all(not (a and b) for a, b in zip(u, v))
@@ -41,7 +40,7 @@ def grid_torus3() -> dg.DeltaComplex:
         return out
 
     simplices = {0: [(vid[v],) for v in verts]}
-    for p in range(1, 4):
+    for p in range(1, dim + 1):
         cells = set()
         for base in verts:
             for ch in chains(p):
@@ -50,7 +49,7 @@ def grid_torus3() -> dg.DeltaComplex:
                     pts.append(tuple(a + b for a, b in zip(pts[-1], u)))
                 cells.add(tuple(vid[tuple(c % n for c in q)] for q in pts))
         simplices[p] = sorted(cells)
-    return dg.DeltaComplex(simplices, name="torus3grid")
+    return dg.DeltaComplex(simplices, name=f"grid{n}^{dim}")
 
 
 class TestDeltaComplexValidation:
@@ -272,7 +271,7 @@ class TestGaugeMoment:
 
 class TestGridTorus:
     def test_grid_carries_nonzero_moment_functional(self):
-        grid = grid_torus3()
+        grid = grid_torus(2, 3)
         assert grid.counts == (8, 56, 96, 48)
         betti1 = dg.cohomology(grid, 1).betti
         assert betti1 == 3
@@ -337,15 +336,12 @@ class TestReduceGauge:
         rng = random.Random(10)
         for name in ("torus2", "torus3"):
             cx = dg.BUILTIN_COMPLEXES[name]()
-            quot = dg.CochainQuotient(cx, 2)
             for _ in range(25):
                 alpha = closed_cochain(rng, cx)
                 beta = closed_cochain(rng, cx)
                 gamma = rand_cochain(rng, cx, 0)
                 shifted = alpha + dg._d_extended(gamma)
-                assert dg.omega_disc(cx, shifted, beta, quot).coords == dg.omega_disc(
-                    cx, alpha, beta, quot
-                ).coords
+                assert dg.omega_disc(cx, shifted, beta) == dg.omega_disc(cx, alpha, beta)
 
 
 class TestLagrangianCheck:
@@ -366,3 +362,172 @@ class TestLagrangianCheck:
         assert report.h2_trivial
         assert report.orthogonal_dim == 1
         assert report.z1_is_lagrangian is True
+
+
+# Reference path for the cup-form routines: every matrix is assembled from
+# pairwise products taken straight off the face maps, each projected through a
+# freshly built C^2/B^2 quotient, as the routines did before they read the
+# complex's cached cup table and quotient.
+
+def pairwise_cup(a, b):
+    cx, p, q = a.complex, a.degree, b.degree
+    return dg.Cochain(cx, p + q, [
+        a.values[cx.front_face(p + q, s, p)] * b.values[cx.back_face(p + q, s, q)]
+        for s in range(cx.count(p + q))
+    ])
+
+
+def stacked(columns, rows):
+    """Matrix with the given columns, or the zero-row matrix when there are no rows."""
+    return Matrix(list(zip(*columns))) if rows else Matrix.zeros(0, len(columns))
+
+
+def reference_omega_kernel(cx):
+    q = dg.CochainQuotient(cx, 2)
+    n1 = cx.count(1)
+    edges = [dg.Cochain.basis(cx, 1, m) for m in range(n1)]
+    cols = [[x for eb in edges for x in q.coords(pairwise_cup(em, eb))] for em in edges]
+    return kernel(stacked(cols, q.dim * n1))
+
+
+def reference_gauge_moment(cx, a):
+    q = dg.CochainQuotient(cx, 2)
+    da = dg._d_extended(a)
+    cols = [q.coords(pairwise_cup(da, dg.Cochain.basis(cx, 0, j))) for j in range(cx.count(0))]
+    return stacked(cols, q.dim)
+
+
+def reference_curvature_moments(cx):
+    """Columns alpha = e_m of alpha -> (coords(d alpha cup f_j), coords(alpha cup d f_j))."""
+    q = dg.CochainQuotient(cx, 2)
+    tests = [dg.Cochain.basis(cx, 0, j) for j in range(cx.count(0))]
+    lhs, rhs = [], []
+    for m in range(cx.count(1)):
+        em = dg.Cochain.basis(cx, 1, m)
+        lhs.append([x for f in tests for x in q.coords(pairwise_cup(dg._d_extended(em), f))])
+        rhs.append([x for f in tests for x in q.coords(pairwise_cup(em, dg._d_extended(f)))])
+    rows = q.dim * len(tests)
+    return stacked(lhs, rows), stacked(rhs, rows)
+
+
+def reference_lagrangian_orthogonal(cx):
+    q = dg.CochainQuotient(cx, 2)
+    z1 = kernel(cx.coboundary_matrix(1))
+    closed = [dg.Cochain(cx, 1, z1.basis.col(a)) for a in range(z1.dim)]
+    cols = [
+        [x for z in closed for x in q.coords(pairwise_cup(z, dg.Cochain.basis(cx, 1, m)))]
+        for m in range(cx.count(1))
+    ]
+    return kernel(stacked(cols, q.dim * z1.dim))
+
+
+def reference_reduction(cx):
+    """(gauge invariant, pairing matrices) from pairwise products of the
+    harmonic representatives."""
+    q = dg.CochainQuotient(cx, 2)
+    h1 = dg.cohomology(cx, 1)
+    reps = [dg.Cochain(cx, 1, h1.harmonic_section.col(j)) for j in range(h1.betti)]
+    invariant = all(
+        q.is_coboundary(pairwise_cup(dg._d_extended(dg.Cochain.basis(cx, 0, j)), h))
+        for j in range(cx.count(0))
+        for h in reps
+    )
+    if cx.dimension < 2:
+        return invariant, ()
+    h2 = dg.cohomology(cx, 2)
+    coords = [[h2.class_coordinates(pairwise_cup(a, b)) for b in reps] for a in reps]
+    pairing = tuple(
+        Matrix([[coords[a][b][c] for b in range(h1.betti)] for a in range(h1.betti)])
+        for c in range(h2.betti)
+    )
+    return invariant, pairing
+
+
+DIFFERENTIAL_COMPLEXES = sorted(dg.BUILTIN_COMPLEXES) + ["grid3^2"]
+
+
+def differential_complex(name):
+    return grid_torus(3, 2) if name == "grid3^2" else dg.BUILTIN_COMPLEXES[name]()
+
+
+class TestCupTableAgainstPairwiseProducts:
+    @pytest.mark.parametrize("name", DIFFERENTIAL_COMPLEXES)
+    def test_cup_matches_pairwise_products(self, name):
+        cx = differential_complex(name)
+        rng = random.Random(11)
+        for p in range(cx.dimension + 1):
+            for q in range(cx.dimension + 1 - p):
+                a, b = rand_cochain(rng, cx, p), rand_cochain(rng, cx, q)
+                assert dg.cup(a, b) == pairwise_cup(a, b)
+
+    @pytest.mark.parametrize("name", DIFFERENTIAL_COMPLEXES)
+    def test_routines_match_reference(self, name):
+        cx = differential_complex(name)
+        assert dg.omega_kernel(cx) == reference_omega_kernel(cx)
+        rng = random.Random(12)
+        for _ in range(3):
+            a = rand_cochain(rng, cx, 1)
+            assert dg.gauge_moment(cx, a).matrix == reference_gauge_moment(cx, a)
+        lhs, rhs = reference_curvature_moments(cx)
+        assert dg._curvature_moments(cx) == lhs
+        assert dg.check_gauge_moment_identity(cx) == (lhs == rhs)
+        assert dg.moment_zero_set(cx).zero_set == kernel(lhs)
+        report = dg.lagrangian_check(cx)
+        if report.h2_trivial:
+            orth = reference_lagrangian_orthogonal(cx)
+            assert report.orthogonal_dim == orth.dim
+            assert report.z1_is_lagrangian == (orth == kernel(cx.coboundary_matrix(1)))
+        invariant, pairing = reference_reduction(cx)
+        assert invariant
+        assert dg.reduce_gauge(cx).pairing == pairing
+
+    def test_checks_reject_a_corrupted_cup(self, monkeypatch):
+        # Both identities hold on every valid complex, so the checks are
+        # exercised through a cup table of edges whose back faces are wrong.
+        cx = grid_torus(3, 2)
+        valid = cx.cup_table
+        corrupted = tuple((f, f) for f, _ in valid(1, 1))
+        monkeypatch.setattr(cx, "cup_table", lambda p, q: corrupted if (p, q) == (1, 1) else valid(p, q))
+        assert not dg.check_gauge_moment_identity(cx)
+        with pytest.raises(AssertionError, match="not gauge invariant"):
+            dg.reduce_gauge(cx)
+
+    def test_quotient_built_once_per_complex(self, monkeypatch):
+        builds = []
+        original = dg.CochainQuotient.__init__
+
+        def counting(self, cx, degree=2):
+            builds.append(cx)
+            original(self, cx, degree)
+
+        monkeypatch.setattr(dg.CochainQuotient, "__init__", counting)
+        cx = dg.torus_complex(3)
+        rng = random.Random(13)
+        dg.omega_disc(cx, closed_cochain(rng, cx), closed_cochain(rng, cx))
+        dg.omega_kernel(cx)
+        dg.gauge_moment(cx, rand_cochain(rng, cx, 1))
+        dg.moment_zero_set(cx)
+        dg.check_gauge_moment_identity(cx)
+        dg.reduce_gauge(cx)
+        dg.lagrangian_check(cx)
+        assert builds == [cx]
+        assert dg.cohomology(cx, 2) is dg.cohomology(cx, 2)
+
+
+class TestGridTorusCubed:
+    """Grid 2^3, beyond what the pairwise products could assemble in test time."""
+
+    def test_moment_identity_and_omega_kernel(self):
+        cx = grid_torus(2, 3)
+        assert dg.check_gauge_moment_identity(cx)
+        ker = dg.omega_kernel(cx)
+        assert 0 < ker.dim < cx.count(1)
+        # Membership in B^2, checked independently of the quotient: a
+        # coboundary is annihilated by every cycle, i.e. by ker(d1^T).
+        cycles = annihilator(Subspace.from_matrix_columns(cx.coboundary_matrix(1))).basis.columns()
+        for j in range(ker.dim):
+            k = dg.Cochain(cx, 1, ker.basis.col(j))
+            for b in range(cx.count(1)):
+                product = pairwise_cup(k, dg.Cochain.basis(cx, 1, b)).values
+                support = [(s, x) for s, x in enumerate(product) if x]
+                assert all(sum((z[s] * x for s, x in support), F(0)) == 0 for z in cycles)
