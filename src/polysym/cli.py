@@ -106,6 +106,10 @@ def parse_subspace_arg(text: str, ambient_dim: int) -> Subspace:
     return Subspace.from_vectors(ambient_dim, vectors)
 
 
+# The builtin a command reads when given neither --file nor --builtin.
+_DEFAULT_BUILTIN = {"lie": "so3", "gauge": "torus2"}
+
+
 def _load_document(args) -> docio.ProblemDocument:
     if getattr(args, "file", None):
         try:
@@ -113,8 +117,9 @@ def _load_document(args) -> docio.ProblemDocument:
                 return docio.parse_document(fh.read())
         except OSError as exc:
             raise ValidationError(f"cannot read {args.file}: {exc}") from exc
-    if getattr(args, "builtin", None):
-        return docio.resolve_builtin(args.builtin)
+    name = getattr(args, "builtin", None) or _DEFAULT_BUILTIN.get(getattr(args, "cmd", None))
+    if name:
+        return docio.resolve_builtin(name)
     raise ValidationError("supply --file or --builtin")
 
 
@@ -194,15 +199,6 @@ def cmd_embed(args) -> Report:
     return rep
 
 
-def _lie_algebra_from_args(args) -> la.LieAlgebra:
-    if getattr(args, "file", None):
-        return docio.lie_to_algebra(_load_document(args))
-    name = args.builtin or "so3"
-    if name in la.BUILTIN_ALGEBRAS:
-        return la.BUILTIN_ALGEBRAS[name]()
-    return docio.lie_to_algebra(docio.resolve_builtin(name))
-
-
 def _parse_xi(text: str) -> np.ndarray:
     try:
         return np.array([float(t) for t in text.split(",")], dtype=float)
@@ -213,7 +209,7 @@ def _parse_xi(text: str) -> np.ndarray:
 def cmd_lie(args) -> Report:
     rep = Report(f"lie {args.verb}")
     if args.verb in ("center", "centralizer", "reduce"):
-        algebra = _lie_algebra_from_args(args)
+        algebra = docio.lie_to_algebra(_load_document(args))
         rep.add("algebra_dim", algebra.dim)
         if args.verb == "center":
             rep.add("center", _fmt_subspace(la.center(algebra)))
@@ -263,11 +259,7 @@ def _patch_from_name(name: str) -> ph.ExactPatch:
     if name in ("so3", "rigidbody"):
         return ph.so3_patch()
     if name.startswith("canonical:"):
-        try:
-            n, k = (int(t) for t in name.split(":", 1)[1].split(","))
-        except ValueError as exc:
-            raise ValidationError(f"bad patch spec {name!r}") from exc
-        return ph.canonical_theta(n, k)
+        return ph.canonical_theta(*docio.canonical_shape(name))
     raise ValidationError(f"unknown patch {name!r} (canonical:n,k, so3, rigidbody)")
 
 
@@ -283,7 +275,7 @@ def _patch_point(args, patch: ph.ExactPatch) -> np.ndarray:
 
 
 def _patch_generators(patch: ph.ExactPatch):
-    if patch.name in ("so3", "rigidbody"):
+    if patch.name == "so3":
         return [ph.so3_left_generator(np.eye(3)[i]) for i in range(3)]
     n, k = patch.base_shape
     return [ph.translation_generator(n, k, i) for i in range(n)]
@@ -352,15 +344,6 @@ def cmd_ham(args) -> Report:
     raise ValidationError(f"unknown ham verb {args.verb!r}")
 
 
-def _complex_from_args(args) -> dg.DeltaComplex:
-    if getattr(args, "file", None):
-        return docio.complex_to_delta(_load_document(args))
-    name = args.builtin or "torus2"
-    if name in dg.BUILTIN_COMPLEXES:
-        return dg.BUILTIN_COMPLEXES[name]()
-    raise ValidationError(f"unknown builtin complex {name!r}")
-
-
 def _random_cocycle(cx: dg.DeltaComplex, rng, closed: bool = True) -> dg.Cochain:
     if closed:
         z1 = dg.cohomology(cx, 1).cocycles
@@ -372,7 +355,7 @@ def _random_cocycle(cx: dg.DeltaComplex, rng, closed: bool = True) -> dg.Cochain
 def cmd_gauge(args) -> Report:
     import random as _random
 
-    cx = _complex_from_args(args)
+    cx = docio.complex_to_delta(_load_document(args))
     rep = Report(f"gauge {args.verb} {args.builtin or args.file}")
     rep.add("cells", " ".join(str(c) for c in cx.counts))
     rng = _random.Random(args.seed)

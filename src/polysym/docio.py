@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .discgauge import BUILTIN_COMPLEXES, DeltaComplex
 from .errors import ValidationError
 from .exactla import Matrix, Subspace
-from .liealg import BUILTIN_ALGEBRAS, LieAlgebra
-from .polycore import CoefficientMap, VForm
+from .liealg import BUILTIN_TRIPLES, LieAlgebra
+from .polycore import CoefficientMap, VForm, canonical_model
 
 KINDS = ("form", "lie", "patch", "complex")
 
@@ -39,6 +40,34 @@ def _parse_scalar(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad scalar literal {x!r}") from exc
     raise ValidationError(f"bad scalar literal {x!r} (use integers or 'p/q' strings)")
+
+
+def _parse_index(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValidationError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _parse_index_list(items, what: str) -> tuple:
+    if not isinstance(items, list):
+        raise ValidationError(f"{what} must be a list of integers, got {items!r}")
+    return tuple(_parse_index(x, what) for x in items)
+
+
+def _parse_degree_lists(raw, what: str, item: str) -> dict:
+    """{degree: [index tuple, ...]} from an object keyed by degree strings."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"complex documents need '{what}' as an object keyed by degree")
+    out = {}
+    for key, items in raw.items():
+        try:
+            p = int(key)
+        except ValueError as exc:
+            raise ValidationError(f"bad degree key {key!r} in '{what}'") from exc
+        if not isinstance(items, list):
+            raise ValidationError(f"degree {p} {what} must be a list")
+        out[p] = [_parse_index_list(s, f"degree-{p} {item}") for s in items]
+    return out
 
 
 def _render_scalar(x: Fraction):
@@ -141,32 +170,17 @@ def lie_to_algebra(doc: ProblemDocument) -> LieAlgebra:
     for t in triples:
         if not isinstance(t, list) or len(t) != 4:
             raise ValidationError(f"bad structure triple {t!r}")
-        i, j, k, c = t
-        parsed.append((i, j, k, _parse_scalar(c)))
+        i, j, k = (_parse_index(x, "structure triple index") for x in t[:3])
+        parsed.append((i, j, k, _parse_scalar(t[3])))
     return LieAlgebra.from_triples(dim, parsed)
 
 
 def complex_to_delta(doc: ProblemDocument) -> DeltaComplex:
     if doc.kind != "complex":
         raise ValidationError("expected a complex document")
-    raw = doc.payload.get("simplices")
-    if not isinstance(raw, dict):
-        raise ValidationError("complex documents need a 'simplices' object keyed by degree")
-    simplices = {}
-    for key, items in raw.items():
-        try:
-            p = int(key)
-        except ValueError as exc:
-            raise ValidationError(f"bad degree key {key!r}") from exc
-        if not isinstance(items, list):
-            raise ValidationError(f"degree {p} simplices must be a list")
-        simplices[p] = [tuple(s) for s in items]
+    simplices = _parse_degree_lists(doc.payload.get("simplices"), "simplices", "simplex")
     faces_raw = doc.payload.get("faces")
-    faces = None
-    if faces_raw is not None:
-        if not isinstance(faces_raw, dict):
-            raise ValidationError("'faces' must be an object keyed by degree")
-        faces = {int(k): [tuple(f) for f in v] for k, v in faces_raw.items()}
+    faces = None if faces_raw is None else _parse_degree_lists(faces_raw, "faces", "face row")
     return DeltaComplex(simplices, faces=faces)
 
 
@@ -185,20 +199,22 @@ def _cross_form_document() -> ProblemDocument:
 
 
 def _canonical_form_document(n: int, k: int) -> ProblemDocument:
-    from .polycore import canonical_model
-
-    form = canonical_model(n, k)
-    comps = [_render_matrix(m) for m in form.components]
+    comps = [_render_matrix(m) for m in canonical_model(n, k).components]
     return ProblemDocument(kind="form", payload={"form": comps}, seed=0)
 
 
+def canonical_shape(name: str) -> tuple:
+    """(n, k) from a `canonical:n,k` builtin form or patch name."""
+    try:
+        n, k = (int(t) for t in name.split(":", 1)[1].split(","))
+    except ValueError as exc:
+        raise ValidationError(f"bad canonical spec {name!r} (expected canonical:n,k)") from exc
+    return n, k
+
+
 def _lie_document(name: str) -> ProblemDocument:
-    triples = {
-        "so3": [[1, 2, 3, 1], [2, 3, 1, 1], [3, 1, 2, 1]],
-        "sl2": [[1, 2, 2, 2], [1, 3, 3, -2], [2, 3, 1, 1]],
-        "heisenberg": [[1, 2, 3, 1]],
-    }[name]
-    return ProblemDocument(kind="lie", payload={"dim": 3, "triples": triples}, seed=0)
+    dim, triples = BUILTIN_TRIPLES[name]
+    return ProblemDocument(kind="lie", payload={"dim": dim, "triples": [list(t) for t in triples]}, seed=0)
 
 
 def _complex_document(name: str) -> ProblemDocument:
@@ -210,27 +226,19 @@ def _complex_document(name: str) -> ProblemDocument:
     return ProblemDocument(kind="complex", payload=payload, seed=0)
 
 
-def builtin_documents() -> dict:
-    docs = {
-        "cross": _cross_form_document(),
-        "canonical:1,1": _canonical_form_document(1, 1),
-        "canonical:2,2": _canonical_form_document(2, 2),
-    }
-    for name in BUILTIN_ALGEBRAS:
-        docs[name] = _lie_document(name)
-    for name in BUILTIN_COMPLEXES:
-        docs[name] = _complex_document(name)
-    return docs
+# The builtin registry: every --builtin name resolves here, and each factory
+# builds only the document asked for. Besides these names, any
+# `canonical:n,k` resolves to the canonical form of that shape.
+BUILTINS = {
+    "cross": _cross_form_document,
+    **{name: partial(_lie_document, name) for name in BUILTIN_TRIPLES},
+    **{name: partial(_complex_document, name) for name in BUILTIN_COMPLEXES},
+}
 
 
 def resolve_builtin(name: str) -> ProblemDocument:
     if name.startswith("canonical:"):
-        try:
-            n, k = (int(t) for t in name.split(":", 1)[1].split(","))
-        except ValueError as exc:
-            raise ValidationError(f"bad canonical form spec {name!r}") from exc
-        return _canonical_form_document(n, k)
-    docs = builtin_documents()
-    if name not in docs:
+        return _canonical_form_document(*canonical_shape(name))
+    if name not in BUILTINS:
         raise ValidationError(f"unknown builtin {name!r}")
-    return docs[name]
+    return BUILTINS[name]()

@@ -2,7 +2,10 @@
 
 Expressions use coordinates x0, x1, ... plus arithmetic and a few math
 functions; they are compiled through the ast whitelist below, never eval'd
-raw.
+raw. Numeric literals compile as floats, so `**` cannot build an unbounded
+integer. A malformed expression is a ValidationError; an expression that
+fails to evaluate to a finite float at a point (overflow, division by zero,
+a complex power) is a ContractViolation.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ContractViolation, ValidationError
 
 _ALLOWED_CALLS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "tanh": math.tanh}
 _ALLOWED_NODES = (
@@ -23,6 +26,7 @@ _ALLOWED_NODES = (
 
 
 def _check(node: ast.AST, dim: int):
+    """Reject one node outside the whitelist; turn a numeric literal into a float."""
     if not isinstance(node, _ALLOWED_NODES):
         raise ValidationError(f"disallowed syntax in expression: {type(node).__name__}")
     if isinstance(node, ast.Call):
@@ -35,24 +39,34 @@ def _check(node: ast.AST, dim: int):
             raise ValidationError(f"unknown name {node.id!r} (coordinates are x0, x1, ...)")
         if int(node.id[1:]) >= dim:
             raise ValidationError(f"coordinate {node.id} is out of range for dimension {dim}")
-    if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-        raise ValidationError("only numeric constants are allowed")
-    for child in ast.iter_child_nodes(node):
-        _check(child, dim)
+    if isinstance(node, ast.Constant):
+        if not isinstance(node.value, (int, float)):
+            raise ValidationError("only numeric constants are allowed")
+        try:
+            node.value = float(node.value)
+        except OverflowError as exc:
+            raise ValidationError("an integer constant does not fit a float") from exc
 
 
 def compile_scalar(expr: str, dim: int) -> Callable[[np.ndarray], float]:
     try:
         tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
+        for node in ast.walk(tree):
+            _check(node, dim)
+        code = compile(tree, "<expr>", "eval")
+    except (SyntaxError, RecursionError, MemoryError) as exc:
         raise ValidationError(f"bad expression {expr!r}: {exc}") from exc
-    _check(tree, dim)
-    code = compile(tree, "<expr>", "eval")
 
     def fn(x: np.ndarray) -> float:
         env = {f"x{i}": float(x[i]) for i in range(dim)}
         env.update(_ALLOWED_CALLS)
-        return float(eval(code, {"__builtins__": {}}, env))
+        try:
+            value = float(eval(code, {"__builtins__": {}}, env))
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise ContractViolation(f"{expr!r} cannot be evaluated near the point: {exc}") from exc
+        if not math.isfinite(value):
+            raise ContractViolation(f"{expr!r} is not finite near the point")
+        return value
 
     return fn
 

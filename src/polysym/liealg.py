@@ -143,23 +143,26 @@ def lie_reduce(g: LieAlgebra, a: Subspace) -> LinearReduction:
     return red
 
 
-# Builtin algebras.
+# Builtin algebras: name -> (dim, structure triples). The lie documents of
+# the builtin registry in docio are rendered from this table.
+BUILTIN_TRIPLES = {
+    "so3": (3, ((1, 2, 3, 1), (2, 3, 1, 1), (3, 1, 2, 1))),
+    # basis (h, e, f): [h,e]=2e, [h,f]=-2f, [e,f]=h
+    "sl2": (3, ((1, 2, 2, 2), (1, 3, 3, -2), (2, 3, 1, 1))),
+    "heisenberg": (3, ((1, 2, 3, 1),)),
+}
+
 
 def so3() -> LieAlgebra:
-    return LieAlgebra.from_triples(
-        3, [(1, 2, 3, 1), (2, 3, 1, 1), (3, 1, 2, 1)], name="so3"
-    )
+    return LieAlgebra.from_triples(*BUILTIN_TRIPLES["so3"], name="so3")
 
 
 def sl2() -> LieAlgebra:
-    # basis (h, e, f): [h,e]=2e, [h,f]=-2f, [e,f]=h
-    return LieAlgebra.from_triples(
-        3, [(1, 2, 2, 2), (1, 3, 3, -2), (2, 3, 1, 1)], name="sl2"
-    )
+    return LieAlgebra.from_triples(*BUILTIN_TRIPLES["sl2"], name="sl2")
 
 
 def heisenberg() -> LieAlgebra:
-    return LieAlgebra.from_triples(3, [(1, 2, 3, 1)], name="heisenberg")
+    return LieAlgebra.from_triples(*BUILTIN_TRIPLES["heisenberg"], name="heisenberg")
 
 
 def abelian(n: int) -> LieAlgebra:
@@ -182,13 +185,6 @@ def algebra_direct_sum(g: LieAlgebra, h: LieAlgebra) -> LieAlgebra:
                 rows[n + i][n + j] = h.components[k][i, j]
         comps.append(Matrix(rows))
     return LieAlgebra(n + m, comps, name=f"{g.name}+{h.name}")
-
-
-BUILTIN_ALGEBRAS = {
-    "so3": so3,
-    "sl2": sl2,
-    "heisenberg": heisenberg,
-}
 
 
 # Numeric rotation-group machinery.
@@ -305,6 +301,26 @@ def arnold_counterexample(
     return ArnoldReport(samples=sample_count, fixed_points_found=found, translation_distance=gap)
 
 
+GRAM_BLOCK_ROWS = 256
+
+
+def most_antipodal_pair(points: np.ndarray) -> tuple:
+    """The pair (i, j), i != j, with the smallest inner product, which also
+    minimizes the midpoint norm on a sphere; ties go to the first in row-major
+    order. The Gram matrix is scanned in blocks of GRAM_BLOCK_ROWS rows, so
+    memory grows with N rather than N^2.
+    """
+    best, pair = np.inf, (0, 0)
+    for start in range(0, len(points), GRAM_BLOCK_ROWS):
+        block = points[start:start + GRAM_BLOCK_ROWS] @ points.T
+        rows = np.arange(len(block))
+        block[rows, start + rows] = np.inf
+        r, j = np.unravel_index(np.argmin(block), block.shape)
+        if block[r, j] < best:
+            best, pair = block[r, j], (start + int(r), int(j))
+    return pair
+
+
 @dataclass(frozen=True)
 class ConvexityReport:
     samples: int
@@ -333,11 +349,7 @@ def convexity_counterexample(
         images[s] = maurer_cartan_moment(haar_so3(rng), xi)
     radius_err = float(np.max(np.abs(np.linalg.norm(images, axis=1) - radius)))
     on_sphere = radius_err <= 1e-9 * tolerance_scale
-    # The midpoint norm is minimized by the most antipodal sampled pair,
-    # i.e. the pair with the smallest inner product.
-    grams = images @ images.T
-    np.fill_diagonal(grams, np.inf)
-    i, j = np.unravel_index(np.argmin(grams), grams.shape)
+    i, j = most_antipodal_pair(images)
     midpoint = 0.5 * (images[i] + images[j])
     mid_norm = float(np.linalg.norm(midpoint))
     return ConvexityReport(

@@ -15,12 +15,12 @@ explicit seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ContractViolation, ValidationError
 from .liealg import hat, so3_exp
@@ -37,9 +37,28 @@ def vform_to_numpy(form: VForm) -> np.ndarray:
 
 
 def halton_points(dim: int, count: int, seed: int = 0, scale: float = 1.0) -> np.ndarray:
-    """Deterministic low-discrepancy points in [-scale, scale]^dim."""
-    sampler = qmc.Halton(d=dim, scramble=True, seed=seed)
-    return scale * (2.0 * sampler.random(count) - 1.0)
+    """Deterministic low-discrepancy points in [-scale, scale]^dim.
+
+    Scrambled Halton (Owen 2017, arXiv:1706.02808): coordinate i permutes the
+    digits of the radical inverse in the i-th prime base, with one permutation
+    per digit position whose weight exceeds 2^-54. Drawing and summing follow
+    scipy.stats.qmc.Halton(d=dim, scramble=True, seed=seed) in order, so the
+    points are bit-identical to it.
+    """
+    rng = np.random.default_rng(seed)
+    primes = (n for n in itertools.count(2) if all(n % p for p in range(2, math.isqrt(n) + 1)))
+    unit = np.empty((count, dim))
+    for i, base in enumerate(itertools.islice(primes, dim)):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q, v, weight = np.arange(count), np.zeros(count), 1.0 / base
+        for perm in perms:
+            v += perm[q % base] * weight
+            q //= base
+            weight /= base
+        unit[:, i] = v
+    return scale * (2.0 * unit - 1.0)
 
 
 @dataclass(frozen=True)

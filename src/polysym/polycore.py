@@ -243,9 +243,6 @@ class CoefficientMap:
     def is_surjective(self) -> bool:
         return rank(self.matrix) == self.matrix.rows
 
-    def is_injective(self) -> bool:
-        return rank(self.matrix) == self.matrix.cols
-
 
 def apply_coefficient_map(f: CoefficientMap, omega: VForm) -> tuple:
     """Post-compose omega with f. Returns (candidate form, degeneracy kernel)."""

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from polysym import discgauge as dg
 from polysym import docio
+from polysym import liealg as la
 from polysym.cli import parse_subspace_arg, run
 from polysym.errors import ValidationError
 from polysym.exactla import Subspace
@@ -10,7 +16,8 @@ from polysym.exactla import Subspace
 
 class TestDocumentRoundTrip:
     def test_builtin_documents_reach_a_fixpoint(self):
-        for name, doc in docio.builtin_documents().items():
+        for name in [*docio.BUILTINS, "canonical:1,1", "canonical:2,2"]:
+            doc = docio.resolve_builtin(name)
             text = docio.render_document(doc)
             reparsed = docio.parse_document(text)
             assert reparsed == doc, name
@@ -52,6 +59,52 @@ class TestDocumentRoundTrip:
     def test_lie_document_parses(self):
         algebra = docio.lie_to_algebra(docio.resolve_builtin("sl2"))
         assert algebra.dim == 3
+
+
+class TestBuiltinRegistry:
+    KINDS = {
+        "cross": "form", "canonical:1,1": "form", "canonical:2,3": "form",
+        "so3": "lie", "sl2": "lie", "heisenberg": "lie",
+        "interval": "complex", "sphere2": "complex", "sphere3": "complex",
+        "torus2": "complex", "torus3": "complex",
+    }
+
+    def test_every_builtin_resolves_to_its_kind(self):
+        assert set(docio.BUILTINS) == {n for n in self.KINDS if not n.startswith("canonical:")}
+        for name, kind in self.KINDS.items():
+            assert docio.resolve_builtin(name).kind == kind, name
+
+    def test_lie_documents_render_the_algebra_triples(self):
+        for name in ("so3", "sl2", "heisenberg"):
+            algebra = docio.lie_to_algebra(docio.resolve_builtin(name))
+            assert algebra.components == getattr(la, name)().components
+
+    def test_resolving_a_form_builds_no_complex(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a DeltaComplex was constructed")
+
+        monkeypatch.setattr(dg.DeltaComplex, "__init__", refuse)
+        assert docio.resolve_builtin("cross").kind == "form"
+        with pytest.raises(AssertionError):
+            docio.resolve_builtin("torus2")
+
+    @pytest.mark.parametrize("name", ["canonical:x", "canonical:1", "canonical:1,2,3"])
+    def test_bad_canonical_spec(self, name):
+        with pytest.raises(ValidationError):
+            docio.resolve_builtin(name)
+
+
+def test_cli_imports_no_scipy():
+    code = (
+        "import pkgutil, importlib, sys, polysym, polysym.cli\n"
+        "for m in pkgutil.iter_modules(polysym.__path__):\n"
+        "    importlib.import_module('polysym.' + m.name)\n"
+        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(docio.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 class TestSubspaceArg:
@@ -106,6 +159,46 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
+
+
+MALFORMED_DOCUMENTS = {
+    "non-integer faces key": {
+        "kind": "complex",
+        "simplices": {"0": [[0], [1]], "1": [[0, 1]]},
+        "faces": {"x": [[1, 0]]},
+    },
+    "plain int simplex": {"kind": "complex", "simplices": {"0": [0, 1]}},
+    "string triple index": {"kind": "lie", "dim": 3, "triples": [["a", 2, 3, 1]]},
+    "float triple index": {"kind": "lie", "dim": 3, "triples": [[1.5, 2, 3, 1]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_document_exits_2(tmp_path, capsys, case):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(MALFORMED_DOCUMENTS[case]))
+    verb = ["gauge", "betti"] if MALFORMED_DOCUMENTS[case]["kind"] == "complex" else ["lie", "center"]
+    assert run(verb + ["--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("function", ["exp(1000)", "x0/x1", "10**400"])
+def test_expression_evaluation_error_exits_1(capsys, function):
+    assert run(["ham", "field", "--patch", "canonical:1,1", "--function", function]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("contract violation: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_expression_literals_are_floats():
+    from polysym.exprs import compile_scalar
+
+    # Integer arithmetic would give 1; in floats 10**20 + 1 rounds to 10**20.
+    assert compile_scalar("(10**20 + 1) - 10**20", 1)([0.0]) == 0.0
 
 
 class TestReports:

@@ -204,6 +204,40 @@ class TestConvexity:
         assert abs(rep.sphere_radius - 2.0) < 1e-12
 
 
+def full_gram_pair(points):
+    """The most antipodal pair read off the whole N x N Gram matrix."""
+    grams = points @ points.T
+    np.fill_diagonal(grams, np.inf)
+    i, j = np.unravel_index(np.argmin(grams), grams.shape)
+    return (int(i), int(j)), grams[i, j]
+
+
+class TestMostAntipodalPair:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "n", [2, 3, 50, la.GRAM_BLOCK_ROWS, la.GRAM_BLOCK_ROWS + 1, 4 * la.GRAM_BLOCK_ROWS + 37]
+    )
+    def test_blocked_scan_matches_full_gram(self, seed, n):
+        rng = np.random.default_rng(seed)
+        xi = np.array([1.0, 0.0, 0.0])
+        points = np.array([la.maurer_cartan_moment(la.haar_so3(rng), xi) for _ in range(n)])
+        (i, j), smallest = full_gram_pair(points)
+        assert la.most_antipodal_pair(points) == (i, j)
+        assert points[i] @ points[j] == smallest
+
+    def test_a_point_never_pairs_with_itself(self):
+        # A short vector's square is its smallest product; it sits in a later block.
+        points = np.ones((3 * la.GRAM_BLOCK_ROWS, 3))
+        points[2 * la.GRAM_BLOCK_ROWS + 5] *= 1e-3
+        assert la.most_antipodal_pair(points) == full_gram_pair(points)[0] == (0, 2 * la.GRAM_BLOCK_ROWS + 5)
+
+    def test_ties_go_to_the_first_pair(self):
+        # Many pairs reach the minimum -1; the first in row-major order is (0, 1).
+        e = np.array([1.0, 0.0, 0.0])
+        points = np.tile(np.array([e, -e, e, -e]), (la.GRAM_BLOCK_ROWS, 1))
+        assert la.most_antipodal_pair(points) == full_gram_pair(points)[0] == (0, 1)
+
+
 class TestMembershipPredicate:
     def test_centralizer_level_set(self):
         e3 = np.array([0.0, 0.0, 1.0])

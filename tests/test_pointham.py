@@ -302,3 +302,14 @@ def test_halton_points_deterministic():
     b = ph.halton_points(3, 7, seed=9, scale=0.5)
     assert np.array_equal(a, b)
     assert np.max(np.abs(a)) <= 0.5
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_halton_points_match_scipy_bit_for_bit(dim):
+    qmc = pytest.importorskip("scipy.stats").qmc
+    for count in (1, 2, 17, 1000):
+        for seed in (0, 1, 3, 7, 2024):
+            for scale in (1.0, 0.5):
+                reference = qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
+                expected = scale * (2.0 * reference - 1.0)
+                assert np.array_equal(ph.halton_points(dim, count, seed=seed, scale=scale), expected)
