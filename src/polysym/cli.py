@@ -356,7 +356,7 @@ def cmd_gauge(args) -> Report:
     import random as _random
 
     cx = docio.complex_to_delta(_load_document(args))
-    rep = Report(f"gauge {args.verb} {args.builtin or args.file}")
+    rep = Report(f"gauge {args.verb} {args.builtin or args.file or _DEFAULT_BUILTIN['gauge']}")
     rep.add("cells", " ".join(str(c) for c in cx.counts))
     rng = _random.Random(args.seed)
     if args.verb == "betti":

@@ -318,11 +318,12 @@ class CochainQuotient:
     """C^p modulo coboundaries, with a fixed deterministic complement.
 
     The canonical representative of a coset is its image under projection
-    along the chosen complement of the coboundary space.
+    along the chosen complement of the coboundary space. The quotient keeps
+    no reference to its complex, so the complex that caches it (see
+    `DeltaComplex.cup_quotient`) is freed as soon as it is dropped.
     """
 
     def __init__(self, cx: DeltaComplex, degree: int = 2):
-        self.complex = cx
         self.degree = degree
         n = cx.count(degree)
         if degree == 0:
@@ -341,7 +342,7 @@ class CochainQuotient:
 
     def coset(self, c: Cochain) -> "Coset":
         coords = self.coords(c)
-        rep = Cochain(self.complex, self.degree, self.presentation.lift(coords))
+        rep = Cochain(c.complex, self.degree, self.presentation.lift(coords))
         return Coset(quotient_space=self, coords=coords, representative=rep)
 
     def is_coboundary(self, c: Cochain) -> bool:

@@ -1,9 +1,13 @@
 """Exact rational linear algebra: matrices, kernels, the subspace lattice,
 quotients with deterministic sections, and annihilators.
 
-Scalars are `fractions.Fraction` throughout, so every identity in this module
-is an exact set equality; there are no tolerances here. Subspaces are kept in
-a canonical form (reduced column echelon, pivots normalized to 1, pivot rows
+Every entry a caller passes in or gets back is a `fractions.Fraction`, so
+every identity in this module is an exact set equality; there are no
+tolerances here. Inside, elimination and products run on integers: each row
+is held as integer numerators over one common denominator, `rref` eliminates
+fraction-free (Bareiss 1968) and divides by the pivots once at the end, and
+products build one `Fraction` per output entry. Subspaces are kept in a
+canonical form (reduced column echelon, pivots normalized to 1, pivot rows
 strictly increasing) so that equality of subspaces is equality of their
 stored bases.
 """
@@ -13,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -21,6 +26,26 @@ Scalar = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _integer_row(row: Sequence[Fraction]) -> tuple:
+    """(numerators, denominator) of a row of Fractions: row == numerators / d
+    entry for entry, with d the lcm of the row's denominators."""
+    dens = [x.denominator for x in row]
+    d = lcm(*dens)
+    if d == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (d // q) for x, q in zip(row, dens)], d
+
+
+def _primitive(nums: list) -> list:
+    """An integer row divided by the gcd of its entries."""
+    h = gcd(*nums)
+    return [a // h for a in nums] if h > 1 else nums
+
+
+def _ratio(num: int, den: int) -> Fraction:
+    return Fraction(num, den) if num else _ZERO
 
 
 def _as_scalar(x) -> Fraction:
@@ -40,7 +65,7 @@ class Matrix:
     bases of trivial subspaces.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_ints")
 
     def __init__(self, entries: Sequence[Sequence]):
         data = tuple(tuple(_as_scalar(x) for x in row) for row in entries)
@@ -52,12 +77,14 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self._data = data
+        self._ints = None
 
     @classmethod
     def _make(cls, rows: int, cols: int, data: tuple) -> "Matrix":
         m = object.__new__(cls)
         m.rows, m.cols = rows, cols
         m._data = data
+        m._ints = None
         return m
 
     @classmethod
@@ -91,6 +118,12 @@ class Matrix:
     def entries(self) -> tuple:
         return self._data
 
+    def _integer_rows(self) -> list:
+        """`_integer_row` of every row, computed once per matrix."""
+        if self._ints is None:
+            self._ints = [_integer_row(row) for row in self._data]
+        return self._ints
+
     def transpose(self) -> "Matrix":
         return Matrix._make(
             self.cols,
@@ -103,15 +136,14 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValidationError(f"shape mismatch: {self.shape} @ {other.shape}")
-        ot = other.transpose()._data
-        return Matrix._make(
-            self.rows,
-            other.cols,
-            tuple(
-                tuple(sum((a * b for a, b in zip(row, col)), _ZERO) for col in ot)
-                for row in self._data
-            ),
-        )
+        cols = [_integer_row(col) for col in other.transpose()._data]
+        out = []
+        for nums, d in self._integer_rows():
+            nonzero = [(j, a) for j, a in enumerate(nums) if a]
+            out.append(
+                tuple(_ratio(sum(a * cn[j] for j, a in nonzero), d * cd) for cn, cd in cols)
+            )
+        return Matrix._make(self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
@@ -144,7 +176,12 @@ class Matrix:
         v = [_as_scalar(x) for x in vec]
         if len(v) != self.cols:
             raise ValidationError("vector length does not match column count")
-        return tuple(sum((a * b for a, b in zip(row, v)), _ZERO) for row in self._data)
+        vn, vd = _integer_row(v)
+        nonzero = [(j, b) for j, b in enumerate(vn) if b]
+        return tuple(
+            _ratio(sum(nums[j] * b for j, b in nonzero), d * vd)
+            for nums, d in self._integer_rows()
+        )
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -188,27 +225,38 @@ class Matrix:
 
 
 def rref(m: Matrix) -> tuple:
-    """Reduced row echelon form of m. Returns (R, pivot_columns)."""
-    data = [list(row) for row in m.entries]
+    """Reduced row echelon form of m. Returns (R, pivot_columns).
+
+    Fraction-free Gauss-Jordan: each row is scaled to integers, a row is
+    cleared at the pivot column as p*row - f*pivot_row with the row gcd
+    divided out, and the pivots are divided out only at the end. Every
+    integer row is a nonzero multiple of the row rational Gauss-Jordan holds
+    at the same step, so the pivots, the swaps and the result are the same.
+    """
+    data = [_primitive(_integer_row(row)[0]) for row in m.entries]
     rows, cols = m.rows, m.cols
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        pivot_row = next((i for i in range(r, rows) if data[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, rows) if data[i][c]), None)
         if pivot_row is None:
             continue
         data[r], data[pivot_row] = data[pivot_row], data[r]
-        inv = data[r][c]
-        data[r] = [x / inv for x in data[r]]
+        prow = data[r]
+        p = prow[c]
         for i in range(rows):
-            if i != r and data[i][c] != 0:
-                f = data[i][c]
-                data[i] = [a - f * b for a, b in zip(data[i], data[r])]
+            f = data[i][c]
+            if i != r and f:
+                g = gcd(p, f)
+                pg, fg = p // g, f // g
+                data[i] = _primitive([pg * a - fg * b for a, b in zip(data[i], prow)])
         pivots.append(c)
         r += 1
-    return Matrix(data) if rows else Matrix.zeros(0, cols), tuple(pivots)
+    out = [tuple(_ratio(a, row[c]) for a in row) for row, c in zip(data, pivots)]
+    out += [(_ZERO,) * cols] * (rows - r)
+    return Matrix._make(rows, cols, tuple(out)), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:

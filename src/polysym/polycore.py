@@ -59,10 +59,12 @@ class VForm:
         return tuple(_bilinear(m, u, v) for m in self.components)
 
     def flat(self, u: Sequence) -> Matrix:
-        """The contraction u -> omega(u, .) as a k x n matrix (rows u^T w_i)."""
+        """The contraction u -> omega(u, .) as a k x n matrix (rows u^T w_i).
+
+        Components are exactly skew, so u^T w_i is -(w_i u) entry for entry."""
         if len(u) != self.dim_u:
             raise ValidationError("vector length does not match dim_u")
-        return Matrix([m.transpose().apply(u) for m in self.components])
+        return Matrix([[-x for x in m.apply(u)] for m in self.components])
 
     def degeneracy_kernel(self) -> Subspace:
         """Vectors killed by every component, i.e. the kernel of the stacked

@@ -1,9 +1,51 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the package's echelon/quotient machinery: ranks use
-fraction-free integer elimination (Bareiss style), and bilinear-form facts
-are checked straight from definitions.
+fraction-free integer elimination (Bareiss style), bilinear-form facts are
+checked straight from definitions, and the scalar kernels of `exactla`
+(`rref`, matrix products) have plain `Fraction` reference versions here.
 """
+
+from fractions import Fraction
+
+
+def fraction_rref(rows, cols):
+    """Reference Gauss-Jordan over Fractions, dividing by each pivot as it is
+    chosen. Returns (rows of the reduced row echelon form, pivot columns)."""
+    data = [[Fraction(x) for x in row] for row in rows]
+    n_rows = len(data)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == n_rows:
+            break
+        pivot_row = next((i for i in range(r, n_rows) if data[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        data[r], data[pivot_row] = data[pivot_row], data[r]
+        inv = data[r][c]
+        data[r] = [x / inv for x in data[r]]
+        for i in range(n_rows):
+            if i != r and data[i][c] != 0:
+                f = data[i][c]
+                data[i] = [a - f * b for a, b in zip(data[i], data[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in data), tuple(pivots)
+
+
+def fraction_apply(rows, vec):
+    """Matrix-vector product as Fraction dot products."""
+    return tuple(
+        sum((Fraction(a) * Fraction(b) for a, b in zip(row, vec)), Fraction(0)) for row in rows
+    )
+
+
+def fraction_matmul(left, right, cols):
+    """Product of a list of rows with a matrix of `cols` columns given by its
+    rows, as Fraction dot products."""
+    columns = [[row[j] for row in right] for j in range(cols)]
+    return tuple(fraction_apply(columns, row) for row in left)
 
 def bareiss_rank(rows):
     """Rank of an integer matrix by fraction-free elimination."""

@@ -185,6 +185,38 @@ def test_malformed_document_exits_2(tmp_path, capsys, case):
     assert captured.err.count("\n") == 1
 
 
+def test_oversized_lie_dim_exits_2_before_allocating(tmp_path, capsys):
+    import tracemalloc
+
+    path = tmp_path / "lie.json"
+    path.write_text(json.dumps({"kind": "lie", "dim": 100000, "triples": []}))
+    tracemalloc.start()
+    try:
+        code = run(["lie", "center", "--file", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    # dim^3 structure constants would be 10^15 cells; the check runs first.
+    assert peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: lie document 'dim' is 100000; at most {docio.MAX_LIE_DIM} is supported\n"
+
+
+def test_lie_dim_just_above_the_cap_is_rejected():
+    text = json.dumps({"kind": "lie", "dim": docio.MAX_LIE_DIM + 1, "triples": []})
+    with pytest.raises(ValidationError, match="at most"):
+        docio.lie_to_algebra(docio.parse_document(text))
+
+
+def test_gauge_default_builtin_is_named_in_the_header(capsys):
+    assert run(["gauge", "betti", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "command: gauge betti torus2"
+    assert "betti: 1 2 1" in out
+
+
 @pytest.mark.parametrize("function", ["exp(1000)", "x0/x1", "10**400"])
 def test_expression_evaluation_error_exits_1(capsys, function):
     assert run(["ham", "field", "--patch", "canonical:1,1", "--function", function]) == 1

@@ -513,6 +513,22 @@ class TestCupTableAgainstPairwiseProducts:
         assert builds == [cx]
         assert dg.cohomology(cx, 2) is dg.cohomology(cx, 2)
 
+    def test_dropped_complex_is_freed_without_the_cycle_collector(self):
+        import gc
+        import weakref
+
+        cx = dg.torus_complex(3)
+        rng = random.Random(14)
+        dg.omega_disc(cx, closed_cochain(rng, cx), closed_cochain(rng, cx))
+        dg.reduce_gauge(cx)
+        ref = weakref.ref(cx)
+        gc.disable()
+        try:
+            del cx
+            assert ref() is None
+        finally:
+            gc.enable()
+
 
 class TestGridTorusCubed:
     """Grid 2^3, beyond what the pairwise products could assemble in test time."""

@@ -209,3 +209,95 @@ def test_rank_matches_bareiss_oracle():
         cols = rng.randint(1, 5)
         grid = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
         assert rank(Matrix(grid)) == bareiss_rank(grid)
+
+
+# Differential tests: the integer kernels of exactla against plain Fraction
+# Gauss-Jordan and Fraction dot products (tests/_oracles.py).
+
+_DENOMINATORS = (1, 1, 2, 3, 7, 1024, 10**12 + 39, 2**61 - 1)
+_scalars = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-9, 9), st.sampled_from(_DENOMINATORS)),
+    st.builds(F, st.integers(-(10**20), 10**20), st.sampled_from(_DENOMINATORS)),
+)
+
+
+@st.composite
+def _grids(draw, rows, cols):
+    """rows x cols Fractions of rank at most a drawn k: k random rows, the
+    others random combinations of them, shuffled. k = 0 is the zero matrix."""
+    k = draw(st.integers(0, rows))
+    base = [[draw(_scalars) for _ in range(cols)] for _ in range(k)]
+    grid = list(base)
+    for _ in range(rows - k):
+        coeffs = [draw(_scalars) for _ in base]
+        grid.append([sum((a * row[j] for a, row in zip(coeffs, base)), F(0)) for j in range(cols)])
+    return [grid[i] for i in draw(st.permutations(range(rows)))]
+
+
+def _matrix(grid, cols):
+    return Matrix(grid) if grid else Matrix.zeros(0, cols)
+
+
+def _all_fractions(rows):
+    return all(type(x) is F for row in rows for x in row)
+
+
+_dims = st.integers(0, 6)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.tuples(_dims, _dims).flatmap(lambda rc: st.tuples(st.just(rc[1]), _grids(*rc))))
+def test_rref_matches_fraction_gauss_jordan(args):
+    from _oracles import fraction_rref
+
+    cols, grid = args
+    red, pivots = rref(_matrix(grid, cols))
+    ref_rows, ref_pivots = fraction_rref(grid, cols)
+    assert red.shape == (len(grid), cols)
+    assert red.entries == ref_rows and _all_fractions(red.entries)
+    assert pivots == ref_pivots
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(_dims, _dims, _dims).flatmap(
+        lambda rkc: st.tuples(st.just(rkc), _grids(rkc[0], rkc[1]), _grids(rkc[1], rkc[2]))
+    )
+)
+def test_matmul_matches_fraction_products(args):
+    from _oracles import fraction_matmul
+
+    (_, inner, cols), left, right = args
+    product = _matrix(left, inner) @ _matrix(right, cols)
+    assert product.shape == (len(left), cols)
+    assert product.entries == fraction_matmul(left, right, cols)
+    assert _all_fractions(product.entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(_dims, _dims).flatmap(
+        lambda rc: st.tuples(st.just(rc[1]), _grids(*rc), st.lists(_scalars, min_size=rc[1], max_size=rc[1]))
+    )
+)
+def test_apply_matches_fraction_products(args):
+    from _oracles import fraction_apply
+
+    cols, grid, vec = args
+    out = _matrix(grid, cols).apply(vec)
+    assert out == fraction_apply(grid, vec) and _all_fractions([out])
+
+
+def test_rref_negative_pivots_and_large_denominators():
+    from _oracles import fraction_rref
+
+    big = 2**61 - 1
+    grid = [
+        [F(-3, big), F(5, 7), F(0), F(-1, 10**12 + 39)],
+        [F(6, big), F(-10, 7), F(-2), F(0)],
+        [F(0), F(0), F(-4, 3), F(1, big)],
+    ]
+    red, pivots = rref(Matrix(grid))
+    assert (red.entries, pivots) == fraction_rref(grid, 4)
+    assert pivots == (0, 2, 3)
