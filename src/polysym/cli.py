@@ -236,6 +236,7 @@ def cmd_lie(args) -> Report:
         )
         rep.add("samples", report.samples)
         rep.add("translation_distance", _fmt_float(report.translation_distance))
+        rep.add("min_displacement", _fmt_float(report.min_displacement))
         rep.add("fixed_points_found", report.fixed_points_found)
         rep.add("identity", "left translation by a non-identity element has no fixed points")
         return rep

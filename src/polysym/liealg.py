@@ -195,8 +195,9 @@ def hat(v: np.ndarray) -> np.ndarray:
 
 
 def unhat(m: np.ndarray) -> np.ndarray:
-    s = 0.5 * (m - m.T)
-    return np.array([s[2, 1], s[0, 2], s[1, 0]])
+    """Inverse of hat on the skew part; a (..., 3, 3) stack gives (..., 3)."""
+    s = 0.5 * (m - np.swapaxes(m, -1, -2))
+    return np.stack([s[..., 2, 1], s[..., 0, 2], s[..., 1, 0]], axis=-1)
 
 
 def so3_exp(v: np.ndarray) -> np.ndarray:
@@ -225,6 +226,15 @@ def so3_log(r: np.ndarray) -> np.ndarray:
     )
 
 
+def check_rotations(m: np.ndarray) -> None:
+    """Raise ContractViolation unless every matrix of a (..., 3, 3) stack is
+    orthogonal with determinant 1 within GROUP_TOLERANCE; NaN fails both."""
+    if not np.all(np.linalg.norm(np.swapaxes(m, -1, -2) @ m - np.eye(3), axis=(-2, -1)) <= GROUP_TOLERANCE):
+        raise ContractViolation("matrix is not orthogonal within tolerance")
+    if not np.all(np.abs(np.linalg.det(m) - 1.0) <= GROUP_TOLERANCE):
+        raise ContractViolation("matrix determinant is not 1 within tolerance")
+
+
 @dataclass(frozen=True)
 class MatrixGroupElement:
     """A numeric rotation matrix, validated against the group relations."""
@@ -236,10 +246,7 @@ class MatrixGroupElement:
         object.__setattr__(self, "matrix", m)
         if m.shape != (3, 3):
             raise ValidationError("group elements are 3x3 matrices")
-        if np.linalg.norm(m.T @ m - np.eye(3)) > GROUP_TOLERANCE:
-            raise ContractViolation("matrix is not orthogonal within tolerance")
-        if abs(np.linalg.det(m) - 1.0) > GROUP_TOLERANCE:
-            raise ContractViolation("matrix determinant is not 1 within tolerance")
+        check_rotations(m)
 
     def inverse(self) -> "MatrixGroupElement":
         return MatrixGroupElement(self.matrix.T)
@@ -259,14 +266,34 @@ def maurer_cartan_moment(g_el: MatrixGroupElement, xi: np.ndarray) -> np.ndarray
     return adjoint(g_el.inverse(), xi)
 
 
-def haar_so3(rng: np.random.Generator) -> MatrixGroupElement:
-    """Haar-distributed rotation via QR of a Gaussian matrix with sign fixing."""
-    a = rng.standard_normal((3, 3))
-    q, r = np.linalg.qr(a)
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0:
-        q[:, 2] = -q[:, 2]
-    return MatrixGroupElement(q)
+HAAR_BLOCK = 4096
+
+
+def haar_so3(rng: np.random.Generator, count: int = None):
+    """Haar-distributed rotations by QR of Gaussian matrices (Mezzadri 2007).
+
+    The signs of R's diagonal move into Q, and the third column is negated
+    where the determinant is -1. With a count, one stacked QR returns a
+    (count, 3, 3) array; without, a single MatrixGroupElement is drawn as a
+    block of one. Every sample passes check_rotations, and the generator
+    advances by one 3x3 standard-normal draw per sample, so blocks of any
+    size give the rotations that one-at-a-time draws give, bit for bit.
+    """
+    n = 1 if count is None else count
+    q, r = np.linalg.qr(rng.standard_normal((n, 3, 3)))
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    flip = np.linalg.det(q) < 0
+    q[flip, :, 2] = -q[flip, :, 2]
+    check_rotations(q)
+    return q if count is not None else MatrixGroupElement(q[0])
+
+
+def haar_blocks(count: int, seed: int):
+    """`count` Haar rotations from default_rng(seed), yielded as stacks of at
+    most HAAR_BLOCK, so memory stays bounded whatever the count."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, count, HAAR_BLOCK):
+        yield haar_so3(rng, min(HAAR_BLOCK, count - start))
 
 
 @dataclass(frozen=True)
@@ -274,6 +301,7 @@ class ArnoldReport:
     samples: int
     fixed_points_found: int
     translation_distance: float
+    min_displacement: float
 
 
 def arnold_counterexample(
@@ -282,8 +310,12 @@ def arnold_counterexample(
     """Count Haar-sampled fixed points of left translation by exp(t xi).
 
     The translation must differ from the identity; a fixed-point count of 0
-    is the expected outcome for every non-identity translation.
+    is the expected outcome for every non-identity translation. For
+    orthogonal g, |ug - g| = |u - I| (Frobenius), so min_displacement, the
+    smallest sampled |ug - g|, must equal translation_distance to rounding.
     """
+    if sample_count < 1:
+        raise ValidationError("need at least one sample")
     xi = np.asarray(xi, dtype=float)
     u = so3_exp(t * xi)
     gap = float(np.linalg.norm(u - np.eye(3)))
@@ -291,34 +323,43 @@ def arnold_counterexample(
         raise ContractViolation(
             "translation time lands on the identity; the check is vacuous"
         )
-    rng = np.random.default_rng(seed)
     tol = 1e-9 * tolerance_scale
-    found = 0
-    for _ in range(sample_count):
-        g = haar_so3(rng).matrix
-        if np.linalg.norm(u @ g - g) < tol:
-            found += 1
-    return ArnoldReport(samples=sample_count, fixed_points_found=found, translation_distance=gap)
+    found, nearest = 0, np.inf
+    for g in haar_blocks(sample_count, seed):
+        moved = np.linalg.norm(u @ g - g, axis=(1, 2))
+        found += int(np.count_nonzero(moved < tol))
+        nearest = np.minimum(nearest, moved.min())
+    return ArnoldReport(sample_count, found, gap, float(nearest))
 
 
-GRAM_BLOCK_ROWS = 256
+GRAM_BLOCK_CELLS = 1 << 18  # 2 MiB of float64
 
 
 def most_antipodal_pair(points: np.ndarray) -> tuple:
     """The pair (i, j), i != j, with the smallest inner product, which also
     minimizes the midpoint norm on a sphere; ties go to the first in row-major
-    order. The Gram matrix is scanned in blocks of GRAM_BLOCK_ROWS rows, so
-    memory grows with N rather than N^2.
+    order, so the pair does not depend on the block size. The Gram matrix is
+    scanned max(1, GRAM_BLOCK_CELLS // N) rows at a time, so memory grows
+    with N rather than N^2.
     """
+    step = max(1, GRAM_BLOCK_CELLS // max(1, len(points)))
     best, pair = np.inf, (0, 0)
-    for start in range(0, len(points), GRAM_BLOCK_ROWS):
-        block = points[start:start + GRAM_BLOCK_ROWS] @ points.T
+    for start in range(0, len(points), step):
+        block = points[start:start + step] @ points.T
         rows = np.arange(len(block))
         block[rows, start + rows] = np.inf
         r, j = np.unravel_index(np.argmin(block), block.shape)
         if block[r, j] < best:
             best, pair = block[r, j], (start + int(r), int(j))
+        del block  # free it before the next block is built
     return pair
+
+
+def moment_images(xi: np.ndarray, samples: int, seed: int = 0) -> np.ndarray:
+    """Left-regular moment images Ad_{g^-1} xi = unhat(g^T hat(xi) g) of
+    `samples` Haar rotations from haar_blocks, as a (samples, 3) array."""
+    x = hat(xi)
+    return np.concatenate([unhat(np.swapaxes(g, 1, 2) @ x @ g) for g in haar_blocks(samples, seed)])
 
 
 @dataclass(frozen=True)
@@ -336,17 +377,18 @@ def convexity_counterexample(
 ) -> ConvexityReport:
     """Moment image of the left regular action: a sphere, hence not convex.
 
-    Checks that every sampled image point has the norm of xi, then exhibits
-    the sampled pair whose midpoint is deepest inside the ball.
+    Checks that every sampled image point (moment_images, drawn in blocks of
+    HAAR_BLOCK rotations) has the norm of xi, then exhibits the sampled pair
+    whose midpoint is deepest inside the ball (most_antipodal_pair, a Gram
+    scan in blocks of at most GRAM_BLOCK_CELLS entries).
     """
+    if samples < 1:
+        raise ValidationError("need at least one sample")
     xi = np.asarray(xi, dtype=float)
     radius = float(np.linalg.norm(xi))
     if radius == 0.0:
         raise ContractViolation("the zero direction has a trivial moment image")
-    rng = np.random.default_rng(seed)
-    images = np.empty((samples, 3))
-    for s in range(samples):
-        images[s] = maurer_cartan_moment(haar_so3(rng), xi)
+    images = moment_images(xi, samples, seed)
     radius_err = float(np.max(np.abs(np.linalg.norm(images, axis=1) - radius)))
     on_sphere = radius_err <= 1e-9 * tolerance_scale
     i, j = most_antipodal_pair(images)

@@ -385,6 +385,7 @@ class SectionEmbedding:
 
     patch: ExactPatch
     target: ExactPatch
+    target_omega: np.ndarray  # the canonical model as floats, (k, n + nk, n + nk)
 
     def map(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -404,8 +405,7 @@ class SectionEmbedding:
     def pullback_defect(self, x: np.ndarray) -> float:
         """Max entrywise gap between the pulled-back target form and the patch form."""
         j = self.jacobian(x)
-        target_omega = vform_to_numpy(canonical_model(self.patch.dim_m, self.patch.dim_v))
-        pulled = np.einsum("ia,cij,jb->cab", j, target_omega, j)
+        pulled = np.einsum("ia,cij,jb->cab", j, self.target_omega, j)
         return float(np.max(np.abs(pulled - omega_at(self.patch, x))))
 
 
@@ -416,7 +416,8 @@ def local_embed(patch: ExactPatch, x: np.ndarray = None) -> SectionEmbedding:
     global on the patch domain.
     """
     target = canonical_theta(patch.dim_m, patch.dim_v, fd_step=patch.fd_step)
-    return SectionEmbedding(patch=patch, target=target)
+    target_omega = vform_to_numpy(canonical_model(patch.dim_m, patch.dim_v))
+    return SectionEmbedding(patch=patch, target=target, target_omega=target_omega)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,12 @@ These deliberately avoid the package's echelon/quotient machinery: ranks use
 fraction-free integer elimination (Bareiss style), bilinear-form facts are
 checked straight from definitions, and the scalar kernels of `exactla`
 (`rref`, matrix products) have plain `Fraction` reference versions here.
+The numeric samplers of `liealg` have their one-sample-at-a-time loops here.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 
 def fraction_rref(rows, cols):
@@ -46,6 +49,37 @@ def fraction_matmul(left, right, cols):
     rows, as Fraction dot products."""
     columns = [[row[j] for row in right] for j in range(cols)]
     return tuple(fraction_apply(columns, row) for row in left)
+
+
+def looped_rotations(count, seed):
+    """Haar rotations drawn one at a time from default_rng(seed): a 3x3 QR,
+    signs fixed by a diagonal product, the third column negated if det < 0."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, 3, 3))
+    for s in range(count):
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        q = q @ np.diag(np.sign(np.diag(r)))
+        if np.linalg.det(q) < 0:
+            q[:, 2] = -q[:, 2]
+        out[s] = q
+    return out
+
+
+def looped_moment_images(xi, count, seed):
+    """Ad_{g^-1} xi, the skew part of g^T hat(xi) g, one rotation at a time."""
+    x, y, z = xi
+    h = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    out = np.empty((count, 3))
+    for s, g in enumerate(looped_rotations(count, seed)):
+        m = g.T @ h @ g
+        out[s] = 0.5 * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+    return out
+
+
+def looped_displacements(u, count, seed):
+    """|ug - g| (Frobenius) for each rotation g, one at a time."""
+    return np.array([np.linalg.norm(u @ g - g) for g in looped_rotations(count, seed)])
+
 
 def bareiss_rank(rows):
     """Rank of an integer matrix by fraction-free elimination."""

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,6 +10,9 @@ from polysym.errors import ContractViolation, ValidationError
 from polysym.exactla import Matrix, Subspace
 from polysym.polycore import classify, orthogonal
 from polysym.randgen import rand_subspace
+from polysym.verify import run_suite
+
+from _oracles import looped_displacements, looped_moment_images, looped_rotations
 
 
 def span(n, *vecs):
@@ -179,6 +183,19 @@ class TestArnold:
         rep = la.arnold_counterexample(np.array([0.0, 0.0, 2 * np.pi]), 1e-4, 500, seed=1)
         assert rep.fixed_points_found == 0
 
+    @pytest.mark.parametrize("t", [1e-4, 0.5, 0.9])
+    def test_nearest_sample_moves_by_the_translation_distance(self, t):
+        rep = la.arnold_counterexample(np.array([0.0, 0.0, 2 * np.pi]), t, 1000, seed=2)
+        assert abs(rep.min_displacement - rep.translation_distance) <= 1e-9
+
+    def test_distance_check_can_fail(self, monkeypatch):
+        # Samples scaled by 2 are not rotations: no fixed point appears, but
+        # the nearest sample moves by twice the translation distance.
+        haar = la.haar_so3
+        monkeypatch.setattr(la, "haar_so3", lambda rng, count: 2.0 * haar(rng, count))
+        result = run_suite("arnold", seed=0, trials=100)
+        assert [c.passed for c in result.checks] == [True, True, False]
+
 
 class TestConvexity:
     def test_image_on_sphere_with_interior_midpoint(self):
@@ -212,12 +229,14 @@ def full_gram_pair(points):
     return (int(i), int(j)), grams[i, j]
 
 
+ROWS = 256  # Gram rows per block in the scan tests
+
+
 class TestMostAntipodalPair:
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize(
-        "n", [2, 3, 50, la.GRAM_BLOCK_ROWS, la.GRAM_BLOCK_ROWS + 1, 4 * la.GRAM_BLOCK_ROWS + 37]
-    )
-    def test_blocked_scan_matches_full_gram(self, seed, n):
+    @pytest.mark.parametrize("n", [2, 3, 50, ROWS, ROWS + 1, 4 * ROWS + 37])
+    def test_blocked_scan_matches_full_gram(self, monkeypatch, seed, n):
+        monkeypatch.setattr(la, "GRAM_BLOCK_CELLS", ROWS * n)
         rng = np.random.default_rng(seed)
         xi = np.array([1.0, 0.0, 0.0])
         points = np.array([la.maurer_cartan_moment(la.haar_so3(rng), xi) for _ in range(n)])
@@ -225,17 +244,118 @@ class TestMostAntipodalPair:
         assert la.most_antipodal_pair(points) == (i, j)
         assert points[i] @ points[j] == smallest
 
-    def test_a_point_never_pairs_with_itself(self):
+    def test_a_point_never_pairs_with_itself(self, monkeypatch):
         # A short vector's square is its smallest product; it sits in a later block.
-        points = np.ones((3 * la.GRAM_BLOCK_ROWS, 3))
-        points[2 * la.GRAM_BLOCK_ROWS + 5] *= 1e-3
-        assert la.most_antipodal_pair(points) == full_gram_pair(points)[0] == (0, 2 * la.GRAM_BLOCK_ROWS + 5)
+        points = np.ones((3 * ROWS, 3))
+        points[2 * ROWS + 5] *= 1e-3
+        monkeypatch.setattr(la, "GRAM_BLOCK_CELLS", ROWS * len(points))
+        assert la.most_antipodal_pair(points) == full_gram_pair(points)[0] == (0, 2 * ROWS + 5)
 
-    def test_ties_go_to_the_first_pair(self):
+    def test_ties_go_to_the_first_pair(self, monkeypatch):
         # Many pairs reach the minimum -1; the first in row-major order is (0, 1).
         e = np.array([1.0, 0.0, 0.0])
-        points = np.tile(np.array([e, -e, e, -e]), (la.GRAM_BLOCK_ROWS, 1))
+        points = np.tile(np.array([e, -e, e, -e]), (ROWS, 1))
+        monkeypatch.setattr(la, "GRAM_BLOCK_CELLS", ROWS * len(points))
         assert la.most_antipodal_pair(points) == full_gram_pair(points)[0] == (0, 1)
+
+    def test_a_budget_below_one_row_scans_row_by_row(self, monkeypatch):
+        points = la.moment_images(np.array([0.0, 0.0, 1.0]), 40, seed=2)
+        monkeypatch.setattr(la, "GRAM_BLOCK_CELLS", 1)
+        assert la.most_antipodal_pair(points) == full_gram_pair(points)[0]
+
+    def test_scan_memory_is_one_block(self):
+        # One block is GRAM_BLOCK_CELLS doubles (2 MiB); the full Gram matrix
+        # at N = 20,000 would be 3.2 GB, and blocks of 256 rows 41 MB.
+        points = la.moment_images(np.array([1.0, 0.0, 0.0]), 20_000, seed=0)
+        tracemalloc.start()
+        try:
+            la.most_antipodal_pair(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * la.GRAM_BLOCK_CELLS
+
+
+HB = la.HAAR_BLOCK
+BLOCK_COUNTS = [1, HB - 1, HB, HB + 1]
+
+
+class TestBatchedHaar:
+    """The stacked sampler against the one-sample-at-a-time loop it replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    def test_blocks_equal_the_loop(self, seed, count):
+        blocks = list(la.haar_blocks(count, seed))
+        assert [len(b) for b in blocks] == [min(HB, count - s) for s in range(0, count, HB)]
+        assert np.array_equal(np.concatenate(blocks), looped_rotations(count, seed))
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    def test_moment_images_equal_the_loop(self, seed, count):
+        xi = np.array([0.3, -1.2, 0.7])
+        assert np.array_equal(la.moment_images(xi, count, seed), looped_moment_images(xi, count, seed))
+
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    def test_arnold_equals_the_loop(self, count):
+        xi, t = np.array([0.0, 0.0, 2 * np.pi]), 0.5
+        rep = la.arnold_counterexample(xi, t, count, seed=3)
+        moved = looped_displacements(la.so3_exp(t * xi), count, seed=3)
+        assert rep.samples == count
+        assert rep.fixed_points_found == int(np.count_nonzero(moved < 1e-9)) == 0
+        # The stacked and the single-matrix Frobenius norms may differ in the last bit.
+        assert abs(rep.min_displacement - moved.min()) <= 4 * np.finfo(float).eps * moved.min()
+
+    def test_single_draw_is_a_block_of_one(self):
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        g = la.haar_so3(a)
+        assert isinstance(g, la.MatrixGroupElement)
+        assert np.array_equal(g.matrix, la.haar_so3(b, 1)[0])
+        assert np.array_equal(g.matrix, looped_rotations(1, 9)[0])
+        assert a.standard_normal() == b.standard_normal()
+
+    def test_a_corrupted_sample_is_rejected(self, monkeypatch):
+        # Scale q of the last sample only, so that every sample must be checked.
+        qr = np.linalg.qr
+
+        def scaled_qr(a):
+            q, r = qr(a)
+            q[-1] *= 1.0 + 1e-6
+            return q, r
+
+        monkeypatch.setattr(np.linalg, "qr", scaled_qr)
+        with pytest.raises(ContractViolation):
+            la.haar_so3(np.random.default_rng(0), HB)
+        with pytest.raises(ContractViolation):
+            la.arnold_counterexample(np.array([0.0, 0.0, 1.0]), 0.5, 10, seed=0)
+        with pytest.raises(ContractViolation):
+            la.convexity_counterexample(np.array([0.0, 0.0, 1.0]), 10, seed=0)
+
+    def test_nan_is_not_a_rotation(self):
+        stack = np.array([np.eye(3), np.full((3, 3), np.nan)])
+        with pytest.raises(ContractViolation):
+            la.check_rotations(stack)
+        with pytest.raises(ContractViolation):
+            la.MatrixGroupElement(stack[1])
+
+    def test_arnold_memory_is_one_block(self):
+        # 200,000 samples at once would hold 14.4 MB per (N, 3, 3) array.
+        xi = np.array([0.0, 0.0, 2 * np.pi])
+        la.arnold_counterexample(xi, 0.5, 10)
+        tracemalloc.start()
+        try:
+            rep = la.arnold_counterexample(xi, 0.5, 200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.samples == 200_000 and rep.fixed_points_found == 0
+        assert peak <= 4 << 20
+
+    @pytest.mark.parametrize("sampler", [la.arnold_counterexample, la.convexity_counterexample])
+    def test_zero_samples_rejected(self, sampler):
+        args = (np.array([0.0, 0.0, 1.0]), 0.5, 0) if sampler is la.arnold_counterexample else (np.ones(3), 0)
+        with pytest.raises(ValidationError):
+            sampler(*args)
 
 
 class TestMembershipPredicate:
