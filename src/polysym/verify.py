@@ -315,8 +315,8 @@ def suite_arnold(seed: int, trials: int, tol_scale: float) -> SuiteResult:
         report2.fixed_points_found == 0,
         f"fixed points {report2.fixed_points_found}",
     )
-    # |ug - g| = |u - I| for orthogonal g, so the nearest sample must sit at
-    # exactly the translation distance, up to rounding.
+    # |ug - g| = |u - I| for orthogonal g, so the nearest sample moves by the
+    # translation distance up to rounding.
     tol = 1e-9 * tol_scale
     worst = max(abs(r.min_displacement - r.translation_distance) for r in (report, report2))
     res.add(
