@@ -269,23 +269,21 @@ def maurer_cartan_moment(g_el: MatrixGroupElement, xi: np.ndarray) -> np.ndarray
 HAAR_BLOCK = 4096
 
 
-def haar_so3(rng: np.random.Generator, count: int = None):
-    """Haar-distributed rotations by QR of Gaussian matrices (Mezzadri 2007).
+def haar_so3(rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` Haar-distributed rotations as a (count, 3, 3) array, by one
+    stacked QR of Gaussian matrices (Mezzadri 2007).
 
     The signs of R's diagonal move into Q, and the third column is negated
-    where the determinant is -1. With a count, one stacked QR returns a
-    (count, 3, 3) array; without, a single MatrixGroupElement is drawn as a
-    block of one. Every sample passes check_rotations, and the generator
-    advances by one 3x3 standard-normal draw per sample, so blocks of any
-    size give the rotations that one-at-a-time draws give, bit for bit.
+    where the determinant is -1. Every sample passes check_rotations, and the
+    generator advances by one 3x3 standard-normal draw per sample, so blocks
+    of any size give the rotations that one-at-a-time draws give, bit for bit.
     """
-    n = 1 if count is None else count
-    q, r = np.linalg.qr(rng.standard_normal((n, 3, 3)))
+    q, r = np.linalg.qr(rng.standard_normal((count, 3, 3)))
     q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     flip = np.linalg.det(q) < 0
     q[flip, :, 2] = -q[flip, :, 2]
     check_rotations(q)
-    return q if count is not None else MatrixGroupElement(q[0])
+    return q
 
 
 def haar_blocks(count: int, seed: int):

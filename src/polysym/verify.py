@@ -316,7 +316,8 @@ def suite_arnold(seed: int, trials: int, tol_scale: float) -> SuiteResult:
         f"fixed points {report2.fixed_points_found}",
     )
     # |ug - g| = |u - I| for orthogonal g, so the nearest sample moves by the
-    # translation distance up to rounding.
+    # translation distance up to rounding. This repeats the orthogonality
+    # check that haar_so3 already applies to every sample.
     tol = 1e-9 * tol_scale
     worst = max(abs(r.min_displacement - r.translation_distance) for r in (report, report2))
     res.add(
