@@ -9,6 +9,7 @@ identical input and seed produce identical bytes. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -31,6 +32,7 @@ from .polycore import (
     canonical_model,
     universal_embed,
 )
+from .randgen import rand_cochain
 from .verify import SUITES, run_suite
 
 
@@ -199,11 +201,16 @@ def cmd_embed(args) -> Report:
     return rep
 
 
-def _parse_xi(text: str) -> np.ndarray:
+def _parse_xi(text: str, size: Optional[int] = None) -> np.ndarray:
     try:
-        return np.array([float(t) for t in text.split(",")], dtype=float)
+        out = np.array([float(t) for t in text.split(",")], dtype=float)
     except ValueError as exc:
         raise ValidationError(f"bad vector literal {text!r}") from exc
+    if not np.all(np.isfinite(out)):
+        raise ValidationError(f"vector literal {text!r} has a non-finite entry")
+    if size is not None and out.size != size:
+        raise ValidationError(f"vector literal {text!r} needs {size} entries")
+    return out
 
 
 def cmd_lie(args) -> Report:
@@ -230,7 +237,7 @@ def cmd_lie(args) -> Report:
         rep.add("identity", "centralizer modulo its meet with the subspace")
         return rep
     if args.verb == "arnold":
-        xi = _parse_xi(args.xi) if args.xi else np.array([0.0, 0.0, 2.0 * np.pi])
+        xi = _parse_xi(args.xi, 3) if args.xi else np.array([0.0, 0.0, 2.0 * np.pi])
         report = la.arnold_counterexample(
             xi, args.t, args.trials or 1000, seed=args.seed, tolerance_scale=args.tolerance_scale
         )
@@ -241,7 +248,7 @@ def cmd_lie(args) -> Report:
         rep.add("identity", "left translation by a non-identity element has no fixed points")
         return rep
     if args.verb == "convexity":
-        xi = _parse_xi(args.xi) if args.xi else np.array([1.0, 0.0, 0.0])
+        xi = _parse_xi(args.xi, 3) if args.xi else np.array([1.0, 0.0, 0.0])
         report = la.convexity_counterexample(
             xi, args.trials or 1000, seed=args.seed, tolerance_scale=args.tolerance_scale
         )
@@ -345,14 +352,6 @@ def cmd_ham(args) -> Report:
     raise ValidationError(f"unknown ham verb {args.verb!r}")
 
 
-def _random_cocycle(cx: dg.DeltaComplex, rng, closed: bool = True) -> dg.Cochain:
-    if closed:
-        z1 = dg.cohomology(cx, 1).cocycles
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(z1.dim)]
-        return dg.Cochain(cx, 1, z1.basis.apply(coeffs))
-    return dg.Cochain(cx, 1, [Fraction(rng.randint(-3, 3)) for _ in range(cx.count(1))])
-
-
 def cmd_gauge(args) -> Report:
     import random as _random
 
@@ -366,8 +365,8 @@ def cmd_gauge(args) -> Report:
         rep.add("identity", "cocycle rank minus coboundary rank per degree")
         return rep
     if args.verb == "omega":
-        alpha = _random_cocycle(cx, rng)
-        beta = _random_cocycle(cx, rng)
+        alpha = rand_cochain(rng, cx, 1, closed=True)
+        beta = rand_cochain(rng, cx, 1, closed=True)
         coset = dg.omega_disc(cx, alpha, beta)
         rep.add("alpha", _fmt_vector(alpha.values))
         rep.add("beta", _fmt_vector(beta.values))
@@ -377,7 +376,7 @@ def cmd_gauge(args) -> Report:
         rep.add("identity", "cup value taken modulo coboundaries; kernel measured, not assumed")
         return rep
     if args.verb == "moment":
-        a = _random_cocycle(cx, rng, closed=False)
+        a = rand_cochain(rng, cx, 1)
         moment = dg.gauge_moment(cx, a)
         zero = dg.moment_zero_set(cx)
         rep.add("connection", _fmt_vector(a.values))
@@ -482,6 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A float overflow or invalid operation (numeric arguments too large for
+# float64) ends the run with one error line, not numpy warnings and nan fields.
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def run(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -489,6 +491,11 @@ def run(argv: Optional[List[str]] = None) -> int:
         # A check run on no samples would pass vacuously.
         if args.trials is not None and args.trials < 1:
             raise ValidationError(f"--trials must be at least 1, got {args.trials}")
+        # A zero, negative or nan scale decides tolerance checks whatever the data.
+        if not (0 < args.tolerance_scale < math.inf):
+            raise ValidationError(f"--tolerance-scale must be positive and finite, got {args.tolerance_scale}")
+        if not math.isfinite(getattr(args, "t", 0.0)):
+            raise ValidationError(f"--t must be finite, got {args.t}")
         if args.cmd == "verify":
             rep, ok = cmd_verify(args)
             sys.stdout.write(rep.render(args.machine))
@@ -505,7 +512,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         rep = handler(args)
         sys.stdout.write(rep.render(args.machine))
         return 0
-    except ValidationError as exc:
+    except (ValidationError, FloatingPointError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except ContractViolation as exc:

@@ -427,15 +427,10 @@ class QuotientSpace:
 
     def project(self, v: Sequence) -> tuple:
         """Section coordinates of the coset of v (v must lie in ambient)."""
-        if self.section.cols == 0 and self.sub.dim == 0:
-            if any(_as_scalar(x) != 0 for x in v):
-                raise ValidationError("vector outside the ambient subspace")
-            return ()
         if self.ambient.dim == self.ambient.ambient_dim:
             # Every vector lies in a full ambient, so the projector suffices.
             return self.projector.apply(v)
-        system = self.section.hstack(self.sub.basis) if self.sub.dim else self.section
-        sol = solve(system, v)
+        sol = solve(self.section.hstack(self.sub.basis), v)
         if sol is None:
             raise ValidationError("vector outside the ambient subspace")
         return tuple(sol[: self.section.cols])

@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, ValidationError
-from .exactla import Matrix, Subspace, intersect, kernel
-from .polycore import LinearReduction, VForm, linear_reduce
+from .exactla import Matrix, Subspace, intersect
+from .polycore import LinearReduction, VForm, joint_kernel, linear_reduce
 
 GROUP_TOLERANCE = 1e-9
 ROTATION_TOLERANCE = 1e-12
@@ -102,14 +102,7 @@ class LieAlgebra:
 
 def center(g: LieAlgebra) -> Subspace:
     """Elements commuting with the whole algebra; exact."""
-    n = g.dim
-    stacked = None
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        block = g.ad(e)
-        stacked = block if stacked is None else stacked.vstack(block)
-    return kernel(stacked)
+    return centralizer(g, Subspace.full(g.dim))
 
 
 def bracket_form(g: LieAlgebra) -> VForm:
@@ -123,13 +116,7 @@ def centralizer(g: LieAlgebra, a: Subspace) -> Subspace:
     """{x : [a, x] = 0}; computed from ad, so it works with any center."""
     if a.ambient_dim != g.dim:
         raise ValidationError("subspace ambient dimension does not match the algebra")
-    if a.dim == 0:
-        return Subspace.full(g.dim)
-    stacked = None
-    for j in range(a.dim):
-        block = g.ad(a.basis.col(j))
-        stacked = block if stacked is None else stacked.vstack(block)
-    return kernel(stacked)
+    return joint_kernel(g.dim, [g.ad(a.basis.col(j)) for j in range(a.dim)])
 
 
 def lie_reduce(g: LieAlgebra, a: Subspace) -> LinearReduction:
@@ -289,6 +276,8 @@ def haar_so3(rng: np.random.Generator, count: int) -> np.ndarray:
 def haar_blocks(count: int, seed: int):
     """`count` Haar rotations from default_rng(seed), yielded as stacks of at
     most HAAR_BLOCK, so memory stays bounded whatever the count."""
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     for start in range(0, count, HAAR_BLOCK):
         yield haar_so3(rng, min(HAAR_BLOCK, count - start))

@@ -8,9 +8,9 @@ system), the bracket, moment maps of potential-preserving actions, the
 section embedding into the canonical target, and Legendre-transform
 pullbacks.
 
-All derivatives use central differences with a fixed step (optionally one
-level of Richardson extrapolation); all sampling is low-discrepancy with an
-explicit seed.
+All first derivatives go through one central-difference routine with a
+fixed step (optionally one level of Richardson extrapolation); all sampling
+is low-discrepancy with an explicit seed.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ def halton_points(dim: int, count: int, seed: int = 0, scale: float = 1.0) -> np
     scipy.stats.qmc.Halton(d=dim, scramble=True, seed=seed) in order, so the
     points are bit-identical to it.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     primes = (n for n in itertools.count(2) if all(n % p for p in range(2, math.isqrt(n) + 1)))
     unit = np.empty((count, dim))
@@ -80,7 +82,10 @@ class ExactPatch:
     base_shape: Optional[tuple] = None  # (n, k) for canonical patches
 
     def theta_at(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.theta(np.asarray(x, dtype=float)), dtype=float)
+        try:
+            out = np.asarray(self.theta(np.asarray(x, dtype=float)), dtype=float)
+        except (ArithmeticError, ValueError) as exc:
+            raise ValidationError(f"theta is undefined at {x}: {exc}") from exc
         if out.shape != (self.dim_v, self.dim_m):
             raise ValidationError(
                 f"theta returned shape {out.shape}, expected {(self.dim_v, self.dim_m)}"
@@ -90,23 +95,29 @@ class ExactPatch:
         return out
 
 
-def _theta_derivative(patch: ExactPatch, x: np.ndarray, h: float) -> np.ndarray:
-    """D[a, c, b] = d theta_cb / d x_a by central differences at step h."""
-    n = patch.dim_m
-    d = np.empty((n, patch.dim_v, n))
-    for a in range(n):
-        e = np.zeros(n)
+def _partials(f: Callable, x: np.ndarray, h: float, axes: Optional[Sequence[int]] = None) -> np.ndarray:
+    """out[i] = (f(x + h e_a) - f(x - h e_a)) / 2h for the i-th axis a of
+    `axes` (default: every axis of x). Callers that want the axis last take
+    `.T.copy()`, so the einsum or lstsq that follows reads a C-ordered array
+    and sums in a fixed order."""
+    axes = range(x.size) if axes is None else axes
+    out = None
+    for i, a in enumerate(axes):
+        e = np.zeros(x.size)
         e[a] = h
-        d[a] = (patch.theta_at(x + e) - patch.theta_at(x - e)) / (2.0 * h)
-    return d
+        d = (np.asarray(f(x + e), dtype=float) - np.asarray(f(x - e), dtype=float)) / (2.0 * h)
+        if out is None:
+            out = np.empty((len(axes),) + d.shape)
+        out[i] = d
+    return out
 
 
 def omega_at(patch: ExactPatch, x: np.ndarray) -> np.ndarray:
     """Components of -d(theta) at x, shape (k, n, n), exactly skew."""
     x = np.asarray(x, dtype=float)
-    d = _theta_derivative(patch, x, patch.fd_step)
+    d = _partials(patch.theta_at, x, patch.fd_step)  # d[a, c, b] = d theta_cb / d x_a
     if patch.richardson:
-        d_half = _theta_derivative(patch, x, patch.fd_step / 2.0)
+        d_half = _partials(patch.theta_at, x, patch.fd_step / 2.0)
         d = (4.0 * d_half - d) / 3.0
     # raw[c, a, b] = d theta_cb / d x_a
     raw = np.transpose(d, (1, 0, 2))
@@ -197,14 +208,7 @@ def translation_generator(n: int, k: int, direction: int) -> Callable[[np.ndarra
 def gradient(patch: ExactPatch, f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """df at x as a (k, n) array of partial derivatives, central differences."""
     x = np.asarray(x, dtype=float)
-    h = patch.fd_step
-    n = patch.dim_m
-    cols = []
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = h
-        cols.append((np.asarray(f(x + e), dtype=float) - np.asarray(f(x - e), dtype=float)) / (2.0 * h))
-    return np.stack(cols, axis=-1).reshape(patch.dim_v, n)
+    return _partials(f, x, patch.fd_step).reshape(patch.dim_m, patch.dim_v).T.copy()
 
 
 @dataclass(frozen=True)
@@ -281,16 +285,10 @@ def lie_derivative_of_theta(
 ) -> np.ndarray:
     """(L_X theta)_cb = X_a d_a theta_cb + theta_ca d_b X_a, central differences."""
     x = np.asarray(x, dtype=float)
-    n = patch.dim_m
-    h = patch.fd_step
-    d_theta = _theta_derivative(patch, x, h)  # (a, c, b)
+    d_theta = _partials(patch.theta_at, x, patch.fd_step)  # (a, c, b)
     xv = np.asarray(gen(x), dtype=float)
     theta = patch.theta_at(x)
-    dx = np.empty((n, n))  # dx[b, a] = d X_a / d x_b
-    for b in range(n):
-        e = np.zeros(n)
-        e[b] = h
-        dx[b] = (np.asarray(gen(x + e), dtype=float) - np.asarray(gen(x - e), dtype=float)) / (2.0 * h)
+    dx = _partials(gen, x, patch.fd_step)  # dx[b, a] = d X_a / d x_b
     term1 = np.einsum("a,acb->cb", xv, d_theta)
     term2 = np.einsum("ca,ba->cb", theta, dx)
     return term1 + term2
@@ -311,10 +309,13 @@ class MomentMap:
     identity_defect: float
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        theta = self.patch.theta_at(x)
-        cols = [theta @ np.asarray(gen(x), dtype=float) for gen in self.generators]
-        return np.stack(cols, axis=1)
+        return _moment(self.patch, self.generators, np.asarray(x, dtype=float))
+
+
+def _moment(patch: ExactPatch, generators: Sequence[Callable], x: np.ndarray) -> np.ndarray:
+    """The potential at x contracted with each generator, one column each."""
+    theta = patch.theta_at(x)
+    return np.stack([theta @ np.asarray(gen(x), dtype=float) for gen in generators], axis=1)
 
 
 def moment_identity_defect(
@@ -329,11 +330,6 @@ def moment_identity_defect(
     along X uses a central difference of the whole moment matrix.
     """
     h = patch.fd_step
-
-    def mu(x):
-        theta = patch.theta_at(x)
-        return np.stack([theta @ np.asarray(g(x), dtype=float) for g in generators], axis=1)
-
     worst = 0.0
     for x, direction in zip(points, directions):
         x = np.asarray(x, dtype=float)
@@ -341,7 +337,7 @@ def moment_identity_defect(
         if nrm == 0:
             continue
         xdir = direction / nrm
-        dmu = (mu(x + h * xdir) - mu(x - h * xdir)) / (2.0 * h)
+        dmu = (_moment(patch, generators, x + h * xdir) - _moment(patch, generators, x - h * xdir)) / (2.0 * h)
         omega = omega_at(patch, x)
         for gi, gen in enumerate(generators):
             xi_ind = np.asarray(gen(x), dtype=float)
@@ -393,14 +389,7 @@ class SectionEmbedding:
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        n = self.patch.dim_m
-        h = self.patch.fd_step
-        cols = []
-        for a in range(n):
-            e = np.zeros(n)
-            e[a] = h
-            cols.append((self.map(x + e) - self.map(x - e)) / (2.0 * h))
-        return np.stack(cols, axis=1)
+        return _partials(self.map, x, self.patch.fd_step).T.copy()
 
     def pullback_defect(self, x: np.ndarray) -> float:
         """Max entrywise gap between the pulled-back target form and the patch form."""
@@ -453,15 +442,7 @@ def fiber_derivative(
             raise ValidationError("Lagrangian returned non-finite values")
         return out
 
-    def dl_dv(zz: np.ndarray) -> np.ndarray:
-        cols = []
-        for a in range(n):
-            e = np.zeros(2 * n)
-            e[n + a] = h
-            cols.append((l_at(zz + e) - l_at(zz - e)) / (2.0 * h))
-        return np.stack(cols, axis=1)  # (k, n)
-
-    fl = dl_dv(z)
+    fl = _partials(l_at, z, h, range(n, 2 * n)).T.copy()  # dL/dv, (k, n)
 
     # Second derivatives d^2 L_c / d v_j d z_m via 4-point differences.
     second = np.empty((dim_v, n, 2 * n))
@@ -497,14 +478,7 @@ def closedness_defect(patch: ExactPatch, x: np.ndarray) -> float:
     approximated by second central differences over coordinate triples."""
     x = np.asarray(x, dtype=float)
     n = patch.dim_m
-    h = patch.fd_step
-
-    def omega_partial(a: int) -> np.ndarray:
-        e = np.zeros(n)
-        e[a] = h
-        return (omega_at(patch, x + e) - omega_at(patch, x - e)) / (2.0 * h)
-
-    partials = [omega_partial(a) for a in range(n)]
+    partials = _partials(lambda y: omega_at(patch, y), x, patch.fd_step)
     worst = 0.0
     for a in range(n):
         for b in range(a + 1, n):

@@ -69,7 +69,7 @@ class VForm:
     def degeneracy_kernel(self) -> Subspace:
         """Vectors killed by every component, i.e. the kernel of the stacked
         components; zero iff the form is polysymplectic."""
-        return kernel(reduce(Matrix.vstack, self.components))
+        return joint_kernel(self.dim_u, self.components)
 
     def is_nondegenerate(self) -> bool:
         return self.degeneracy_kernel().is_zero()
@@ -78,6 +78,12 @@ class VForm:
         """Form induced on the column span of section, in section coordinates."""
         st = section.transpose()
         return VForm(section.cols, tuple(st @ m @ section for m in self.components))
+
+
+def joint_kernel(n: int, blocks: Sequence[Matrix]) -> Subspace:
+    """Vectors of Q^n killed by every block: the kernel of the blocks stacked,
+    or all of Q^n when there are none."""
+    return kernel(reduce(Matrix.vstack, blocks)) if blocks else Subspace.full(n)
 
 
 def _bilinear(m: Matrix, u: Sequence, v: Sequence) -> Fraction:
@@ -110,13 +116,7 @@ def orthogonal(omega: VForm, a: Subspace) -> Subspace:
     """{v : omega(a, v) = 0 for all a in A}, canonical."""
     if a.ambient_dim != omega.dim_u:
         raise ValidationError("subspace ambient dimension does not match the form")
-    if a.dim == 0:
-        return Subspace.full(omega.dim_u)
-    stacked = None
-    for j in range(a.dim):
-        block = omega.flat(a.basis.col(j))
-        stacked = block if stacked is None else stacked.vstack(block)
-    return kernel(stacked)
+    return joint_kernel(omega.dim_u, [omega.flat(a.basis.col(j)) for j in range(a.dim)])
 
 
 @dataclass(frozen=True)

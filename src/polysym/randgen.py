@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .discgauge import Cochain, DeltaComplex, cohomology
 from .errors import ContractViolation
 from .exactla import Matrix, Subspace
 from .polycore import CoefficientMap, VForm
@@ -85,3 +86,12 @@ def rand_plane(rng: random.Random, n: int) -> Subspace:
         s = Subspace.from_vectors(n, [rand_vector(rng, n), rand_vector(rng, n)])
         if s.dim == 2:
             return s
+
+
+def rand_cochain(rng: random.Random, cx: DeltaComplex, degree: int, closed: bool = False) -> Cochain:
+    """A cochain with integer coordinates in [-3, 3]: on the cocycle basis of
+    the degree when closed, else on the simplices."""
+    if closed:
+        z = cohomology(cx, degree).cocycles
+        return Cochain(cx, degree, z.basis.apply([Fraction(rng.randint(-3, 3)) for _ in range(z.dim)]))
+    return Cochain(cx, degree, [Fraction(rng.randint(-3, 3)) for _ in range(cx.count(degree))])

@@ -32,6 +32,7 @@ from .polycore import (
     universal_embed,
 )
 from .randgen import (
+    rand_cochain,
     rand_dims,
     rand_line,
     rand_plane,
@@ -425,22 +426,11 @@ def suite_gauge_invariance(seed: int, trials: int, tol_scale: float) -> SuiteRes
     rng = random.Random(seed)
     for name in ("torus2", "torus3"):
         cx = dg.BUILTIN_COMPLEXES[name]()
-        z1 = dg.cohomology(cx, 1).cocycles
         ok = True
         for _ in range(trials):
-            alpha = dg.Cochain(
-                cx,
-                1,
-                z1.basis.apply([Fraction(rng.randint(-3, 3)) for _ in range(z1.dim)]),
-            )
-            beta = dg.Cochain(
-                cx,
-                1,
-                z1.basis.apply([Fraction(rng.randint(-3, 3)) for _ in range(z1.dim)]),
-            )
-            gamma = dg.Cochain(
-                cx, 0, [Fraction(rng.randint(-3, 3)) for _ in range(cx.count(0))]
-            )
+            alpha = rand_cochain(rng, cx, 1, closed=True)
+            beta = rand_cochain(rng, cx, 1, closed=True)
+            gamma = rand_cochain(rng, cx, 0)
             shifted = alpha + dg._d_extended(gamma)
             lhs = dg.omega_disc(cx, shifted, beta)
             rhs = dg.omega_disc(cx, alpha, beta)

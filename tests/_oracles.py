@@ -1,15 +1,24 @@
-"""Independent oracles for the test suite.
+"""Oracles and reference loops for the test suite.
 
-These deliberately avoid the package's echelon/quotient machinery: ranks use
-fraction-free integer elimination (Bareiss style), bilinear-form facts are
-checked straight from definitions, and the scalar kernels of `exactla`
-(`rref`, matrix products) have plain `Fraction` reference versions here.
-The numeric samplers of `liealg` have their one-sample-at-a-time loops here.
+The oracles deliberately avoid the package's echelon/quotient machinery:
+ranks use fraction-free integer elimination (Bareiss style), bilinear-form
+facts are checked straight from definitions, and the scalar kernels of
+`exactla` (`rref`, matrix products) have plain `Fraction` reference versions
+here.
+
+The reference loops compute what a package routine computes, the plain way,
+and the tests require the routine to match them exactly: the numeric
+samplers of `liealg` one sample at a time, the pointwise derivatives of
+`pointham` one central difference per axis, and the joint kernels
+(orthogonal, centralizer, center, degeneracy kernel) by stacking the blocks
+one at a time before a single `exactla.kernel`.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+from polysym.exactla import Subspace, kernel
 
 
 def fraction_rref(rows, cols):
@@ -134,3 +143,128 @@ def in_orthogonal(form, subspace, v):
         if any(x != 0 for x in form.evaluate(a, v)):
             return False
     return True
+
+
+# Per-axis central differences, one loop per derivative of `pointham`.
+
+def looped_theta_derivative(patch, x, h):
+    """D[a, c, b] = d theta_cb / d x_a, one axis at a time."""
+    n = patch.dim_m
+    d = np.empty((n, patch.dim_v, n))
+    for a in range(n):
+        e = np.zeros(n)
+        e[a] = h
+        d[a] = (patch.theta_at(x + e) - patch.theta_at(x - e)) / (2.0 * h)
+    return d
+
+
+def looped_omega_at(patch, x):
+    """-d(theta) at x from the looped derivative, with optional Richardson."""
+    x = np.asarray(x, dtype=float)
+    d = looped_theta_derivative(patch, x, patch.fd_step)
+    if patch.richardson:
+        d = (4.0 * looped_theta_derivative(patch, x, patch.fd_step / 2.0) - d) / 3.0
+    raw = np.transpose(d, (1, 0, 2))
+    return -(raw - np.transpose(raw, (0, 2, 1)))
+
+
+def looped_gradient(patch, f, x):
+    """df at x as (k, n): one stacked column per axis."""
+    x = np.asarray(x, dtype=float)
+    h = patch.fd_step
+    n = patch.dim_m
+    cols = []
+    for a in range(n):
+        e = np.zeros(n)
+        e[a] = h
+        cols.append((np.asarray(f(x + e), dtype=float) - np.asarray(f(x - e), dtype=float)) / (2.0 * h))
+    return np.stack(cols, axis=-1).reshape(patch.dim_v, n)
+
+
+def looped_lie_derivative_of_theta(patch, gen, x):
+    """(L_X theta)_cb with the generator Jacobian filled one row per axis."""
+    x = np.asarray(x, dtype=float)
+    n = patch.dim_m
+    h = patch.fd_step
+    d_theta = looped_theta_derivative(patch, x, h)
+    xv = np.asarray(gen(x), dtype=float)
+    theta = patch.theta_at(x)
+    dx = np.empty((n, n))
+    for b in range(n):
+        e = np.zeros(n)
+        e[b] = h
+        dx[b] = (np.asarray(gen(x + e), dtype=float) - np.asarray(gen(x - e), dtype=float)) / (2.0 * h)
+    return np.einsum("a,acb->cb", xv, d_theta) + np.einsum("ca,ba->cb", theta, dx)
+
+
+def looped_section_jacobian(embedding, x):
+    """Jacobian of x -> (x, theta_x), one stacked column per axis."""
+    x = np.asarray(x, dtype=float)
+    n = embedding.patch.dim_m
+    h = embedding.patch.fd_step
+    cols = []
+    for a in range(n):
+        e = np.zeros(n)
+        e[a] = h
+        cols.append((embedding.map(x + e) - embedding.map(x - e)) / (2.0 * h))
+    return np.stack(cols, axis=1)
+
+
+def looped_velocity_derivative(lagrangian, q, v, dim_v, h):
+    """dL/dv at (q, v) as (k, n), one stacked column per velocity axis."""
+    z = np.concatenate([np.asarray(q, dtype=float), np.asarray(v, dtype=float)])
+    n = len(q)
+    cols = []
+    for a in range(n):
+        e = np.zeros(2 * n)
+        e[n + a] = h
+        plus = np.asarray(lagrangian((z + e)[:n], (z + e)[n:]), dtype=float).reshape(dim_v)
+        minus = np.asarray(lagrangian((z - e)[:n], (z - e)[n:]), dtype=float).reshape(dim_v)
+        cols.append((plus - minus) / (2.0 * h))
+    return np.stack(cols, axis=1)
+
+
+def looped_closedness_defect(patch, x):
+    """Max coefficient of d(omega) at x, from one looped partial per axis."""
+    x = np.asarray(x, dtype=float)
+    n = patch.dim_m
+    h = patch.fd_step
+    partials = []
+    for a in range(n):
+        e = np.zeros(n)
+        e[a] = h
+        partials.append((looped_omega_at(patch, x + e) - looped_omega_at(patch, x - e)) / (2.0 * h))
+    worst = 0.0
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                val = partials[a][:, b, c] - partials[b][:, a, c] + partials[c][:, a, b]
+                worst = max(worst, float(np.max(np.abs(val))))
+    return worst
+
+
+# Joint kernels: stack the blocks one at a time, then take one kernel.
+
+def _stacked_kernel(n, blocks):
+    stacked = None
+    for block in blocks:
+        stacked = block if stacked is None else stacked.vstack(block)
+    return Subspace.full(n) if stacked is None else kernel(stacked)
+
+
+def stacked_orthogonal(omega, a):
+    return _stacked_kernel(omega.dim_u, (omega.flat(a.basis.col(j)) for j in range(a.dim)))
+
+
+def stacked_degeneracy_kernel(omega):
+    return _stacked_kernel(omega.dim_u, omega.components)
+
+
+def stacked_centralizer(g, a):
+    return _stacked_kernel(g.dim, (g.ad(a.basis.col(j)) for j in range(a.dim)))
+
+
+def stacked_center(g):
+    """Kernel of ad(e_i) stacked over the standard basis."""
+    unit = [[Fraction(int(i == j)) for j in range(g.dim)] for i in range(g.dim)]
+    return _stacked_kernel(g.dim, (g.ad(e) for e in unit))

@@ -1,15 +1,22 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from polysym import discgauge as dg
 from polysym import docio
 from polysym import liealg as la
 from polysym.cli import parse_subspace_arg, run
+from polysym.verify import SUITES
 from polysym.errors import ValidationError
 from polysym.exactla import Subspace
 
@@ -159,6 +166,37 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
+
+
+NON_FINITE_ARGUMENTS = {
+    "xi nan": ["lie", "arnold", "--xi", "nan,0,0", "--trials", "5"],
+    "xi -inf": ["lie", "arnold", "--xi=1,-inf,0", "--trials", "5"],
+    "convexity xi inf": ["lie", "convexity", "--xi", "inf,0,0", "--trials", "5"],
+    "t nan": ["lie", "arnold", "--t", "nan", "--trials", "5"],
+    "t inf": ["lie", "arnold", "--t", "inf", "--trials", "5"],
+    "point nan": ["ham", "omega", "--patch", "so3", "--point", "nan,0,0"],
+    "point inf": ["ham", "field", "--patch", "canonical:1,1", "--point", "inf,0", "--function", "x0"],
+    "scale nan": ["lie", "arnold", "--tolerance-scale", "nan", "--trials", "5"],
+    "scale inf": ["verify", "--suite", "convexity", "--tolerance-scale", "inf", "--trials", "5"],
+    "scale -1": ["lie", "arnold", "--tolerance-scale", "-1", "--trials", "5"],
+    "scale 0": ["ham", "field", "--patch", "canonical:1,1", "--function", "x0", "--tolerance-scale", "0"],
+    # Finite arguments that overflow float64 or that numpy cannot take.
+    "t * xi overflows": ["lie", "arnold", "--t", "1e308", "--trials", "5"],
+    "xi norm overflows": ["lie", "convexity", "--xi", "1e308,1e308,0", "--trials", "5"],
+    "so3 theta overflows": ["ham", "omega", "--patch", "so3", "--point", "1e103,0,0"],
+    "xi of two entries": ["lie", "arnold", "--xi", "1,0", "--trials", "5"],
+    "negative haar seed": ["lie", "convexity", "--seed", "-1", "--trials", "5"],
+    "negative halton seed": ["ham", "embed", "--patch", "so3", "--seed", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_ARGUMENTS))
+def test_unusable_numeric_argument_exits_2(capsys, case):
+    assert run(NON_FINITE_ARGUMENTS[case]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 MALFORMED_DOCUMENTS = {
@@ -405,3 +443,125 @@ class TestFileDocumentBranches:
             == 2
         )
         assert "expressions" in capsys.readouterr().err
+
+
+# Fuzzing: mutated builtin documents through --file, and mutated option values.
+# Every run must end in exit 0, 1 or 2 with at most one stderr line (numpy
+# warnings count as lines) and no uncaught exception. Integers drawn into
+# documents stay small because run time grows fast with the Lie dimension
+# (see docio.MAX_LIE_DIM); sizes are not what this test probes.
+
+FUZZ_DOCUMENT_VERBS = {
+    "cross": [["orth"], ["classify"], ["reduce"], ["embed"]],
+    "canonical:2,1": [["orth"], ["classify"], ["reduce"], ["embed"]],
+    "so3": [["lie", "center"], ["lie", "centralizer"], ["lie", "reduce"]],
+    "heisenberg": [["lie", "center"], ["lie", "centralizer"], ["lie", "reduce"]],
+    "interval": [["gauge", v] for v in ("betti", "omega", "moment", "reduce", "lagrangian")],
+    "torus2": [["gauge", v] for v in ("betti", "omega", "moment", "reduce", "lagrangian")],
+    "sphere2": [["gauge", v] for v in ("betti", "omega", "moment", "lagrangian")],
+}
+
+_json_scalars = st.one_of(
+    st.integers(-3, 6),
+    st.sampled_from(["1/2", "-1/3", "0/0", "x", "", "1e3"]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["0", "1", "2", "x"]), inner, max_size=2),
+    max_leaves=6,
+)
+_number_text = st.sampled_from(["0", "1", "-1", "0.5", "3", "nan", "inf", "-inf", "1e200", "-1e308", "1e-300"])
+_vector_text = st.one_of(
+    st.lists(_number_text, min_size=2, max_size=3),
+    st.lists(_number_text | st.sampled_from(["", "x", "1/2"]), max_size=6),
+).map(",".join)
+_subspace_option = st.sampled_from(
+    ["e1", "e2,e3", "zero", "full", "e0", "e9", "e1,x", "1,0,0", "1,0;0,1", "", ";", "1/2,0,0"]
+).map(lambda v: f"--subspace={v}")
+_common_options = st.one_of(
+    st.integers(-5, 5).map(lambda v: f"--seed={v}"),
+    st.integers(-2, 4).map(lambda v: f"--trials={v}"),
+    _number_text.map(lambda v: f"--tolerance-scale={v}"),
+    st.just("--machine"),
+)
+_lie_options = _vector_text.map(lambda v: f"--xi={v}") | _number_text.map(lambda v: f"--t={v}")
+_ham_options = st.one_of(
+    _vector_text.map(lambda v: f"--point={v}"),
+    st.sampled_from(["x0", "x1*x0", "sin(x0)", "exp(1000)", "x0/x1", "x9", "(", "x0**0.5", "__import__('os')"]).map(
+        lambda v: f"--function={v}"
+    ),
+)
+
+
+def _mutate(data, doc):
+    """Replace, delete or duplicate a few randomly chosen nodes of a JSON tree."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        node = doc
+        while node:
+            key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+                node = child
+                continue
+            op = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+            if op == "replace":
+                node[key] = data.draw(_json_values)
+            elif op == "delete":
+                del node[key]
+            elif isinstance(node, list):
+                node.append(copy.deepcopy(child))
+            else:
+                node[key] = [child, copy.deepcopy(child)]
+            break
+    return doc
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
+def _assert_clean_exit(argv, code, stderr_lines):
+    assert code in (0, 1, 2), argv
+    assert len(stderr_lines) <= 1, (argv, stderr_lines)
+    assert not any("Traceback" in line for line in stderr_lines), argv
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_mutated_documents(tmp_path, data):
+    name = data.draw(st.sampled_from(sorted(FUZZ_DOCUMENT_VERBS)))
+    verb = data.draw(st.sampled_from(FUZZ_DOCUMENT_VERBS[name]))
+    doc = json.loads(docio.render_document(docio.resolve_builtin(name)))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_mutate(data, doc)))
+    options = _common_options if verb[0] in ("embed", "gauge") else _common_options | _subspace_option
+    argv = verb + ["--file", str(path)] + data.draw(st.lists(options, max_size=3))
+    code, _, stderr_lines = _run_captured(argv)
+    _assert_clean_exit(argv, code, stderr_lines)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzz_numeric_arguments(data):
+    group = data.draw(st.sampled_from(["lie", "ham", "verify"]))
+    if group == "verify":
+        suite = data.draw(st.sampled_from(sorted(SUITES)))
+        argv = ["verify", f"--suite={suite}", f"--trials={data.draw(st.integers(1, 3))}"]
+        extra = _common_options.filter(lambda option: not option.startswith("--trials"))
+    elif group == "lie":
+        argv = ["lie", data.draw(st.sampled_from(["arnold", "convexity"]))]
+        extra = _common_options | _subspace_option | _lie_options
+    else:
+        patch = data.draw(st.sampled_from(["so3", "rigidbody", "canonical:1,1", "canonical:2,1", "canonical:0,1", "nope"]))
+        argv = ["ham", data.draw(st.sampled_from(["omega", "field", "bracket", "moment", "embed"])), f"--patch={patch}"]
+        extra = _common_options | _ham_options
+    argv += data.draw(st.lists(extra, max_size=4))
+    code, _, stderr_lines = _run_captured(argv)
+    _assert_clean_exit(argv, code, stderr_lines)

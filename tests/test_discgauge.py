@@ -547,3 +547,20 @@ class TestGridTorusCubed:
                 product = pairwise_cup(k, dg.Cochain.basis(cx, 1, b)).values
                 support = [(s, x) for s, x in enumerate(product) if x]
                 assert all(sum((z[s] * x for s, x in support), F(0)) == 0 for z in cycles)
+
+
+@pytest.mark.parametrize("name", sorted(dg.BUILTIN_COMPLEXES))
+def test_rand_cochain_draws(name):
+    from polysym.randgen import rand_cochain
+
+    cx = dg.BUILTIN_COMPLEXES[name]()
+    rng, replay = random.Random(9), random.Random(9)
+    closed = rand_cochain(rng, cx, 1, closed=True)
+    z1 = dg.cohomology(cx, 1).cocycles
+    coeffs = [F(replay.randint(-3, 3)) for _ in range(z1.dim)]
+    assert closed.values == z1.basis.apply(coeffs)
+    if cx.dimension > 1:
+        assert dg.d(closed).is_zero()
+    plain = rand_cochain(rng, cx, 0)
+    assert plain.values == tuple(F(replay.randint(-3, 3)) for _ in range(cx.count(0)))
+    assert rng.getstate() == replay.getstate()

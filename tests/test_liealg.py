@@ -12,7 +12,13 @@ from polysym.polycore import classify, orthogonal
 from polysym.randgen import rand_subspace
 from polysym.verify import run_suite
 
-from _oracles import looped_displacements, looped_moment_images, looped_rotations
+from _oracles import (
+    looped_displacements,
+    looped_moment_images,
+    looped_rotations,
+    stacked_center,
+    stacked_centralizer,
+)
 
 
 def span(n, *vecs):
@@ -88,6 +94,25 @@ class TestCentralizer:
     def test_works_with_center(self):
         h = la.heisenberg()
         assert la.centralizer(h, span(3, (1, 0, 0))) == span(3, (1, 0, 0), (0, 0, 1))
+
+
+ALGEBRAS = {"so3": la.so3, "sl2": la.sl2, "heisenberg": la.heisenberg, "abelian4": lambda: la.abelian(4)}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+class TestJointKernelMatchesStackedLoops:
+    def test_center_is_the_centralizer_of_the_whole_algebra(self, name):
+        g = ALGEBRAS[name]()
+        center = la.center(g)
+        assert center == la.centralizer(g, Subspace.full(g.dim))
+        assert center == stacked_center(g)
+
+    def test_centralizer(self, name):
+        g = ALGEBRAS[name]()
+        rng = random.Random(8)
+        subspaces = [Subspace.zero(g.dim), Subspace.full(g.dim)] + [rand_subspace(rng, g.dim) for _ in range(12)]
+        for a in subspaces:
+            assert la.centralizer(g, a) == stacked_centralizer(g, a)
 
 
 class TestLieReduce:

@@ -1,6 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from _oracles import (
+    looped_closedness_defect,
+    looped_gradient,
+    looped_lie_derivative_of_theta,
+    looped_omega_at,
+    looped_section_jacobian,
+    looped_velocity_derivative,
+)
 from polysym import liealg as la
 from polysym import pointham as ph
 from polysym.errors import ContractViolation, ValidationError
@@ -295,6 +305,69 @@ class TestClosedness:
         x = np.array([0.1, 0.2, 0.3, 0.4, -0.5, 0.6])
         assert ph.closedness_defect(canon, x) < 1e-4
         assert ph.closedness_defect(ph.so3_patch(), np.array([0.1, 0.2, -0.1])) < 1e-4
+
+
+def _test_patches():
+    for patch in (ph.so3_patch(), ph.canonical_theta(1, 1), ph.canonical_theta(2, 2), ph.canonical_theta(1, 3)):
+        for richardson in (False, True):
+            yield dataclasses.replace(patch, richardson=richardson)
+
+
+def _value_function(k):
+    """A smooth (k,)-valued function whose partials differ on every axis."""
+    return lambda x: np.array([np.sin(x @ np.arange(1.0, x.size + 1) + c) * x[c % x.size] for c in range(k)])
+
+
+def _generators(patch):
+    if patch.name == "so3":
+        return [ph.so3_left_generator(np.array([0.3, -1.0, 0.5]))]
+    n, k = patch.base_shape
+    rot = np.eye(n)[::-1] - np.eye(n)
+    return [ph.translation_generator(n, k, 0), ph.lifted_generator(n, k, lambda q: rot @ q, lambda q: rot)]
+
+
+@pytest.mark.parametrize("patch", list(_test_patches()), ids=lambda p: f"{p.name}-r{int(p.richardson)}")
+class TestCentralDifferencesMatchPerAxisLoops:
+    """Every derivative goes through one central-difference routine; each
+    must equal the per-axis loop it replaced, bit for bit."""
+
+    def points(self, patch):
+        return ph.halton_points(patch.dim_m, 4, seed=2, scale=patch.sample_scale)
+
+    def test_omega_at(self, patch):
+        for x in self.points(patch):
+            assert np.array_equal(ph.omega_at(patch, x), looped_omega_at(patch, x))
+
+    def test_gradient(self, patch):
+        f = _value_function(patch.dim_v)
+        for x in self.points(patch):
+            assert np.array_equal(ph.gradient(patch, f, x), looped_gradient(patch, f, x))
+
+    def test_lie_derivative_of_theta(self, patch):
+        for gen in _generators(patch):
+            for x in self.points(patch):
+                got = ph.lie_derivative_of_theta(patch, gen, x)
+                assert np.array_equal(got, looped_lie_derivative_of_theta(patch, gen, x))
+
+    def test_section_jacobian(self, patch):
+        emb = ph.local_embed(patch)
+        for x in self.points(patch):
+            assert np.array_equal(emb.jacobian(x), looped_section_jacobian(emb, x))
+
+    def test_closedness_defect(self, patch):
+        for x in self.points(patch):
+            assert ph.closedness_defect(patch, x) == looped_closedness_defect(patch, x)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 2), (3, 1)])
+def test_fiber_derivative_matches_per_axis_loop(n, k):
+    def lagrangian(q, v):
+        base = 0.5 * v @ v + q @ v
+        return np.array([base + c * np.sin(q[0] + c) * v[-1] ** 3 for c in range(k)])
+
+    for q, v in zip(ph.halton_points(n, 3, seed=4), ph.halton_points(n, 3, seed=5)):
+        got = ph.fiber_derivative(lagrangian, q, v, k).fiber_derivative
+        assert np.array_equal(got, looped_velocity_derivative(lagrangian, q, v, k, ph.DEFAULT_FD_STEP))
 
 
 def test_halton_points_deterministic():

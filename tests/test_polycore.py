@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from _oracles import in_orthogonal
+from _oracles import in_orthogonal, stacked_degeneracy_kernel, stacked_orthogonal
 from polysym.errors import ContractViolation, ValidationError
 from polysym.exactla import Matrix, Subspace, contains, intersect, kernel, sum_
 from polysym.liealg import bracket_form, sl2, so3
@@ -22,7 +22,7 @@ from polysym.polycore import (
     pullback,
     universal_embed,
 )
-from polysym.randgen import rand_dims, rand_subspace, rand_vform
+from polysym.randgen import rand_dims, rand_skew, rand_subspace, rand_vform
 
 
 def cross_form() -> VForm:
@@ -98,6 +98,35 @@ class TestOrthogonal:
             for _ in range(8):
                 v = tuple(F(rng.randint(-3, 3)) for _ in range(n))
                 assert orth.contains_vector(v) == in_orthogonal(form, a, v)
+
+
+class TestJointKernelMatchesStackedLoops:
+    """orthogonal and degeneracy_kernel share one joint-kernel routine; both
+    must equal stacking their blocks one at a time before a single kernel."""
+
+    def random_forms(self, rng, count):
+        for _ in range(count):
+            n, k = rng.randint(1, 6), rng.randint(1, 3)
+            comps = [rand_skew(rng, n) for _ in range(k)]
+            if rng.random() < 0.3:
+                comps[0] = Matrix.zeros(n, n)  # degenerate on purpose
+            yield VForm(n, tuple(comps))
+
+    def test_orthogonal(self):
+        rng = random.Random(21)
+        for form in self.random_forms(rng, 40):
+            n = form.dim_u
+            for a in (Subspace.zero(n), Subspace.full(n), rand_subspace(rng, n), rand_subspace(rng, n)):
+                assert orthogonal(form, a) == stacked_orthogonal(form, a)
+
+    def test_degeneracy_kernel(self):
+        rng = random.Random(22)
+        kernels = set()
+        for form in self.random_forms(rng, 60):
+            ker = form.degeneracy_kernel()
+            assert ker == stacked_degeneracy_kernel(form)
+            kernels.add(ker.dim)
+        assert len(kernels) > 1  # both degenerate and nondegenerate forms were drawn
 
 
 class TestClassify:
