@@ -190,8 +190,9 @@ def cmd_reduce(args) -> Report:
 
 def cmd_embed(args) -> Report:
     _, form, _ = _form_and_subspace(args)
+    model = canonical_model(form.dim_u, form.dim_v)
     emb = universal_embed(form)
-    pulled = pullback(canonical_model(form.dim_u, form.dim_v), emb)
+    pulled = pullback(model, emb)
     exact = list(pulled.components) == list(form.components)
     rep = Report(f"embed {args.builtin or args.file}")
     rep.add("target_dim", form.dim_u + form.dim_u * form.dim_v)
@@ -430,8 +431,16 @@ def cmd_verify(args) -> Tuple[Report, bool]:
     return rep, result.passed
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one `error:` line and exit 2, like
+    every other unusable input; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polysym",
         description="vector-valued symplectic computations: orthogonals, reductions, "
         "group counterexamples, patch Hamiltonians, and discrete gauge cohomology",
@@ -481,16 +490,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Largest --trials: the convexity check holds every moment image and compares
+# them pairwise, so its memory is linear and its time quadratic in the count.
+MAX_TRIALS = 100_000
+
+
 # A float overflow or invalid operation (numeric arguments too large for
 # float64) ends the run with one error line, not numpy warnings and nan fields.
 @np.errstate(over="raise", divide="raise", invalid="raise")
 def run(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # A check run on no samples would pass vacuously.
         if args.trials is not None and args.trials < 1:
             raise ValidationError(f"--trials must be at least 1, got {args.trials}")
+        if args.trials is not None and args.trials > MAX_TRIALS:
+            raise ValidationError(f"--trials is {args.trials}; at most {MAX_TRIALS} is supported")
         # A zero, negative or nan scale decides tolerance checks whatever the data.
         if not (0 < args.tolerance_scale < math.inf):
             raise ValidationError(f"--tolerance-scale must be positive and finite, got {args.tolerance_scale}")

@@ -32,8 +32,9 @@ class DeltaComplex:
     i-th face (the vertex-i deletion) of simplex s in degree p-1.
 
     A complex is never mutated after __init__. Values derived from it (the
-    coboundary matrices, cup tables, cohomology per degree and the C^2/B^2
-    quotient) are therefore built on first request and cached on it.
+    coboundary matrices, the cocycle and coboundary spaces, cup tables,
+    cohomology per degree and the C^2/B^2 quotient) are therefore built on
+    first request and cached on it.
     """
 
     def __init__(
@@ -148,6 +149,18 @@ class DeltaComplex:
             for i, f in enumerate(frow):
                 rows[s][f] += Fraction(-1) ** i
         return Matrix(rows)
+
+    def cocycles(self, p: int) -> Subspace:
+        """Z^p, the kernel of d on C^p."""
+        return self._memo(("cocycles", p), lambda: kernel(self.coboundary_matrix(p)))
+
+    def coboundaries(self, p: int) -> Subspace:
+        """B^p, the image of d in C^p; the zero space in degree 0."""
+        if p == 0:
+            return Subspace.zero(self.count(0))
+        return self._memo(
+            ("coboundaries", p), lambda: Subspace.from_matrix_columns(self.coboundary_matrix(p - 1))
+        )
 
     def front_face(self, degree: int, index: int, p: int) -> int:
         """Index of the front p-face (iterated last-vertex deletion)."""
@@ -304,14 +317,8 @@ def cohomology(cx: DeltaComplex, p: int) -> CohomologyPresentation:
 
 
 def _cohomology(cx: DeltaComplex, p: int) -> CohomologyPresentation:
-    z = kernel(cx.coboundary_matrix(p))
-    if p == 0:
-        b = Subspace.zero(cx.count(0))
-    else:
-        b = Subspace.from_matrix_columns(cx.coboundary_matrix(p - 1))
-    return CohomologyPresentation(
-        degree=p, cocycles=z, coboundaries=b, presentation=quotient(z, b)
-    )
+    z, b = cx.cocycles(p), cx.coboundaries(p)
+    return CohomologyPresentation(degree=p, cocycles=z, coboundaries=b, presentation=quotient(z, b))
 
 
 class CochainQuotient:
@@ -325,13 +332,8 @@ class CochainQuotient:
 
     def __init__(self, cx: DeltaComplex, degree: int = 2):
         self.degree = degree
-        n = cx.count(degree)
-        if degree == 0:
-            bound = Subspace.zero(n)
-        else:
-            bound = Subspace.from_matrix_columns(cx.coboundary_matrix(degree - 1))
-        self.coboundaries = bound
-        self.presentation = quotient(Subspace.full(n), bound)
+        self.coboundaries = cx.coboundaries(degree)
+        self.presentation = quotient(Subspace.full(cx.count(degree)), self.coboundaries)
 
     @property
     def dim(self) -> int:
@@ -438,7 +440,7 @@ def moment_zero_set(cx: DeltaComplex) -> MomentZeroReport:
     """{A : the moment functional of A vanishes}, with its relation to the
     closed 1-cochains reported rather than assumed."""
     zero = kernel(_curvature_moments(cx))
-    z1 = kernel(cx.coboundary_matrix(1))
+    z1 = cx.cocycles(1)
     return MomentZeroReport(
         zero_set=zero,
         cocycles=z1,
@@ -501,7 +503,7 @@ def lagrangian_check(cx: DeltaComplex) -> LagrangianReport:
     """When second cohomology vanishes, compare the cup-orthogonal of the
     closed 1-cochains with the closed 1-cochains themselves."""
     h2 = cohomology(cx, 2).betti if cx.dimension >= 2 else 0
-    z1 = kernel(cx.coboundary_matrix(1))
+    z1 = cx.cocycles(1)
     if h2 != 0:
         return LagrangianReport(h2_trivial=False, z1_is_lagrangian=None, z1_dim=z1.dim, orthogonal_dim=None)
     orth = kernel(_cup_matrix(cx, 1, 1, z1.basis, Matrix.identity(cx.count(1))))

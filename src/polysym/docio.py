@@ -8,7 +8,7 @@ same shape, so parse-render round-trips to a fixpoint.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Optional
@@ -30,9 +30,13 @@ MAX_LIE_DIM = 16
 
 @dataclass(frozen=True)
 class ProblemDocument:
+    """A parsed document. `built` holds the form, algebra or complex that
+    parsing built to validate the payload, so commands do not build it again."""
+
     kind: str
     payload: dict
     seed: Optional[int] = None
+    built: object = field(default=None, compare=False, repr=False)
 
 
 def _parse_scalar(x) -> Fraction:
@@ -104,21 +108,10 @@ def parse_document(text: str) -> ProblemDocument:
     if seed is not None and not isinstance(seed, int):
         raise ValidationError("seed must be an integer")
     payload = {k: v for k, v in raw.items() if k not in ("kind", "seed")}
-    _validate_payload(kind, payload)
-    return ProblemDocument(kind=kind, payload=payload, seed=seed)
-
-
-def _validate_payload(kind: str, payload: dict):
-    if kind == "form":
-        form_to_vform(ProblemDocument(kind, payload))
-    elif kind == "lie":
-        lie_to_algebra(ProblemDocument(kind, payload))
-    elif kind == "complex":
-        complex_to_delta(ProblemDocument(kind, payload))
-    elif kind == "patch":
-        name = payload.get("patch")
-        if not isinstance(name, str):
-            raise ValidationError("patch documents need a 'patch' name")
+    if kind == "patch" and not isinstance(payload.get("patch"), str):
+        raise ValidationError("patch documents need a 'patch' name")
+    built = _BUILDERS[kind](ProblemDocument(kind, payload)) if kind in _BUILDERS else None
+    return ProblemDocument(kind=kind, payload=payload, seed=seed, built=built)
 
 
 def render_document(doc: ProblemDocument) -> str:
@@ -129,9 +122,18 @@ def render_document(doc: ProblemDocument) -> str:
     return json.dumps(out, indent=2, sort_keys=False) + "\n"
 
 
+def _built(doc: ProblemDocument, kind: str):
+    """The object a document of this kind describes, built at most once."""
+    if doc.kind != kind:
+        raise ValidationError(f"expected a {kind} document")
+    return doc.built if doc.built is not None else _BUILDERS[kind](doc)
+
+
 def form_to_vform(doc: ProblemDocument) -> VForm:
-    if doc.kind != "form":
-        raise ValidationError("expected a form document")
+    return _built(doc, "form")
+
+
+def _build_form(doc: ProblemDocument) -> VForm:
     comps = doc.payload.get("form")
     if not isinstance(comps, list) or not comps:
         raise ValidationError("form documents need a non-empty 'form' list of matrices")
@@ -164,8 +166,10 @@ def document_coefficient_map(doc: ProblemDocument) -> Optional[CoefficientMap]:
 
 
 def lie_to_algebra(doc: ProblemDocument) -> LieAlgebra:
-    if doc.kind != "lie":
-        raise ValidationError("expected a lie document")
+    return _built(doc, "lie")
+
+
+def _build_algebra(doc: ProblemDocument) -> LieAlgebra:
     dim = doc.payload.get("dim")
     triples = doc.payload.get("triples")
     if not isinstance(dim, int) or dim < 1:
@@ -184,12 +188,17 @@ def lie_to_algebra(doc: ProblemDocument) -> LieAlgebra:
 
 
 def complex_to_delta(doc: ProblemDocument) -> DeltaComplex:
-    if doc.kind != "complex":
-        raise ValidationError("expected a complex document")
+    return _built(doc, "complex")
+
+
+def _build_complex(doc: ProblemDocument) -> DeltaComplex:
     simplices = _parse_degree_lists(doc.payload.get("simplices"), "simplices", "simplex")
     faces_raw = doc.payload.get("faces")
     faces = None if faces_raw is None else _parse_degree_lists(faces_raw, "faces", "face row")
     return DeltaComplex(simplices, faces=faces)
+
+
+_BUILDERS = {"form": _build_form, "lie": _build_algebra, "complex": _build_complex}
 
 
 # Builtin documents, rendered through the same schema the parser accepts.

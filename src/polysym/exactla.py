@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
 
@@ -224,7 +224,7 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: [{body}])"
 
 
-def rref(m: Matrix) -> tuple:
+def rref(m: Matrix, stop: Optional[int] = None) -> tuple:
     """Reduced row echelon form of m. Returns (R, pivot_columns).
 
     Fraction-free Gauss-Jordan: each row is scaled to integers, a row is
@@ -232,12 +232,14 @@ def rref(m: Matrix) -> tuple:
     divided out, and the pivots are divided out only at the end. Every
     integer row is a nonzero multiple of the row rational Gauss-Jordan holds
     at the same step, so the pivots, the swaps and the result are the same.
+    With `stop`, only the first `stop` columns are eliminated; the rows left
+    without a pivot (zero when every column is) come back unreduced.
     """
     data = [_primitive(_integer_row(row)[0]) for row in m.entries]
     rows, cols = m.rows, m.cols
     pivots = []
     r = 0
-    for c in range(cols):
+    for c in range(cols if stop is None else stop):
         if r == rows:
             break
         pivot_row = next((i for i in range(r, rows) if data[i][c]), None)
@@ -255,7 +257,7 @@ def rref(m: Matrix) -> tuple:
         pivots.append(c)
         r += 1
     out = [tuple(_ratio(a, row[c]) for a in row) for row, c in zip(data, pivots)]
-    out += [(_ZERO,) * cols] * (rows - r)
+    out += [tuple(_ratio(a, 1) for a in row) if any(row) else (_ZERO,) * cols for row in data[r:]]
     return Matrix._make(rows, cols, tuple(out)), tuple(pivots)
 
 
@@ -282,20 +284,14 @@ def solve(a: Matrix, b: Sequence):
     return tuple(x)
 
 
-def left_inverse(m: Matrix) -> Matrix:
-    """A left inverse L (L @ m = I) of a matrix with independent columns, read
-    off one elimination of [m | I]; for a square matrix, its inverse."""
+def inverse(m: Matrix) -> Matrix:
+    """Inverse of a square invertible matrix, read off one elimination of [m | I]."""
+    if m.rows != m.cols:
+        raise ValidationError("only square matrices invert")
     red, pivots = rref(m.hstack(Matrix.identity(m.rows)))
     if pivots[: m.cols] != tuple(range(m.cols)):
         raise ValidationError("matrix columns are dependent")
-    return Matrix._make(m.cols, m.rows, tuple(red.row(i)[m.cols :] for i in range(m.cols)))
-
-
-def inverse(m: Matrix) -> Matrix:
-    """Inverse of a square invertible matrix."""
-    if m.rows != m.cols:
-        raise ValidationError("only square matrices invert")
-    return left_inverse(m)
+    return Matrix._make(m.rows, m.cols, tuple(row[m.cols :] for row in red.entries))
 
 
 def kernel(m: Matrix) -> "Subspace":
@@ -408,11 +404,14 @@ class QuotientSpace:
 
     The section columns are chosen greedily from the ambient canonical basis
     in index order, so identical inputs always produce the identical section.
+    `elimination` is an invertible n x n E with E [sub | section] = [I; 0]:
+    its rows below dim ambient vanish exactly on ambient.
     """
 
     ambient: Subspace
     sub: Subspace
     section: Matrix
+    elimination: Matrix
 
     @property
     def dim(self) -> int:
@@ -421,19 +420,16 @@ class QuotientSpace:
     @cached_property
     def projector(self) -> Matrix:
         """dim x n matrix sending each vector of ambient to its section
-        coordinates: the top rows of a left inverse of [section | sub]."""
-        left = left_inverse(self.section.hstack(self.sub.basis))
-        return Matrix._make(self.dim, left.cols, left.entries[: self.dim])
+        coordinates: the section rows of E."""
+        rows = self.elimination.entries[self.sub.dim : self.ambient.dim]
+        return Matrix._make(self.dim, self.elimination.cols, rows)
 
     def project(self, v: Sequence) -> tuple:
         """Section coordinates of the coset of v (v must lie in ambient)."""
-        if self.ambient.dim == self.ambient.ambient_dim:
-            # Every vector lies in a full ambient, so the projector suffices.
-            return self.projector.apply(v)
-        sol = solve(self.section.hstack(self.sub.basis), v)
-        if sol is None:
+        coords = self.elimination.apply(v)
+        if any(coords[self.ambient.dim :]):
             raise ValidationError("vector outside the ambient subspace")
-        return tuple(sol[: self.section.cols])
+        return coords[self.sub.dim : self.ambient.dim]
 
     def lift(self, coords: Sequence) -> tuple:
         return self.section.apply(coords)
@@ -442,23 +438,22 @@ class QuotientSpace:
 def quotient(ambient: Subspace, sub: Subspace) -> QuotientSpace:
     """Quotient of ambient by sub (requires sub to be contained in ambient).
 
-    The greedy choice of section columns is read off one echelon pass over
-    [sub | ambient]: pivot columns landing in the ambient block are exactly
-    the ambient basis columns that extend sub in index order. The same pass
-    checks containment, since sub lies in ambient iff the rank is dim ambient.
+    One echelon pass over [sub | ambient | I], eliminating the first two
+    blocks, gives everything. Pivot columns landing in the ambient block are
+    exactly the ambient basis columns that extend sub in index order: the
+    greedy section. sub lies in ambient iff the rank is dim ambient. The
+    identity block becomes the E of the row operations, which send
+    [sub | section] to the leading unit vectors.
     """
     _check_same_ambient(ambient, sub)
-    stacked = sub.basis.hstack(ambient.basis)
-    _, pivots = rref(stacked)
+    n, width = ambient.ambient_dim, sub.dim + ambient.dim
+    red, pivots = rref(sub.basis.hstack(ambient.basis).hstack(Matrix.identity(n)), stop=width)
     if len(pivots) != ambient.dim:
         raise ValidationError("quotient requires sub to be contained in ambient")
-    chosen = [ambient.basis.col(p - sub.dim) for p in pivots if p >= sub.dim]
-    section = (
-        Matrix(list(zip(*chosen)))
-        if chosen
-        else Matrix.zeros(ambient.ambient_dim, 0)
-    )
-    return QuotientSpace(ambient, sub, section)
+    chosen = [p - sub.dim for p in pivots[sub.dim :]]
+    section = Matrix._make(n, len(chosen), tuple(tuple(row[j] for j in chosen) for row in ambient.basis.entries))
+    elimination = Matrix._make(n, n, tuple(row[width:] for row in red.entries))
+    return QuotientSpace(ambient, sub, section, elimination)
 
 
 def annihilator(s: Subspace) -> Subspace:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ContractViolation, ValidationError
 from .liealg import hat, so3_exp
-from .polycore import VForm, canonical_model
+from .polycore import VForm, canonical_dim, canonical_model
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -126,9 +126,7 @@ def omega_at(patch: ExactPatch, x: np.ndarray) -> np.ndarray:
 
 def canonical_theta(n: int, k: int, fd_step: float = DEFAULT_FD_STEP) -> ExactPatch:
     """The canonical patch on coordinates (q, phi): theta maps (dq, dphi) to phi dq."""
-    if n < 1 or k < 1:
-        raise ValidationError("canonical patch needs n >= 1 and k >= 1")
-    dim = n + n * k
+    dim = canonical_dim(n, k, "canonical patch")
 
     def theta(x: np.ndarray) -> np.ndarray:
         phi = x[n:].reshape(k, n)

@@ -183,15 +183,33 @@ def linear_reduce(omega: VForm, a: Subspace) -> LinearReduction:
     )
 
 
+# Largest k (n + n k)^2 a canonical shape (n, k) may have: the cells of the
+# canonical model's components, and the floats of the canonical patch's
+# structure form at a point. `embed --builtin canonical:4,7` needs 458,752.
+MAX_CANONICAL_CELLS = 2**20
+
+
+def canonical_dim(n: int, k: int, what: str = "canonical model") -> int:
+    """n + n*k, once the shape (n, k) is known to be positive and within
+    MAX_CANONICAL_CELLS; checked before anything of that size is allocated."""
+    if n < 1 or k < 1:
+        raise ValidationError(f"{what} needs n >= 1 and k >= 1")
+    dim = n + n * k
+    cells = k * dim * dim
+    if cells > MAX_CANONICAL_CELLS:
+        raise ValidationError(
+            f"{what} of shape ({n}, {k}) needs {cells} cells; at most {MAX_CANONICAL_CELLS} are supported"
+        )
+    return dim
+
+
 def canonical_model(n: int, k: int) -> VForm:
     """The universal form on Q^(n + n*k) with coordinates (u, phi).
 
     phi_{ij} (the (i, j) entry of phi: U -> V) sits at position
     n + (i-1)*n + (j-1); the form is phi'(u) - phi(u').
     """
-    if n < 1 or k < 1:
-        raise ValidationError("canonical model needs n >= 1 and k >= 1")
-    dim = n + n * k
+    dim = canonical_dim(n, k)
     comps = []
     for c in range(k):
         rows = [[Fraction(0)] * dim for _ in range(dim)]

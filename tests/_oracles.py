@@ -9,16 +9,19 @@ here.
 The reference loops compute what a package routine computes, the plain way,
 and the tests require the routine to match them exactly: the numeric
 samplers of `liealg` one sample at a time, the pointwise derivatives of
-`pointham` one central difference per axis, and the joint kernels
-(orthogonal, centralizer, center, degeneracy kernel) by stacking the blocks
-one at a time before a single `exactla.kernel`.
+`pointham` one central difference per axis, the joint kernels (orthogonal,
+centralizer, center, degeneracy kernel) by stacking the blocks one at a time
+before a single `exactla.kernel`, and quotient coordinates by one
+`exactla.solve` per vector.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from polysym.exactla import Subspace, kernel
+from polysym.errors import ValidationError
+from polysym.exactla import Subspace, kernel, solve
 
 
 def fraction_rref(rows, cols):
@@ -268,3 +271,31 @@ def stacked_center(g):
     """Kernel of ad(e_i) stacked over the standard basis."""
     unit = [[Fraction(int(i == j)) for j in range(g.dim)] for i in range(g.dim)]
     return _stacked_kernel(g.dim, (g.ad(e) for e in unit))
+
+
+# Quotients.
+
+def solved_project(q, v):
+    """Section coordinates of the coset of v, solved from [section | sub] x = v."""
+    sol = solve(q.section.hstack(q.sub.basis), v)
+    if sol is None:
+        raise ValidationError("vector outside the ambient subspace")
+    return tuple(sol[: q.dim])
+
+
+def greedy_section(ambient, sub):
+    """The ambient basis columns, in index order, that each raise the rank of
+    sub's basis and the columns kept so far (ranks by Bareiss elimination)."""
+    kept = [sub.basis.col(j) for j in range(sub.dim)]
+    chosen = []
+    for j in range(ambient.dim):
+        col = ambient.basis.col(j)
+        if _column_rank(kept + [col]) > len(kept):
+            kept.append(col)
+            chosen.append(col)
+    return chosen
+
+
+def _column_rank(columns):
+    d = lcm(*(x.denominator for col in columns for x in col))
+    return bareiss_rank([[x.numerator * (d // x.denominator) for x in col] for col in columns])

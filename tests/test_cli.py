@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from polysym import cli
 from polysym import discgauge as dg
 from polysym import docio
 from polysym import liealg as la
@@ -99,6 +100,38 @@ class TestBuiltinRegistry:
     def test_bad_canonical_spec(self, name):
         with pytest.raises(ValidationError):
             docio.resolve_builtin(name)
+
+
+FILE_COMMANDS = {
+    "form": ["orth", "--subspace", "e1"],
+    "lie": ["lie", "center"],
+    "complex": ["gauge", "betti"],
+}
+
+
+@pytest.mark.parametrize("name", ["cross", "so3", "torus3"])
+def test_file_documents_are_built_once(tmp_path, monkeypatch, capsys, name):
+    doc = docio.resolve_builtin(name)
+    path = tmp_path / "doc.json"
+    path.write_text(docio.render_document(doc))
+    build = docio._BUILDERS[doc.kind]
+    builds = []
+    monkeypatch.setitem(docio._BUILDERS, doc.kind, lambda d: builds.append(d) or build(d))
+    assert run(FILE_COMMANDS[doc.kind] + ["--file", str(path)]) == 0
+    assert len(builds) == 1
+    parsed = docio.parse_document(path.read_text())
+    assert parsed == doc and parsed.built is not None and len(builds) == 2
+
+
+def test_parsed_documents_carry_what_they_describe():
+    form = docio.parse_document(docio.render_document(docio.resolve_builtin("cross"))).built
+    assert form.components == docio.form_to_vform(docio.resolve_builtin("cross")).components
+    algebra = docio.parse_document(docio.render_document(docio.resolve_builtin("sl2"))).built
+    assert algebra.components == la.sl2().components
+    cx = docio.parse_document(docio.render_document(docio.resolve_builtin("torus3"))).built
+    assert (cx.counts, cx.faces) == ((1, 7, 12, 6), dg.torus_complex(3).faces)
+    with pytest.raises(ValidationError, match="expected a lie document"):
+        docio.lie_to_algebra(docio.parse_document(docio.render_document(docio.resolve_builtin("cross"))))
 
 
 def test_cli_imports_no_scipy():
@@ -197,6 +230,98 @@ def test_unusable_numeric_argument_exits_2(capsys, case):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+# Arguments argparse itself rejects: one `error:` line and exit 2, no usage block.
+ARGPARSE_ERRORS = {
+    "malformed int": ["gauge", "betti", "--trials", "x"],
+    "malformed float": ["lie", "arnold", "--t", "1/2"],
+    "unknown option": ["orth", "--builtin", "cross", "--bogus"],
+    "option the subcommand lacks": ["gauge", "betti", "--subspace", "e1"],
+    "option without its value": ["lie", "center", "--builtin"],
+    "flag with a value": ["gauge", "betti", "--machine=1"],
+    "unknown subcommand": ["nosuch"],
+    "no subcommand": [],
+    "verb outside the choices": ["gauge", "nosuch"],
+    "missing required option": ["verify"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARGPARSE_ERRORS))
+def test_argparse_error_is_one_line_and_exit_2(capsys, case):
+    assert run(ARGPARSE_ERRORS[case]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_argparse_error_text(capsys):
+    assert run(["gauge", "betti", "--trials", "x"]) == 2
+    assert capsys.readouterr().err == "error: argument --trials: invalid int value: 'x'\n"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["gauge", "--help"]])
+def test_help_still_prints_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv)
+    assert exit_info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: polysym") and captured.err == ""
+
+
+# Inputs whose size would exhaust memory or time without a bound. They run in
+# one child process under an address-space limit, so a missing check fails
+# the test (a MemoryError traceback, or the timeout) instead of the host.
+OVERSIZED_ARGUMENTS = [
+    ["embed", "--builtin", "canonical:1,16"],
+    ["orth", "--builtin", "canonical:300,300", "--subspace", "e1"],
+    ["ham", "omega", "--patch", "canonical:1000,1000"],
+    ["ham", "embed", "--patch", "canonical:30,30"],
+    ["lie", "convexity", "--trials", "1000000000"],
+    ["verify", "--suite", "convexity", "--trials", "1000000000"],
+    ["lie", "convexity", "--trials", str(cli.MAX_TRIALS + 1)],
+]
+
+
+def test_oversized_inputs_exit_2_under_a_memory_limit():
+    import resource
+
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from polysym.cli import run\n"
+        "out = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    o, e = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(o), contextlib.redirect_stderr(e):\n"
+        "        out.append([run(argv), o.getvalue(), e.getvalue()])\n"
+        "print(json.dumps(out))\n"
+    )
+    limit = 1 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(docio.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(OVERSIZED_ARGUMENTS)],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for argv, (exit_code, stdout, stderr) in zip(OVERSIZED_ARGUMENTS, json.loads(proc.stdout)):
+        assert (exit_code, stdout) == (2, ""), argv
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, argv
+        assert "at most" in stderr, argv
+
+
+def test_largest_canonical_shapes_in_use_are_accepted():
+    from polysym.polycore import MAX_CANONICAL_CELLS, canonical_dim
+
+    assert canonical_dim(4, 7) == 32 and 7 * 32**2 <= MAX_CANONICAL_CELLS
+    assert canonical_dim(32, 7) == 256 and 7 * 256**2 <= MAX_CANONICAL_CELLS
+    with pytest.raises(ValidationError, match="at most"):
+        canonical_dim(64, 63)
 
 
 MALFORMED_DOCUMENTS = {
@@ -445,9 +570,24 @@ class TestFileDocumentBranches:
         assert "expressions" in capsys.readouterr().err
 
 
+# Report bytes: stdout, stderr and exit code of gauge, form, lie and verify
+# commands, recorded before the quotient became one echelon pass. A refactor
+# leaves every one unchanged; only an intended report change may rewrite them.
+GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_report_bytes_match_the_golden_file(case):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(case["argv"])
+    assert (code, out.getvalue(), err.getvalue()) == (case["exit"], case["stdout"], case["stderr"])
+
+
 # Fuzzing: mutated builtin documents through --file, and mutated option values.
 # Every run must end in exit 0, 1 or 2 with at most one stderr line (numpy
-# warnings count as lines) and no uncaught exception. Integers drawn into
+# warnings count as lines) and no uncaught exception; that includes options
+# argparse rejects. Integers drawn into
 # documents stay small because run time grows fast with the Lie dimension
 # (see docio.MAX_LIE_DIM); sizes are not what this test probes.
 
@@ -481,11 +621,15 @@ _vector_text = st.one_of(
 _subspace_option = st.sampled_from(
     ["e1", "e2,e3", "zero", "full", "e0", "e9", "e1,x", "1,0,0", "1,0;0,1", "", ";", "1/2,0,0"]
 ).map(lambda v: f"--subspace={v}")
+_rejected_options = st.sampled_from(
+    ["--trials=x", "--seed=1.5", "--tolerance-scale=", "--machine=1", "--bogus", "--file", "-x"]
+)
 _common_options = st.one_of(
     st.integers(-5, 5).map(lambda v: f"--seed={v}"),
     st.integers(-2, 4).map(lambda v: f"--trials={v}"),
     _number_text.map(lambda v: f"--tolerance-scale={v}"),
     st.just("--machine"),
+    _rejected_options,
 )
 _lie_options = _vector_text.map(lambda v: f"--xi={v}") | _number_text.map(lambda v: f"--t={v}")
 _ham_options = st.one_of(
@@ -541,7 +685,7 @@ def test_fuzz_mutated_documents(tmp_path, data):
     doc = json.loads(docio.render_document(docio.resolve_builtin(name)))
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(_mutate(data, doc)))
-    options = _common_options if verb[0] in ("embed", "gauge") else _common_options | _subspace_option
+    options = _common_options | _subspace_option
     argv = verb + ["--file", str(path)] + data.draw(st.lists(options, max_size=3))
     code, _, stderr_lines = _run_captured(argv)
     _assert_clean_exit(argv, code, stderr_lines)

@@ -513,6 +513,28 @@ class TestCupTableAgainstPairwiseProducts:
         assert builds == [cx]
         assert dg.cohomology(cx, 2) is dg.cohomology(cx, 2)
 
+    @pytest.mark.parametrize("name", ["torus3", "grid2^3"])
+    def test_each_cochain_space_is_eliminated_once(self, monkeypatch, name):
+        import polysym.exactla as ea
+
+        cx = dg.torus_complex(3) if name == "torus3" else grid_torus(2, 3)
+        calls = []
+        original = ea.rref
+        monkeypatch.setattr(ea, "rref", lambda *a, **k: calls.append(a[0].shape) or original(*a, **k))
+        for p in range(cx.dimension + 1):
+            dg.cohomology(cx, p)
+        dg.reduce_gauge(cx)
+        zero_set = dg.moment_zero_set(cx)
+        dg.lagrangian_check(cx)
+        rng = random.Random(15)
+        dg.omega_disc(cx, closed_cochain(rng, cx), closed_cochain(rng, cx))
+        # Per degree: Z^p (an elimination and its canonical basis), B^p and
+        # the H^p quotient; then the C^2/B^2 quotient, the moment kernel (two)
+        # and one containment. Every projector comes with its quotient.
+        assert len(calls) <= 19
+        assert zero_set.cocycles is cx.cocycles(1) is dg.cohomology(cx, 1).cocycles
+        assert cx.cup_quotient.coboundaries is cx.coboundaries(2) is dg.cohomology(cx, 2).coboundaries
+
     def test_dropped_complex_is_freed_without_the_cycle_collector(self):
         import gc
         import weakref

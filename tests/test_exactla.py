@@ -301,3 +301,102 @@ def test_rref_negative_pivots_and_large_denominators():
     red, pivots = rref(Matrix(grid))
     assert (red.entries, pivots) == fraction_rref(grid, 4)
     assert pivots == (0, 2, 3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.tuples(_dims, _dims).flatmap(lambda rc: st.tuples(st.just(rc[1]), _grids(*rc), st.integers(0, rc[1]))))
+def test_rref_with_stop_reduces_the_leading_columns_only(args):
+    from _oracles import fraction_rref
+
+    cols, grid, stop = args
+    red, pivots = rref(_matrix(grid, cols), stop=stop)
+    lead_rows, lead_pivots = fraction_rref([row[:stop] for row in grid], stop)
+    assert pivots == lead_pivots
+    assert tuple(row[:stop] for row in red.entries) == lead_rows and _all_fractions(red.entries)
+    # R = E m with E invertible: R and m span the same rows.
+    full_rank = len(fraction_rref(grid, cols)[1])
+    assert len(fraction_rref(list(red.entries), cols)[1]) == full_rank
+    assert len(fraction_rref(list(red.entries) + grid, cols)[1]) == full_rank
+
+
+# Quotients: one echelon pass over [sub | ambient | I] gives the section, the
+# membership test and the coordinates. The references are the greedy section
+# by Bareiss ranks and one `solve` of [section | sub] x = v per vector
+# (tests/_oracles.py).
+
+
+@st.composite
+def _quotient_inputs(draw):
+    """(ambient, sub, vectors of ambient, other vectors of Q^n): a full or a
+    partial ambient, and a zero, a partial or the whole sub."""
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        ambient = Subspace.full(n)
+    else:
+        ambient = Subspace.from_vectors(n, draw(_grids(draw(st.integers(0, n)), n)))
+    kind = draw(st.sampled_from(["zero", "partial", "whole"]))
+    if kind == "zero":
+        sub = Subspace.zero(n)
+    elif kind == "whole":
+        sub = ambient
+    else:
+        combos = draw(_grids(draw(st.integers(0, ambient.dim)), ambient.dim))
+        sub = Subspace.from_vectors(n, [ambient.basis.apply(c) for c in combos])
+    coeffs = st.lists(_scalars, min_size=ambient.dim, max_size=ambient.dim)
+    inside = [ambient.basis.apply(c) for c in draw(st.lists(coeffs, min_size=1, max_size=3))]
+    others = draw(st.lists(st.lists(_scalars, min_size=n, max_size=n).map(tuple), max_size=3))
+    return ambient, sub, inside, others
+
+
+@settings(max_examples=80, deadline=None)
+@given(_quotient_inputs())
+def test_quotient_matches_the_solved_projection(args):
+    from _oracles import fraction_matmul, fraction_rref, greedy_section, solved_project
+
+    ambient, sub, inside, others = args
+    n = ambient.ambient_dim
+    q = quotient(ambient, sub)
+    assert q.section.columns() == greedy_section(ambient, sub)
+    assert q.dim == ambient.dim - sub.dim
+    # E is invertible and E [sub | section] = [I; 0].
+    e = q.elimination
+    assert e.shape == (n, n) and fraction_rref(e.entries, n)[1] == tuple(range(n))
+    frame = sub.basis.hstack(q.section)
+    assert fraction_matmul(e.entries, frame.entries, ambient.dim) == tuple(
+        tuple(F(int(i == j)) for j in range(ambient.dim)) for i in range(n)
+    )
+    for v in inside:
+        assert q.project(v) == solved_project(q, v) == q.projector.apply(v)
+    for v in others:
+        try:
+            want = solved_project(q, v)
+        except ValidationError:
+            with pytest.raises(ValidationError, match="outside the ambient"):
+                q.project(v)
+        else:
+            assert q.project(v) == want
+
+
+def test_quotient_eliminates_once_and_projects_without_eliminating(monkeypatch):
+    import polysym.exactla as ea
+
+    cases = [
+        (Subspace.full(4), span(4, (1, 1, 0, 0))),
+        (span(4, (1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 0, 1)), span(4, (1, 0, 0, 0))),
+        (span(3, (1, 2, 3)), Subspace.zero(3)),
+    ]
+    calls = []
+    for name in ("rref", "solve"):
+        original = getattr(ea, name)
+        monkeypatch.setattr(ea, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    for ambient, sub in cases:
+        calls.clear()
+        q = quotient(ambient, sub)
+        assert calls == ["rref"]
+        calls.clear()
+        assert q.projector.rows == q.dim
+        q.project(ambient.basis.col(0))
+        if ambient.dim < 4:
+            with pytest.raises(ValidationError):
+                q.project((0, 0, 1) if ambient.ambient_dim == 3 else (0, 0, 1, -1))
+        assert calls == []
