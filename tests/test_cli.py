@@ -373,6 +373,13 @@ def test_lie_dim_just_above_the_cap_is_rejected():
         docio.lie_to_algebra(docio.parse_document(text))
 
 
+def test_closed_cochains_need_a_degree_the_complex_has(tmp_path, capsys):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"kind": "complex", "simplices": {"0": [[0], [1]]}}))
+    assert run(["gauge", "omega", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == "error: cohomology degree out of range\n"
+
+
 def test_gauge_default_builtin_is_named_in_the_header(capsys):
     assert run(["gauge", "betti", "--seed", "0"]) == 0
     out = capsys.readouterr().out
