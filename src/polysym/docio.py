@@ -16,22 +16,29 @@ from typing import Optional
 from .discgauge import BUILTIN_COMPLEXES, DeltaComplex
 from .errors import ValidationError
 from .exactla import Matrix, Subspace
-from .liealg import BUILTIN_TRIPLES, LieAlgebra
+from .liealg import BUILTIN_TRIPLES, LieAlgebra, bracket_form, so3, structure_table
 from .polycore import CoefficientMap, VForm, canonical_model
 
 KINDS = ("form", "lie", "patch", "complex")
 
-# Largest `dim` a lie document may declare. The algebra holds dim^3 structure
-# constants and its Jacobi check grows as dim^6: on a 2-vCPU Xeon, `lie center`
-# on an abelian 16-dimensional algebra takes about 11 s, a 32-dimensional one
-# 7 minutes.
-MAX_LIE_DIM = 16
+# Largest `dim` a lie document may declare, and most nonzero structure
+# constants c^k_ij with i < j once its triples are summed: 16 * C(16, 2), so
+# every document the old dim cap of 16 accepted still passes. Work grows with
+# the constants. On a shared 2-vCPU Xeon, the slowest documents found within
+# both caps (random bases of so3^5 beside so3 blocks, dim 63 and about 1,600
+# to 1,850 constants; sl3 + sl3 in a random basis, dim 16 and 1,920) build in
+# 1.5-2.7 s, and `lie center`, `centralizer` and `reduce` end within 6 s
+# (`reduce` on a line is the slowest); an abelian dim-64 `lie center` takes
+# 0.3 s.
+MAX_LIE_DIM = 64
+MAX_LIE_CONSTANTS = 1920
 
 
 @dataclass(frozen=True)
 class ProblemDocument:
-    """A parsed document. `built` holds the form, algebra or complex that
-    parsing built to validate the payload, so commands do not build it again."""
+    """A parsed or builtin document. `built` holds the form, algebra or
+    complex it describes (made once, by parsing or by the builtin's factory),
+    so commands do not build it again."""
 
     kind: str
     payload: dict
@@ -123,10 +130,10 @@ def render_document(doc: ProblemDocument) -> str:
 
 
 def _built(doc: ProblemDocument, kind: str):
-    """The object a document of this kind describes, built at most once."""
+    """The object a parsed or builtin document of this kind describes."""
     if doc.kind != kind:
         raise ValidationError(f"expected a {kind} document")
-    return doc.built if doc.built is not None else _BUILDERS[kind](doc)
+    return doc.built
 
 
 def form_to_vform(doc: ProblemDocument) -> VForm:
@@ -184,7 +191,13 @@ def _build_algebra(doc: ProblemDocument) -> LieAlgebra:
             raise ValidationError(f"bad structure triple {t!r}")
         i, j, k = (_parse_index(x, "structure triple index") for x in t[:3])
         parsed.append((i, j, k, _parse_scalar(t[3])))
-    return LieAlgebra.from_triples(dim, parsed)
+    table = structure_table(dim, parsed)
+    constants = sum(len(terms) for (i, j), terms in table.items() if i < j)
+    if constants > MAX_LIE_CONSTANTS:
+        raise ValidationError(
+            f"lie document has {constants} nonzero structure constants; at most {MAX_LIE_CONSTANTS} is supported"
+        )
+    return LieAlgebra(dim, table)
 
 
 def complex_to_delta(doc: ProblemDocument) -> DeltaComplex:
@@ -201,23 +214,12 @@ def _build_complex(doc: ProblemDocument) -> DeltaComplex:
 _BUILDERS = {"form": _build_form, "lie": _build_algebra, "complex": _build_complex}
 
 
-# Builtin documents, rendered through the same schema the parser accepts.
+# Builtin documents, rendered through the same schema the parser accepts and
+# carrying the object their factory made, so no builtin is parsed back.
 
-def _cross_form_document() -> ProblemDocument:
-    eps = {
-        (0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-        (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1,
-    }
-    comps = [
-        [[eps.get((i, j, k), 0) for k in range(3)] for j in range(3)]
-        for i in range(3)
-    ]
-    return ProblemDocument(kind="form", payload={"form": comps}, seed=0)
-
-
-def _canonical_form_document(n: int, k: int) -> ProblemDocument:
-    comps = [_render_matrix(m) for m in canonical_model(n, k).components]
-    return ProblemDocument(kind="form", payload={"form": comps}, seed=0)
+def _form_document(form: VForm) -> ProblemDocument:
+    comps = [_render_matrix(m) for m in form.components]
+    return ProblemDocument(kind="form", payload={"form": comps}, seed=0, built=form)
 
 
 def canonical_shape(name: str) -> tuple:
@@ -231,7 +233,8 @@ def canonical_shape(name: str) -> tuple:
 
 def _lie_document(name: str) -> ProblemDocument:
     dim, triples = BUILTIN_TRIPLES[name]
-    return ProblemDocument(kind="lie", payload={"dim": dim, "triples": [list(t) for t in triples]}, seed=0)
+    payload = {"dim": dim, "triples": [list(t) for t in triples]}
+    return ProblemDocument(kind="lie", payload=payload, seed=0, built=LieAlgebra.from_triples(dim, triples, name=name))
 
 
 def _complex_document(name: str) -> ProblemDocument:
@@ -240,14 +243,14 @@ def _complex_document(name: str) -> ProblemDocument:
     payload = {"simplices": simplices}
     if cx.explicit_faces:
         payload["faces"] = {str(p): [list(f) for f in cx.faces[p]] for p in sorted(cx.faces)}
-    return ProblemDocument(kind="complex", payload=payload, seed=0)
+    return ProblemDocument(kind="complex", payload=payload, seed=0, built=cx)
 
 
 # The builtin registry: every --builtin name resolves here, and each factory
 # builds only the document asked for. Besides these names, any
 # `canonical:n,k` resolves to the canonical form of that shape.
 BUILTINS = {
-    "cross": _cross_form_document,
+    "cross": lambda: _form_document(bracket_form(so3())),  # the cross product
     **{name: partial(_lie_document, name) for name in BUILTIN_TRIPLES},
     **{name: partial(_complex_document, name) for name in BUILTIN_COMPLEXES},
 }
@@ -255,7 +258,7 @@ BUILTINS = {
 
 def resolve_builtin(name: str) -> ProblemDocument:
     if name.startswith("canonical:"):
-        return _canonical_form_document(*canonical_shape(name))
+        return _form_document(canonical_model(*canonical_shape(name)))
     if name not in BUILTINS:
         raise ValidationError(f"unknown builtin {name!r}")
     return BUILTINS[name]()

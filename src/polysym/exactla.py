@@ -418,18 +418,24 @@ class QuotientSpace:
         return self.section.cols
 
     @cached_property
+    def _beyond_sub(self) -> Matrix:
+        """The rows of E from dim sub on: the section rows, then the rows
+        that vanish exactly on ambient. No caller reads the sub rows."""
+        rows = self.elimination.entries[self.sub.dim :]
+        return Matrix._make(len(rows), self.elimination.cols, rows)
+
+    @cached_property
     def projector(self) -> Matrix:
         """dim x n matrix sending each vector of ambient to its section
         coordinates: the section rows of E."""
-        rows = self.elimination.entries[self.sub.dim : self.ambient.dim]
-        return Matrix._make(self.dim, self.elimination.cols, rows)
+        return Matrix._make(self.dim, self.elimination.cols, self._beyond_sub.entries[: self.dim])
 
     def project(self, v: Sequence) -> tuple:
         """Section coordinates of the coset of v (v must lie in ambient)."""
-        coords = self.elimination.apply(v)
-        if any(coords[self.ambient.dim :]):
+        coords = self._beyond_sub.apply(v)
+        if any(coords[self.dim :]):
             raise ValidationError("vector outside the ambient subspace")
-        return coords[self.sub.dim : self.ambient.dim]
+        return coords[: self.dim]
 
     def lift(self, coords: Sequence) -> tuple:
         return self.section.apply(coords)

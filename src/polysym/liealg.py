@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -26,78 +27,77 @@ ROTATION_TOLERANCE = 1e-12
 
 
 class LieAlgebra:
-    """A rational Lie algebra given by structure constants.
+    """A rational Lie algebra given by its nonzero structure constants.
 
-    components[k][i][j] = c^k_ij with [e_i, e_j] = sum_k c^k_ij e_k.
-    Antisymmetry and the Jacobi identity are validated exactly on
-    construction.
+    brackets[(i, j)] = ((k, c), ...) with [e_i, e_j] = sum_k c e_k: indices
+    0-based, k increasing, every c nonzero, (j, i) holding the negated terms
+    and pairs with a zero bracket absent, as structure_table builds it. The
+    Jacobi identity is validated exactly on construction.
     """
 
-    def __init__(self, dim: int, components: Sequence[Matrix], name: str = ""):
-        comps = tuple(components)
-        if len(comps) != dim:
-            raise ValidationError("need one component matrix per basis element")
-        for m in comps:
-            if m.shape != (dim, dim):
-                raise ValidationError("component shape must be dim x dim")
-            if not m.is_skew():
-                raise ValidationError("structure constants must be antisymmetric")
+    def __init__(self, dim: int, brackets: dict, name: str = ""):
         self.dim = dim
-        self.components = comps
+        self.brackets = brackets
         self.name = name
         self._check_jacobi()
 
     @classmethod
     def from_triples(cls, dim: int, triples: Sequence, name: str = "") -> "LieAlgebra":
-        """Build from (i, j, k, c) entries meaning [e_i, e_j] has e_k-coefficient c.
+        """Build from 1-based (i, j, k, c) entries meaning [e_i, e_j] has
+        e_k-coefficient c; see structure_table."""
+        return cls(dim, structure_table(dim, triples), name=name)
 
-        Indices are 1-based, matching the usual e_1, ..., e_n notation; the
-        antisymmetric counterpart of each triple is filled in automatically.
-        """
-        grids = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for entry in triples:
-            if len(entry) != 4:
-                raise ValidationError("structure triples must be (i, j, k, c)")
-            i, j, k, c = entry
-            if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
-                raise ValidationError(f"index out of range in triple {entry!r}")
-            c = c if isinstance(c, Fraction) else Fraction(c)
-            grids[k - 1][i - 1][j - 1] += c
-            grids[k - 1][j - 1][i - 1] -= c
-        return cls(dim, [Matrix(g) for g in grids], name=name)
+    @cached_property
+    def components(self) -> tuple:
+        """Dense matrices with components[k][i, j] = c^k_ij, so row i of the
+        k-th is row k of ad(e_i); only the bracket form reads them."""
+        ads = [self.ad([int(t == i) for t in range(self.dim)]) for i in range(self.dim)]
+        return tuple(Matrix([a.row(k) for a in ads]) for k in range(self.dim))
 
     def _check_jacobi(self):
+        """Sum the nonzero terms on every basis triple i < j < k with a
+        nonzero bracket among its pairs, in lexicographic order; on the other
+        triples every term vanishes."""
         n = self.dim
-        basis = [tuple(Fraction(1) if t == s else Fraction(0) for t in range(n)) for s in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    acc = [Fraction(0)] * n
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.bracket(basis[a], basis[b])
-                        outer = self.bracket(inner, basis[c])
-                        acc = [x + y for x, y in zip(acc, outer)]
-                    if any(x != 0 for x in acc):
-                        raise ValidationError(
-                            f"Jacobi identity fails on basis triple ({i+1},{j+1},{k+1})"
-                        )
+        triples = sorted({tuple(sorted((i, j, k))) for i, j in self.brackets for k in range(n) if k not in (i, j)})
+        for i, j, k in triples:
+            acc = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, x in self.brackets.get((a, b), ()):
+                    for p, y in self.brackets.get((m, c), ()):
+                        acc[p] = acc.get(p, 0) + x * y
+            if any(acc.values()):
+                raise ValidationError(f"Jacobi identity fails on basis triple ({i+1},{j+1},{k+1})")
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple:
-        out = []
-        for m in self.components:
-            my = m.apply(y)
-            out.append(sum((a * b for a, b in zip(x, my)), Fraction(0)))
-        return tuple(out)
+        return self.ad(x).apply(y)
 
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of ad_x: y -> [x, y]."""
-        n = self.dim
-        cols = []
-        for j in range(n):
-            e = [Fraction(0)] * n
-            e[j] = Fraction(1)
-            cols.append(self.bracket(x, e))
-        return Matrix(list(zip(*cols)))
+        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        for (i, j), terms in self.brackets.items():
+            if x[i]:
+                for k, c in terms:
+                    rows[k][j] += x[i] * c
+        return Matrix(rows)
+
+
+def structure_table(dim: int, triples: Sequence) -> dict:
+    """The bracket table of LieAlgebra from 1-based (i, j, k, c) triples:
+    +c at (i, j, k) and -c at (j, i, k) are summed, then zeros dropped."""
+    sums = {}
+    for entry in triples:
+        if len(entry) != 4:
+            raise ValidationError("structure triples must be (i, j, k, c)")
+        i, j, k, c = entry
+        if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
+            raise ValidationError(f"index out of range in triple {entry!r}")
+        c = c if isinstance(c, Fraction) else Fraction(c)
+        for pair, s in (((i - 1, j - 1), c), ((j - 1, i - 1), -c)):
+            row = sums.setdefault(pair, {})
+            row[k - 1] = row.get(k - 1, 0) + s
+    table = {pair: tuple((k, c) for k, c in sorted(row.items()) if c) for pair, row in sums.items()}
+    return {pair: terms for pair, terms in table.items() if terms}
 
 
 def center(g: LieAlgebra) -> Subspace:
@@ -153,25 +153,16 @@ def heisenberg() -> LieAlgebra:
 
 
 def abelian(n: int) -> LieAlgebra:
-    return LieAlgebra(n, [Matrix.zeros(n, n) for _ in range(n)], name=f"abelian{n}")
+    return LieAlgebra(n, {}, name=f"abelian{n}")
 
 
 def algebra_direct_sum(g: LieAlgebra, h: LieAlgebra) -> LieAlgebra:
-    n, m = g.dim, h.dim
-    comps = []
-    for k in range(n):
-        rows = [[Fraction(0)] * (n + m) for _ in range(n + m)]
-        for i in range(n):
-            for j in range(n):
-                rows[i][j] = g.components[k][i, j]
-        comps.append(Matrix(rows))
-    for k in range(m):
-        rows = [[Fraction(0)] * (n + m) for _ in range(n + m)]
-        for i in range(m):
-            for j in range(m):
-                rows[n + i][n + j] = h.components[k][i, j]
-        comps.append(Matrix(rows))
-    return LieAlgebra(n + m, comps, name=f"{g.name}+{h.name}")
+    """g + h, with h's basis after g's: h's table shifted by g.dim."""
+    n = g.dim
+    brackets = dict(g.brackets)
+    for (i, j), terms in h.brackets.items():
+        brackets[(i + n, j + n)] = tuple((k + n, c) for k, c in terms)
+    return LieAlgebra(n + h.dim, brackets, name=f"{g.name}+{h.name}")
 
 
 # Numeric rotation-group machinery.

@@ -8,9 +8,9 @@ system), the bracket, moment maps of potential-preserving actions, the
 section embedding into the canonical target, and Legendre-transform
 pullbacks.
 
-All first derivatives go through one central-difference routine with a
-fixed step (optionally one level of Richardson extrapolation); all sampling
-is low-discrepancy with an explicit seed.
+All first derivatives go through one central-difference routine with the
+fixed step DEFAULT_FD_STEP; all sampling is low-discrepancy with an explicit
+seed.
 """
 
 from __future__ import annotations
@@ -75,8 +75,6 @@ class ExactPatch:
     dim_m: int
     dim_v: int
     theta: Callable[[np.ndarray], np.ndarray]
-    fd_step: float = DEFAULT_FD_STEP
-    richardson: bool = False
     name: str = ""
     sample_scale: float = 1.0
     base_shape: Optional[tuple] = None  # (n, k) for canonical patches
@@ -115,16 +113,13 @@ def _partials(f: Callable, x: np.ndarray, h: float, axes: Optional[Sequence[int]
 def omega_at(patch: ExactPatch, x: np.ndarray) -> np.ndarray:
     """Components of -d(theta) at x, shape (k, n, n), exactly skew."""
     x = np.asarray(x, dtype=float)
-    d = _partials(patch.theta_at, x, patch.fd_step)  # d[a, c, b] = d theta_cb / d x_a
-    if patch.richardson:
-        d_half = _partials(patch.theta_at, x, patch.fd_step / 2.0)
-        d = (4.0 * d_half - d) / 3.0
+    d = _partials(patch.theta_at, x, DEFAULT_FD_STEP)  # d[a, c, b] = d theta_cb / d x_a
     # raw[c, a, b] = d theta_cb / d x_a
     raw = np.transpose(d, (1, 0, 2))
     return -(raw - np.transpose(raw, (0, 2, 1)))
 
 
-def canonical_theta(n: int, k: int, fd_step: float = DEFAULT_FD_STEP) -> ExactPatch:
+def canonical_theta(n: int, k: int) -> ExactPatch:
     """The canonical patch on coordinates (q, phi): theta maps (dq, dphi) to phi dq."""
     dim = canonical_dim(n, k, "canonical patch")
 
@@ -135,16 +130,15 @@ def canonical_theta(n: int, k: int, fd_step: float = DEFAULT_FD_STEP) -> ExactPa
         return out
 
     return ExactPatch(
-        dim_m=dim, dim_v=k, theta=theta, fd_step=fd_step,
-        name=f"canonical:{n},{k}", base_shape=(n, k),
+        dim_m=dim, dim_v=k, theta=theta, name=f"canonical:{n},{k}", base_shape=(n, k),
     )
 
 
-def constant_patch(theta_matrix: np.ndarray, fd_step: float = DEFAULT_FD_STEP) -> ExactPatch:
+def constant_patch(theta_matrix: np.ndarray) -> ExactPatch:
     """Patch with a constant potential; its structure form vanishes."""
     theta_matrix = np.asarray(theta_matrix, dtype=float)
     k, n = theta_matrix.shape
-    return ExactPatch(dim_m=n, dim_v=k, theta=lambda x: theta_matrix, fd_step=fd_step, name="constant")
+    return ExactPatch(dim_m=n, dim_v=k, theta=lambda x: theta_matrix, name="constant")
 
 
 def _so3_dexp_inv(x: np.ndarray) -> np.ndarray:
@@ -158,16 +152,13 @@ def _so3_dexp_inv(x: np.ndarray) -> np.ndarray:
     return np.eye(3) - a * k + b * (k @ k)
 
 
-def so3_patch(fd_step: float = DEFAULT_FD_STEP) -> ExactPatch:
+def so3_patch() -> ExactPatch:
     """Rotation group in exponential coordinates with its translation form.
 
     theta_x translates tangent vectors back to the identity, so the patch
     realizes the group with its algebra-valued structure form near 1.
     """
-    return ExactPatch(
-        dim_m=3, dim_v=3, theta=_so3_dexp_inv, fd_step=fd_step,
-        name="so3", sample_scale=0.5,
-    )
+    return ExactPatch(dim_m=3, dim_v=3, theta=_so3_dexp_inv, name="so3", sample_scale=0.5)
 
 
 def so3_left_generator(xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -206,7 +197,7 @@ def translation_generator(n: int, k: int, direction: int) -> Callable[[np.ndarra
 def gradient(patch: ExactPatch, f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """df at x as a (k, n) array of partial derivatives, central differences."""
     x = np.asarray(x, dtype=float)
-    return _partials(f, x, patch.fd_step).reshape(patch.dim_m, patch.dim_v).T.copy()
+    return _partials(f, x, DEFAULT_FD_STEP).reshape(patch.dim_m, patch.dim_v).T.copy()
 
 
 @dataclass(frozen=True)
@@ -283,10 +274,10 @@ def lie_derivative_of_theta(
 ) -> np.ndarray:
     """(L_X theta)_cb = X_a d_a theta_cb + theta_ca d_b X_a, central differences."""
     x = np.asarray(x, dtype=float)
-    d_theta = _partials(patch.theta_at, x, patch.fd_step)  # (a, c, b)
+    d_theta = _partials(patch.theta_at, x, DEFAULT_FD_STEP)  # (a, c, b)
     xv = np.asarray(gen(x), dtype=float)
     theta = patch.theta_at(x)
-    dx = _partials(gen, x, patch.fd_step)  # dx[b, a] = d X_a / d x_b
+    dx = _partials(gen, x, DEFAULT_FD_STEP)  # dx[b, a] = d X_a / d x_b
     term1 = np.einsum("a,acb->cb", xv, d_theta)
     term2 = np.einsum("ca,ba->cb", theta, dx)
     return term1 + term2
@@ -327,7 +318,7 @@ def moment_identity_defect(
     mu here is the potential contracted with each generator; the derivative
     along X uses a central difference of the whole moment matrix.
     """
-    h = patch.fd_step
+    h = DEFAULT_FD_STEP
     worst = 0.0
     for x, direction in zip(points, directions):
         x = np.asarray(x, dtype=float)
@@ -387,7 +378,7 @@ class SectionEmbedding:
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return _partials(self.map, x, self.patch.fd_step).T.copy()
+        return _partials(self.map, x, DEFAULT_FD_STEP).T.copy()
 
     def pullback_defect(self, x: np.ndarray) -> float:
         """Max entrywise gap between the pulled-back target form and the patch form."""
@@ -402,7 +393,7 @@ def local_embed(patch: ExactPatch, x: np.ndarray = None) -> SectionEmbedding:
     The optional point is accepted for interface symmetry; the section is
     global on the patch domain.
     """
-    target = canonical_theta(patch.dim_m, patch.dim_v, fd_step=patch.fd_step)
+    target = canonical_theta(patch.dim_m, patch.dim_v)
     target_omega = vform_to_numpy(canonical_model(patch.dim_m, patch.dim_v))
     return SectionEmbedding(patch=patch, target=target, target_omega=target_omega)
 
@@ -419,19 +410,17 @@ def fiber_derivative(
     q: np.ndarray,
     v: np.ndarray,
     dim_v: int,
-    fd_step: float = DEFAULT_FD_STEP,
-    rank_tolerance: float = 1e-8,
 ) -> FiberDerivativeResult:
     """Velocity derivative of a V-valued Lagrangian and the induced form.
 
     The map (q, v) -> (q, dL/dv) must be an immersion at the point: its
     Jacobian (assembled from exact second differences of L) needs full column
-    rank 2n at the given tolerance.
+    rank 2n at tolerance 1e-8.
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     n = q.size
-    h = fd_step
+    h = DEFAULT_FD_STEP
     z = np.concatenate([q, v])
 
     def l_at(zz: np.ndarray) -> np.ndarray:
@@ -459,7 +448,7 @@ def fiber_derivative(
         for j in range(n):
             jac[n + c * n + j, :] = second[c, j, :]
 
-    jrank = int(np.linalg.matrix_rank(jac, tol=rank_tolerance))
+    jrank = int(np.linalg.matrix_rank(jac, tol=1e-8))
     if jrank < 2 * n:
         raise ContractViolation(
             f"fiber second variation is rank deficient ({jrank} < {2 * n})"
@@ -476,7 +465,7 @@ def closedness_defect(patch: ExactPatch, x: np.ndarray) -> float:
     approximated by second central differences over coordinate triples."""
     x = np.asarray(x, dtype=float)
     n = patch.dim_m
-    partials = _partials(lambda y: omega_at(patch, y), x, patch.fd_step)
+    partials = _partials(lambda y: omega_at(patch, y), x, DEFAULT_FD_STEP)
     worst = 0.0
     for a in range(n):
         for b in range(a + 1, n):

@@ -8,7 +8,8 @@ here.
 
 The reference loops compute what a package routine computes, the plain way,
 and the tests require the routine to match them exactly: the numeric
-samplers of `liealg` one sample at a time, the pointwise derivatives of
+samplers of `liealg` one sample at a time, the Lie bracket, adjoint and
+Jacobi check from dense dim^3 structure constants, the pointwise derivatives of
 `pointham` one central difference per axis, the joint kernels (orthogonal,
 centralizer, center, degeneracy kernel) by stacking the blocks one at a time
 before a single `exactla.kernel`, and quotient coordinates by one
@@ -22,6 +23,7 @@ import numpy as np
 
 from polysym.errors import ValidationError
 from polysym.exactla import Subspace, kernel, solve
+from polysym.pointham import DEFAULT_FD_STEP
 
 
 def fraction_rref(rows, cols):
@@ -162,11 +164,9 @@ def looped_theta_derivative(patch, x, h):
 
 
 def looped_omega_at(patch, x):
-    """-d(theta) at x from the looped derivative, with optional Richardson."""
+    """-d(theta) at x from the looped derivative."""
     x = np.asarray(x, dtype=float)
-    d = looped_theta_derivative(patch, x, patch.fd_step)
-    if patch.richardson:
-        d = (4.0 * looped_theta_derivative(patch, x, patch.fd_step / 2.0) - d) / 3.0
+    d = looped_theta_derivative(patch, x, DEFAULT_FD_STEP)
     raw = np.transpose(d, (1, 0, 2))
     return -(raw - np.transpose(raw, (0, 2, 1)))
 
@@ -174,7 +174,7 @@ def looped_omega_at(patch, x):
 def looped_gradient(patch, f, x):
     """df at x as (k, n): one stacked column per axis."""
     x = np.asarray(x, dtype=float)
-    h = patch.fd_step
+    h = DEFAULT_FD_STEP
     n = patch.dim_m
     cols = []
     for a in range(n):
@@ -188,7 +188,7 @@ def looped_lie_derivative_of_theta(patch, gen, x):
     """(L_X theta)_cb with the generator Jacobian filled one row per axis."""
     x = np.asarray(x, dtype=float)
     n = patch.dim_m
-    h = patch.fd_step
+    h = DEFAULT_FD_STEP
     d_theta = looped_theta_derivative(patch, x, h)
     xv = np.asarray(gen(x), dtype=float)
     theta = patch.theta_at(x)
@@ -204,7 +204,7 @@ def looped_section_jacobian(embedding, x):
     """Jacobian of x -> (x, theta_x), one stacked column per axis."""
     x = np.asarray(x, dtype=float)
     n = embedding.patch.dim_m
-    h = embedding.patch.fd_step
+    h = DEFAULT_FD_STEP
     cols = []
     for a in range(n):
         e = np.zeros(n)
@@ -231,7 +231,7 @@ def looped_closedness_defect(patch, x):
     """Max coefficient of d(omega) at x, from one looped partial per axis."""
     x = np.asarray(x, dtype=float)
     n = patch.dim_m
-    h = patch.fd_step
+    h = DEFAULT_FD_STEP
     partials = []
     for a in range(n):
         e = np.zeros(n)
@@ -244,6 +244,50 @@ def looped_closedness_defect(patch, x):
                 val = partials[a][:, b, c] - partials[b][:, a, c] + partials[c][:, a, b]
                 worst = max(worst, float(np.max(np.abs(val))))
     return worst
+
+
+# Lie algebras: dim^3 dense structure constants, brackets as dense products,
+# and the Jacobi identity checked with six brackets on every basis triple.
+
+def dense_structure(dim, triples):
+    """grids[k][i][j] = c^k_ij: +c at (i, j, k) and -c at (j, i, k) summed
+    over 1-based (i, j, k, c) triples."""
+    grids = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, j, k, c in triples:
+        grids[k - 1][i - 1][j - 1] += Fraction(c)
+        grids[k - 1][j - 1][i - 1] -= Fraction(c)
+    return grids
+
+
+def dense_bracket(grids, x, y):
+    """[x, y]_k = sum over i, j of x_i c^k_ij y_j (zero products skipped)."""
+    n = len(grids)
+    pairs = [(i, j, Fraction(x[i]) * y[j]) for i in range(n) for j in range(n) if x[i] and y[j]]
+    return tuple(sum((w * m[i][j] for i, j, w in pairs if m[i][j]), Fraction(0)) for m in grids)
+
+
+def dense_ad(grids, x):
+    """Rows of the matrix of y -> [x, y]."""
+    n = len(grids)
+    cols = [dense_bracket(grids, x, [int(t == j) for t in range(n)]) for j in range(n)]
+    return tuple(zip(*cols))
+
+
+def dense_jacobi_error(grids):
+    """The message for the first basis triple, in lexicographic order, on
+    which the Jacobi identity fails; None when it holds."""
+    n = len(grids)
+    basis = [[int(t == s) for t in range(n)] for s in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc = [Fraction(0)] * n
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    outer = dense_bracket(grids, dense_bracket(grids, basis[a], basis[b]), basis[c])
+                    acc = [x + y for x, y in zip(acc, outer)]
+                if any(acc):
+                    return f"Jacobi identity fails on basis triple ({i+1},{j+1},{k+1})"
+    return None
 
 
 # Joint kernels: stack the blocks one at a time, then take one kernel.

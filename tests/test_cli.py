@@ -96,6 +96,17 @@ class TestBuiltinRegistry:
         with pytest.raises(AssertionError):
             docio.resolve_builtin("torus2")
 
+    def test_builtins_carry_their_factory_object_unparsed(self, monkeypatch, capsys):
+        def refuse(doc):
+            raise AssertionError("a builtin was parsed back from its payload")
+
+        for kind in list(docio._BUILDERS):
+            monkeypatch.setitem(docio._BUILDERS, kind, refuse)
+        for name in [*docio.BUILTINS, "canonical:2,3"]:
+            assert docio.resolve_builtin(name).built is not None, name
+        for argv in (["embed", "--builtin", "canonical:1,2"], ["lie", "center"], ["gauge", "betti"]):
+            assert run(argv) == 0, argv
+
     @pytest.mark.parametrize("name", ["canonical:x", "canonical:1", "canonical:1,2,3"])
     def test_bad_canonical_spec(self, name):
         with pytest.raises(ValidationError):
@@ -360,7 +371,7 @@ def test_oversized_lie_dim_exits_2_before_allocating(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 2
-    # dim^3 structure constants would be 10^15 cells; the check runs first.
+    # center's dim ad matrices would be 10^15 cells; the check runs first.
     assert peak < 1 << 20
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -371,6 +382,47 @@ def test_lie_dim_just_above_the_cap_is_rejected():
     text = json.dumps({"kind": "lie", "dim": docio.MAX_LIE_DIM + 1, "triples": []})
     with pytest.raises(ValidationError, match="at most"):
         docio.lie_to_algebra(docio.parse_document(text))
+
+
+def test_abelian_center_at_the_dim_cap_runs_in_under_a_second(tmp_path, capsys):
+    import time
+
+    assert docio.MAX_LIE_DIM == 64
+    path = tmp_path / "lie.json"
+    path.write_text(json.dumps({"kind": "lie", "dim": 64, "triples": []}))
+    start = time.perf_counter()
+    assert run(["lie", "center", "--file", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert "algebra_dim: 64" in capsys.readouterr().out
+
+
+def _semidirect_triples(count):
+    """[e_1, e_j] gets e_k for the first `count` pairs (j, k), j, k >= 2: e_1
+    acting on an abelian ideal, a Lie algebra whatever the count."""
+    return [[1, j, k, 1] for j in range(2, 65) for k in range(2, 65)][:count]
+
+
+def test_structure_constants_are_capped_after_summing(tmp_path, capsys, monkeypatch):
+    cap = docio.MAX_LIE_CONSTANTS
+    over = _semidirect_triples(cap + 1)
+    path = tmp_path / "lie.json"
+    path.write_text(json.dumps({"kind": "lie", "dim": 64, "triples": over}))
+
+    def refuse(self):
+        raise AssertionError("Jacobi ran before the cap")
+
+    monkeypatch.setattr(la.LieAlgebra, "_check_jacobi", refuse)
+    assert run(["lie", "center", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: lie document has {cap + 1} nonzero structure constants; at most {cap} is supported\n"
+    monkeypatch.undo()
+    # The last constant cancelled by its counterpart [e_j, e_1], plus an i == j
+    # entry, sums to exactly the cap.
+    _, j, k, _ = over[-1]
+    text = json.dumps({"kind": "lie", "dim": 64, "triples": over + [[j, 1, k, 1], [2, 2, 3, 5]]})
+    algebra = docio.lie_to_algebra(docio.parse_document(text))
+    assert sum(len(terms) for (a, b), terms in algebra.brackets.items() if a < b) == cap
 
 
 def test_closed_cochains_need_a_degree_the_complex_has(tmp_path, capsys):
@@ -594,9 +646,9 @@ def test_report_bytes_match_the_golden_file(case):
 # Fuzzing: mutated builtin documents through --file, and mutated option values.
 # Every run must end in exit 0, 1 or 2 with at most one stderr line (numpy
 # warnings count as lines) and no uncaught exception; that includes options
-# argparse rejects. Integers drawn into
-# documents stay small because run time grows fast with the Lie dimension
-# (see docio.MAX_LIE_DIM); sizes are not what this test probes.
+# argparse rejects. Integers drawn into documents stay small so that indices
+# often land in range; sizes are not what this test probes (the Lie caps,
+# docio.MAX_LIE_DIM and docio.MAX_LIE_CONSTANTS, have tests of their own).
 
 FUZZ_DOCUMENT_VERBS = {
     "cross": [["orth"], ["classify"], ["reduce"], ["embed"]],

@@ -389,13 +389,18 @@ def test_quotient_eliminates_once_and_projects_without_eliminating(monkeypatch):
     for name in ("rref", "solve"):
         original = getattr(ea, name)
         monkeypatch.setattr(ea, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    applied = []
+    apply = ea.Matrix.apply
+    monkeypatch.setattr(ea.Matrix, "apply", lambda self, v: applied.append(self.rows) or apply(self, v))
     for ambient, sub in cases:
         calls.clear()
         q = quotient(ambient, sub)
         assert calls == ["rref"]
         calls.clear()
         assert q.projector.rows == q.dim
+        applied.clear()
         q.project(ambient.basis.col(0))
+        assert applied == [ambient.ambient_dim - sub.dim]  # the sub rows of E are never applied
         if ambient.dim < 4:
             with pytest.raises(ValidationError):
                 q.project((0, 0, 1) if ambient.ambient_dim == 3 else (0, 0, 1, -1))

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysym import liealg as la
 from polysym.errors import ContractViolation, ValidationError
@@ -13,6 +15,12 @@ from polysym.randgen import rand_subspace
 from polysym.verify import run_suite
 
 from _oracles import (
+    dense_ad,
+    dense_bracket,
+    dense_jacobi_error,
+    dense_structure,
+    fraction_apply,
+    fraction_rref,
     looped_displacements,
     looped_moment_images,
     looped_rotations,
@@ -148,6 +156,90 @@ class TestIsotropicMeansAbelian:
             assert classify(form, a).isotropic == brackets_vanish
             hits += brackets_vanish
         assert hits > 0  # the sample includes genuinely abelian subspaces
+
+
+# The bracket table against the dense dim^3 reference (tests/_oracles.py):
+# raw triples with repeated, cancelling and i == j entries, and images of sums
+# of builtin algebras under a random change of basis.
+
+_constants = st.integers(-3, 3) | st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def _raw_triples(draw):
+    dim = draw(st.integers(1, 6))
+    index = st.integers(1, dim)
+    base = draw(st.lists(st.tuples(index, index, index, _constants), max_size=6))
+    extra = []
+    if base:
+        extra += draw(st.lists(st.sampled_from(base), max_size=2))
+        extra += [(i, j, k, -c) for i, j, k, c in draw(st.lists(st.sampled_from(base), max_size=2))]
+    extra += [(i, i, k, c) for i, k, c in draw(st.lists(st.tuples(index, index, _constants), max_size=1))]
+    return dim, draw(st.permutations(base + extra))
+
+
+@st.composite
+def _changed_basis_triples(draw):
+    """Triples of so3, sl2 or heisenberg sums (dim 3 or 6) in the basis
+    f_a = sum_i P[i][a] e_i, with P = L D U for unit triangular integer L, U
+    and a nonzero diagonal D, so P is invertible and 1/det P brings p/q
+    constants."""
+    names = draw(st.lists(st.sampled_from(sorted(la.BUILTIN_TRIPLES)), min_size=1, max_size=2))
+    dim, triples = 0, []
+    for name in names:
+        n, part = la.BUILTIN_TRIPLES[name]
+        triples += [(i + dim, j + dim, k + dim, c) for i, j, k, c in part]
+        dim += n
+    entry = st.integers(-1, 1)
+    lower = [[1 if i == j else draw(entry) if i > j else 0 for j in range(dim)] for i in range(dim)]
+    upper = [[1 if i == j else draw(entry) if i < j else 0 for j in range(dim)] for i in range(dim)]
+    diag = [draw(st.sampled_from([-2, -1, 1, 2])) for _ in range(dim)]
+    p = [[sum(lower[i][m] * diag[m] * upper[m][j] for m in range(dim)) for j in range(dim)] for i in range(dim)]
+    augmented = [row + [int(i == j) for j in range(dim)] for i, row in enumerate(p)]
+    inverse = [row[dim:] for row in fraction_rref(augmented, 2 * dim)[0]]
+    grids = dense_structure(dim, triples)
+    cols = [[p[i][a] for i in range(dim)] for a in range(dim)]
+    changed = []
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            coords = fraction_apply(inverse, dense_bracket(grids, cols[a], cols[b]))
+            changed += [(a + 1, b + 1, k + 1, c) for k, c in enumerate(coords) if c]
+    return dim, changed
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(_raw_triples(), _changed_basis_triples()), st.data())
+def test_bracket_table_matches_the_dense_reference(case, data):
+    dim, triples = case
+    grids = dense_structure(dim, triples)
+    error = dense_jacobi_error(grids)
+    if error is not None:
+        with pytest.raises(ValidationError) as caught:
+            la.LieAlgebra.from_triples(dim, triples)
+        assert str(caught.value) == error
+        return
+    g = la.LieAlgebra.from_triples(dim, triples)
+    assert g.components == tuple(Matrix(grid) for grid in grids)
+    vector = st.lists(_constants, min_size=dim, max_size=dim)
+    for x, y in data.draw(st.lists(st.tuples(vector, vector), min_size=1, max_size=3)):
+        assert g.bracket(x, y) == dense_bracket(grids, x, y)
+        assert g.ad(x).entries == dense_ad(grids, x)
+
+
+def test_changed_bases_reach_accepted_algebras_with_fractions():
+    """The changed-basis strategy is not vacuous: it yields valid algebras
+    with non-integer constants."""
+    found = []
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(_changed_basis_triples())
+    def collect(case):
+        dim, triples = case
+        if dense_jacobi_error(dense_structure(dim, triples)) is None:
+            found.append(any(F(c).denominator > 1 for *_, c in triples))
+
+    collect()
+    assert len(found) == 10 and any(found)
 
 
 class TestGroupNumerics:
