@@ -27,7 +27,7 @@ KINDS = ("form", "lie", "patch", "complex")
 # the constants. On a shared 2-vCPU Xeon, the slowest documents found within
 # both caps (random bases of so3^5 beside so3 blocks, dim 63 and about 1,600
 # to 1,850 constants; sl3 + sl3 in a random basis, dim 16 and 1,920) build in
-# 1.5-2.7 s, and `lie center`, `centralizer` and `reduce` end within 6 s
+# 1.4-3.1 s, and `lie center`, `centralizer` and `reduce` end within 6 s
 # (`reduce` on a line is the slowest); an abelian dim-64 `lie center` takes
 # 0.3 s.
 MAX_LIE_DIM = 64
