@@ -296,7 +296,10 @@ class TestClosedness:
         assert ph.closedness_defect(ph.so3_patch(), np.array([0.1, 0.2, -0.1])) < 1e-4
 
 
-_TEST_PATCHES = [ph.so3_patch(), ph.canonical_theta(1, 1), ph.canonical_theta(2, 2), ph.canonical_theta(1, 3)]
+_TEST_PATCHES = [
+    ph.so3_patch(),
+    *(ph.canonical_theta(n, k) for n, k in ((1, 1), (2, 2), (1, 3), (2, 1), (3, 1), (1, 2), (3, 2))),
+]
 
 
 def _value_function(k):
@@ -346,7 +349,7 @@ class TestCentralDifferencesMatchPerAxisLoops:
             assert ph.closedness_defect(patch, x) == looped_closedness_defect(patch, x)
 
 
-@pytest.mark.parametrize("n,k", [(1, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 2), (3, 1), (1, 3), (2, 1)])
 def test_fiber_derivative_matches_per_axis_loop(n, k):
     def lagrangian(q, v):
         base = 0.5 * v @ v + q @ v
