@@ -16,8 +16,6 @@ from .polycore import (
     check_reduction_candidate,
     classify,
     direct_sum,
-    flat,
-    is_nondegenerate,
     linear_reduce,
     orthogonal,
     pullback,
@@ -49,8 +47,6 @@ __all__ = [
     "check_reduction_candidate",
     "classify",
     "direct_sum",
-    "flat",
-    "is_nondegenerate",
     "linear_reduce",
     "orthogonal",
     "pullback",

@@ -71,7 +71,8 @@ def _fmt_subspace(s: Subspace) -> str:
 
 
 def _fmt_float(x: float) -> str:
-    return f"{x:.12f}"
+    # Fixed point would spell out every digit of a large magnitude (309 at 1e308).
+    return f"{x:.12e}" if abs(x) >= 1e15 else f"{x:.12f}"
 
 
 def _fmt_float_matrix(m: np.ndarray) -> str:

@@ -27,9 +27,9 @@ KINDS = ("form", "lie", "patch", "complex")
 # the constants. On a shared 2-vCPU Xeon, the slowest documents found within
 # both caps (random bases of so3^5 beside so3 blocks, dim 63 and about 1,600
 # to 1,850 constants; sl3 + sl3 in a random basis, dim 16 and 1,920) build in
-# 1.4-3.1 s, and `lie center`, `centralizer` and `reduce` end within 6 s
-# (`reduce` on a line is the slowest); an abelian dim-64 `lie center` takes
-# 0.3 s.
+# 1.4-3.1 s; as whole processes, `lie center` and `centralizer` end in
+# 1.6-2.9 s and `reduce` within 4 s (on a line, the slowest); an abelian
+# dim-64 `lie center` takes 0.3 s.
 MAX_LIE_DIM = 64
 MAX_LIE_CONSTANTS = 1920
 

@@ -19,11 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, ValidationError
-from .exactla import Matrix, Subspace, intersect
+from .exactla import Matrix, Subspace
 from .polycore import LinearReduction, VForm, joint_kernel, linear_reduce
 
 GROUP_TOLERANCE = 1e-9
-ROTATION_TOLERANCE = 1e-12
 
 
 class LieAlgebra:
@@ -120,14 +119,9 @@ def centralizer(g: LieAlgebra, a: Subspace) -> Subspace:
 
 
 def lie_reduce(g: LieAlgebra, a: Subspace) -> LinearReduction:
-    """Reduction of the bracket form by a subspace, cross-checked against
-    the directly computed centralizer quotient."""
-    form = bracket_form(g)
-    red = linear_reduce(form, a)
-    cent = centralizer(g, a)
-    if red.carrier.dim != cent.dim - intersect(a, cent).dim:
-        raise AssertionError("reduction carrier disagrees with the centralizer quotient")
-    return red
+    """Reduction of the bracket form by a subspace. The bracket form's flat at
+    u is ad(u), so the carrier is the centralizer of a modulo its meet with a."""
+    return linear_reduce(bracket_form(g), a)
 
 
 # Builtin algebras: name -> (dim, structure triples). The lie documents of
@@ -190,20 +184,6 @@ def so3_exp(v: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * k + b * (k @ k)
 
 
-def so3_log(r: np.ndarray) -> np.ndarray:
-    """Inverse of so3_exp for rotations with angle strictly below pi."""
-    c = (np.trace(r) - 1.0) / 2.0
-    c = min(1.0, max(-1.0, c))
-    theta = math.acos(c)
-    if theta < 1e-8:
-        return unhat(r)
-    if theta > math.pi - 1e-6:
-        raise ValidationError("logarithm near the cut locus is not supported")
-    return theta / (2.0 * math.sin(theta)) * np.array(
-        [r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]
-    )
-
-
 def check_rotations(m: np.ndarray) -> None:
     """Raise ContractViolation unless every matrix of a (..., 3, 3) stack is
     orthogonal with determinant 1 within GROUP_TOLERANCE; NaN fails both."""
@@ -211,37 +191,6 @@ def check_rotations(m: np.ndarray) -> None:
         raise ContractViolation("matrix is not orthogonal within tolerance")
     if not np.all(np.abs(np.linalg.det(m) - 1.0) <= GROUP_TOLERANCE):
         raise ContractViolation("matrix determinant is not 1 within tolerance")
-
-
-@dataclass(frozen=True)
-class MatrixGroupElement:
-    """A numeric rotation matrix, validated against the group relations."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        if m.shape != (3, 3):
-            raise ValidationError("group elements are 3x3 matrices")
-        check_rotations(m)
-
-    def inverse(self) -> "MatrixGroupElement":
-        return MatrixGroupElement(self.matrix.T)
-
-    def __mul__(self, other: "MatrixGroupElement") -> "MatrixGroupElement":
-        return MatrixGroupElement(self.matrix @ other.matrix)
-
-
-def adjoint(g_el: MatrixGroupElement, xi: np.ndarray) -> np.ndarray:
-    """Ad_g xi, computed as g hat(xi) g^-1 re-coordinatized by unhat."""
-    g = g_el.matrix
-    return unhat(g @ hat(np.asarray(xi, dtype=float)) @ g.T)
-
-
-def maurer_cartan_moment(g_el: MatrixGroupElement, xi: np.ndarray) -> np.ndarray:
-    """Moment of the left regular action at g: Ad_{g^-1} xi."""
-    return adjoint(g_el.inverse(), xi)
 
 
 HAAR_BLOCK = 4096
@@ -379,24 +328,4 @@ def convexity_counterexample(
         max_radius_error=radius_err,
         midpoint_norm=mid_norm,
         midpoint_gap=radius - mid_norm,
-    )
-
-
-def equivariance_defect(
-    h: MatrixGroupElement, g: MatrixGroupElement, xi: np.ndarray
-) -> float:
-    """|mu(hg)(xi) - Ad_{g^-1} mu(h)(xi)| for the left regular moment."""
-    lhs = maurer_cartan_moment(h * g, xi)
-    rhs = adjoint(g.inverse(), maurer_cartan_moment(h, xi))
-    return float(np.linalg.norm(lhs - rhs))
-
-
-def commutes_with_membership(
-    g_el: MatrixGroupElement, generators: Sequence[np.ndarray], tol: float = GROUP_TOLERANCE
-) -> bool:
-    """Sampled membership predicate for the centralizer-type reduced space:
-    g is in the level set iff it fixes every generator under Ad."""
-    return all(
-        float(np.linalg.norm(adjoint(g_el, xi) - np.asarray(xi, dtype=float))) <= tol
-        for xi in generators
     )

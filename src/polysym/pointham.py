@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -132,13 +132,6 @@ def canonical_theta(n: int, k: int) -> ExactPatch:
     return ExactPatch(
         dim_m=dim, dim_v=k, theta=theta, name=f"canonical:{n},{k}", base_shape=(n, k),
     )
-
-
-def constant_patch(theta_matrix: np.ndarray) -> ExactPatch:
-    """Patch with a constant potential; its structure form vanishes."""
-    theta_matrix = np.asarray(theta_matrix, dtype=float)
-    k, n = theta_matrix.shape
-    return ExactPatch(dim_m=n, dim_v=k, theta=lambda x: theta_matrix, name="constant")
 
 
 def _so3_dexp_inv(x: np.ndarray) -> np.ndarray:
@@ -387,12 +380,9 @@ class SectionEmbedding:
         return float(np.max(np.abs(pulled - omega_at(self.patch, x))))
 
 
-def local_embed(patch: ExactPatch, x: np.ndarray = None) -> SectionEmbedding:
-    """Section embedding of the patch into its canonical target.
-
-    The optional point is accepted for interface symmetry; the section is
-    global on the patch domain.
-    """
+def local_embed(patch: ExactPatch) -> SectionEmbedding:
+    """Section embedding of the patch into its canonical target; the section
+    is global on the patch domain."""
     target = canonical_theta(patch.dim_m, patch.dim_v)
     target_omega = vform_to_numpy(canonical_model(patch.dim_m, patch.dim_v))
     return SectionEmbedding(patch=patch, target=target, target_omega=target_omega)
@@ -459,17 +449,3 @@ def fiber_derivative(
     pulled = 0.5 * (pulled - np.transpose(pulled, (0, 2, 1)))
     return FiberDerivativeResult(fiber_derivative=fl, pullback_form=pulled, jacobian_rank=jrank)
 
-
-def closedness_defect(patch: ExactPatch, x: np.ndarray) -> float:
-    """Max coefficient of the exterior derivative of the structure form at x,
-    approximated by second central differences over coordinate triples."""
-    x = np.asarray(x, dtype=float)
-    n = patch.dim_m
-    partials = _partials(lambda y: omega_at(patch, y), x, DEFAULT_FD_STEP)
-    worst = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                val = partials[a][:, b, c] - partials[b][:, a, c] + partials[c][:, a, b]
-                worst = max(worst, float(np.max(np.abs(val))))
-    return worst

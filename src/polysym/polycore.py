@@ -56,7 +56,7 @@ class VForm:
         return len(self.components)
 
     def evaluate(self, u: Sequence, v: Sequence) -> tuple:
-        return tuple(_bilinear(m, u, v) for m in self.components)
+        return tuple(sum((a * b for a, b in zip(u, m.apply(v))), Fraction(0)) for m in self.components)
 
     def flat(self, u: Sequence) -> Matrix:
         """The contraction u -> omega(u, .) as a k x n matrix (rows u^T w_i).
@@ -84,19 +84,6 @@ def joint_kernel(n: int, blocks: Sequence[Matrix]) -> Subspace:
     """Vectors of Q^n killed by every block: the kernel of the blocks stacked,
     or all of Q^n when there are none."""
     return kernel(reduce(Matrix.vstack, blocks)) if blocks else Subspace.full(n)
-
-
-def _bilinear(m: Matrix, u: Sequence, v: Sequence) -> Fraction:
-    mv = m.apply(v)
-    return sum((a * b for a, b in zip(u, mv)), Fraction(0))
-
-
-def flat(omega: VForm, u: Sequence) -> Matrix:
-    return omega.flat(u)
-
-
-def is_nondegenerate(omega: VForm) -> bool:
-    return omega.is_nondegenerate()
 
 
 def direct_sum(forms: Sequence[VForm]) -> VForm:
@@ -166,12 +153,9 @@ def linear_reduce(omega: VForm, a: Subspace) -> LinearReduction:
     section = carrier.section
 
     # Well-definedness: the form must not see the quotiented directions.
-    for m in omega.components:
-        for jb in range(core.dim):
-            b = core.basis.col(jb)
-            for js in range(section.cols):
-                if _bilinear(m, b, section.col(js)) != 0:
-                    raise AssertionError("descent to the quotient failed")
+    section_t = section.transpose()
+    if not all((section_t @ (m @ core.basis)).is_zero() for m in omega.components):
+        raise AssertionError("descent to the quotient failed")
 
     reduced = omega.restrict(section)
     ker = reduced.degeneracy_kernel()

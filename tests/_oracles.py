@@ -10,12 +10,14 @@ The reference loops compute what a package routine computes, the plain way,
 and the tests require the routine to match them exactly: the numeric
 samplers of `liealg` one sample at a time, the Lie bracket, adjoint and
 Jacobi check from dense dim^3 structure constants, the pointwise derivatives of
-`pointham` one central difference per axis, the joint kernels (orthogonal,
+`pointham` one central difference per axis (and the closedness defect of its
+structure form), the joint kernels (orthogonal,
 centralizer, center, degeneracy kernel) by stacking the blocks one at a time
 before a single `exactla.kernel`, and quotient coordinates by one
 `exactla.solve` per vector.
 """
 
+import math
 from fractions import Fraction
 from math import lcm
 
@@ -23,7 +25,8 @@ import numpy as np
 
 from polysym.errors import ValidationError
 from polysym.exactla import Subspace, kernel, solve
-from polysym.pointham import DEFAULT_FD_STEP
+from polysym.liealg import unhat
+from polysym.pointham import DEFAULT_FD_STEP, omega_at
 
 
 def fraction_rref(rows, cols):
@@ -93,6 +96,17 @@ def looped_moment_images(xi, count, seed):
 def looped_displacements(u, count, seed):
     """|ug - g| (Frobenius) for each rotation g, one at a time."""
     return np.array([np.linalg.norm(u @ g - g) for g in looped_rotations(count, seed)])
+
+
+def so3_log(r):
+    """Inverse of liealg.so3_exp for rotations with angle strictly below pi."""
+    c = min(1.0, max(-1.0, (np.trace(r) - 1.0) / 2.0))
+    theta = math.acos(c)
+    if theta < 1e-8:
+        return unhat(r)
+    if theta > math.pi - 1e-6:
+        raise ValueError("logarithm near the cut locus is not supported")
+    return theta / (2.0 * math.sin(theta)) * unhat(r - r.T)
 
 
 def bareiss_rank(rows):
@@ -228,7 +242,8 @@ def looped_velocity_derivative(lagrangian, q, v, dim_v, h):
 
 
 def looped_closedness_defect(patch, x):
-    """Max coefficient of d(omega) at x, from one looped partial per axis."""
+    """Max coefficient of d(omega) at x, from one looped partial of
+    pointham.omega_at per axis and second differences over coordinate triples."""
     x = np.asarray(x, dtype=float)
     n = patch.dim_m
     h = DEFAULT_FD_STEP
@@ -236,7 +251,7 @@ def looped_closedness_defect(patch, x):
     for a in range(n):
         e = np.zeros(n)
         e[a] = h
-        partials.append((looped_omega_at(patch, x + e) - looped_omega_at(patch, x - e)) / (2.0 * h))
+        partials.append((omega_at(patch, x + e) - omega_at(patch, x - e)) / (2.0 * h))
     worst = 0.0
     for a in range(n):
         for b in range(a + 1, n):

@@ -243,6 +243,17 @@ def test_unusable_numeric_argument_exits_2(capsys, case):
     assert captured.err.count("\n") == 1
 
 
+def test_large_magnitudes_print_in_exponent_form(capsys):
+    # In fixed point, 1e308 took 309 digits; magnitudes below 1e15 print as before.
+    assert run(["ham", "omega", "--patch", "canonical:1,1", "--point", "1e308,-1e308"]) == 0
+    out = capsys.readouterr().out
+    assert "point: 1.000000000000e+308, -1.000000000000e+308\n" in out
+    assert max(len(line) for line in out.splitlines()) <= 100
+    assert [cli._fmt_float(x) for x in (1e15, -1e15, 999999999999999.9, 0.5)] == [
+        "1.000000000000e+15", "-1.000000000000e+15", "999999999999999.875000000000", "0.500000000000",
+    ]
+
+
 # Arguments argparse itself rejects: one `error:` line and exit 2, no usage block.
 ARGPARSE_ERRORS = {
     "malformed int": ["gauge", "betti", "--trials", "x"],
