@@ -34,11 +34,6 @@ def span(n, *vecs):
     return Subspace.from_vectors(n, vecs)
 
 
-def one_haar(rng):
-    """One Haar rotation as a 3x3 matrix."""
-    return la.haar_so3(rng, 1)[0]
-
-
 def moment(g, xi):
     """Left-regular moment Ad_{g^-1} xi = unhat(g^T hat(xi) g) of a rotation
     or a (N, 3, 3) stack of them."""
@@ -327,8 +322,8 @@ class TestGroupNumerics:
             assert np.linalg.norm(so3_log(la.so3_exp(v)) - v) < 1e-9
 
     def test_haar_determinism(self):
-        a = one_haar(np.random.default_rng(42))
-        b = one_haar(np.random.default_rng(42))
+        a = la.haar_so3(np.random.default_rng(42), 1)
+        b = la.haar_so3(np.random.default_rng(42), 1)
         assert np.array_equal(a, b)
 
 
