@@ -499,3 +499,19 @@ class TestBatchedHaar:
         with pytest.raises(ValidationError):
             la.convexity_counterexample(np.ones(3), 0)
 
+
+
+class TestMembershipPredicate:
+    def test_centralizer_level_set(self):
+        # A rotation about e3 commutes with hat(v) exactly for v in the
+        # so3 centralizer of e3, the line e3; the identity commutes with all.
+        def commutes(g, v):
+            return np.linalg.norm(g @ la.hat(v) - la.hat(v) @ g) < 1e-12
+
+        e1, e3 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+        cent = la.centralizer(la.so3(), span(3, (0, 0, 1)))
+        assert cent == span(3, (0, 0, 1))
+        about_e3 = la.so3_exp(0.7 * e3)
+        assert commutes(about_e3, np.array([float(c) for c in cent.basis.col(0)]))
+        assert not commutes(about_e3, e1)
+        assert commutes(np.eye(3), e3) and commutes(np.eye(3), e1)

@@ -345,6 +345,11 @@ class TestCentralDifferencesMatchPerAxisLoops:
         for x in self.points(patch):
             assert np.array_equal(emb.jacobian(x), looped_section_jacobian(emb, x))
 
+    def test_closedness_defect(self, patch):
+        # omega = d(theta) is closed; second differences of omega_at see it.
+        for x in self.points(patch):
+            assert looped_closedness_defect(patch, x) < 1e-9
+
 
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 2), (3, 1), (1, 3), (2, 1)])
 def test_fiber_derivative_matches_per_axis_loop(n, k):
