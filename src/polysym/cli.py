@@ -114,13 +114,13 @@ _DEFAULT_BUILTIN = {"lie": "so3", "gauge": "torus2"}
 
 
 def _load_document(args) -> docio.ProblemDocument:
-    if getattr(args, "file", None):
+    if args.file:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 return docio.parse_document(fh.read())
         except OSError as exc:
             raise ValidationError(f"cannot read {args.file}: {exc}") from exc
-    name = getattr(args, "builtin", None) or _DEFAULT_BUILTIN.get(getattr(args, "cmd", None))
+    name = args.builtin or _DEFAULT_BUILTIN.get(args.cmd)
     if name:
         return docio.resolve_builtin(name)
     raise ValidationError("supply --file or --builtin")
@@ -448,9 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, with_subspace=False):
-        p.add_argument("--file", help="problem document (JSON)")
-        p.add_argument("--builtin", help="builtin problem name")
+    def common(p, with_document=True, with_subspace=False):
+        if with_document:
+            p.add_argument("--file", help="problem document (JSON)")
+            p.add_argument("--builtin", help="builtin problem name")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--machine", action="store_true", help="line-delimited key=value output")
@@ -475,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ham", help="pointwise Hamiltonian operations on a patch")
     p.add_argument("verb", choices=("omega", "field", "bracket", "moment", "embed"))
-    common(p)
+    common(p, with_document=False)
     p.add_argument("--patch", default="canonical:1,1", help="canonical:n,k | so3 | rigidbody")
     p.add_argument("--point", help="patch coordinates, comma separated")
     p.add_argument("--function", action="append", help="value-coordinate expression (repeat)")
@@ -486,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("verify", help="run a named property suite")
-    common(p)
+    common(p, with_document=False)
     p.add_argument("--suite", required=True, help=", ".join(sorted(SUITES)))
     return parser
 

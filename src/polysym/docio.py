@@ -1,6 +1,6 @@
 """Problem-document parsing and rendering.
 
-Documents are JSON with a `kind` discriminator (form, lie, patch, complex).
+Documents are JSON with a `kind` discriminator (form, lie, complex).
 Exact entries are decimal integers or "p/q" strings; rendering restores the
 same shape, so parse-render round-trips to a fixpoint.
 """
@@ -19,7 +19,7 @@ from .exactla import Matrix, Subspace
 from .liealg import BUILTIN_TRIPLES, LieAlgebra, bracket_form, so3, structure_table
 from .polycore import CoefficientMap, VForm, canonical_model
 
-KINDS = ("form", "lie", "patch", "complex")
+KINDS = ("form", "lie", "complex")
 
 # Largest `dim` a lie document may declare, and most nonzero structure
 # constants c^k_ij with i < j once its triples are summed: 16 * C(16, 2), so
@@ -115,9 +115,7 @@ def parse_document(text: str) -> ProblemDocument:
     if seed is not None and not isinstance(seed, int):
         raise ValidationError("seed must be an integer")
     payload = {k: v for k, v in raw.items() if k not in ("kind", "seed")}
-    if kind == "patch" and not isinstance(payload.get("patch"), str):
-        raise ValidationError("patch documents need a 'patch' name")
-    built = _BUILDERS[kind](ProblemDocument(kind, payload)) if kind in _BUILDERS else None
+    built = _BUILDERS[kind](ProblemDocument(kind, payload))
     return ProblemDocument(kind=kind, payload=payload, seed=seed, built=built)
 
 

@@ -8,9 +8,10 @@ system), the bracket, moment maps of potential-preserving actions, the
 section embedding into the canonical target, and Legendre-transform
 pullbacks.
 
-All first derivatives go through one central-difference routine with the
-fixed step DEFAULT_FD_STEP; all sampling is low-discrepancy with an explicit
-seed.
+All derivatives, second and directional ones included, go through one
+central-difference routine with the fixed step DEFAULT_FD_STEP, and each
+routine differentiates theta once per point; all sampling is low-discrepancy
+with an explicit seed.
 """
 
 from __future__ import annotations
@@ -93,11 +94,12 @@ class ExactPatch:
         return out
 
 
-def _partials(f: Callable, x: np.ndarray, h: float, axes: Optional[Sequence[int]] = None) -> np.ndarray:
-    """out[i] = (f(x + h e_a) - f(x - h e_a)) / 2h for the i-th axis a of
-    `axes` (default: every axis of x). Callers that want the axis last take
-    `.T.copy()`, so the einsum or lstsq that follows reads a C-ordered array
-    and sums in a fixed order."""
+def _partials(f: Callable, x: np.ndarray, axes: Optional[Sequence[int]] = None) -> np.ndarray:
+    """out[i] = (f(x + h e_a) - f(x - h e_a)) / 2h, h = DEFAULT_FD_STEP, for
+    the i-th axis a of `axes` (default: every axis of x). Callers that want
+    the axis last take `.T.copy()`, so the einsum or lstsq that follows reads
+    a C-ordered array and sums in a fixed order."""
+    x, h = np.asarray(x, dtype=float), DEFAULT_FD_STEP
     axes = range(x.size) if axes is None else axes
     out = None
     for i, a in enumerate(axes):
@@ -110,13 +112,15 @@ def _partials(f: Callable, x: np.ndarray, h: float, axes: Optional[Sequence[int]
     return out
 
 
+def _structure_form(d: np.ndarray) -> np.ndarray:
+    """-d(theta) from d[a, c, b] = d theta_cb / d x_a, shape (k, n, n), exactly skew."""
+    raw = np.transpose(d, (1, 0, 2))  # raw[c, a, b] = d theta_cb / d x_a
+    return -(raw - np.transpose(raw, (0, 2, 1)))
+
+
 def omega_at(patch: ExactPatch, x: np.ndarray) -> np.ndarray:
     """Components of -d(theta) at x, shape (k, n, n), exactly skew."""
-    x = np.asarray(x, dtype=float)
-    d = _partials(patch.theta_at, x, DEFAULT_FD_STEP)  # d[a, c, b] = d theta_cb / d x_a
-    # raw[c, a, b] = d theta_cb / d x_a
-    raw = np.transpose(d, (1, 0, 2))
-    return -(raw - np.transpose(raw, (0, 2, 1)))
+    return _structure_form(_partials(patch.theta_at, x))
 
 
 def canonical_theta(n: int, k: int) -> ExactPatch:
@@ -189,8 +193,7 @@ def translation_generator(n: int, k: int, direction: int) -> Callable[[np.ndarra
 
 def gradient(patch: ExactPatch, f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """df at x as a (k, n) array of partial derivatives, central differences."""
-    x = np.asarray(x, dtype=float)
-    return _partials(f, x, DEFAULT_FD_STEP).reshape(patch.dim_m, patch.dim_v).T.copy()
+    return _partials(f, x).reshape(patch.dim_m, patch.dim_v).T.copy()
 
 
 @dataclass(frozen=True)
@@ -226,7 +229,13 @@ def hamiltonian_field(
     for every component c.
     """
     x = np.asarray(x, dtype=float)
-    omega = omega_at(patch, x)
+    return _solve_field(patch, omega_at(patch, x), f, x, tolerance_scale)
+
+
+def _solve_field(
+    patch: ExactPatch, omega: np.ndarray, f: Callable, x: np.ndarray, tolerance_scale: float
+) -> HamiltonianSolve:
+    """Least-squares solve of omega_c X = grad f_c against the form omega at x."""
     df = gradient(patch, f, x)
     a = omega.reshape(patch.dim_v * patch.dim_m, patch.dim_m)
     b = df.reshape(-1)
@@ -251,29 +260,31 @@ def poisson_bracket(
 ) -> np.ndarray:
     """{f, g}(x) = -omega_x(X_f, X_g); both inputs must pass the residual test."""
     x = np.asarray(x, dtype=float)
-    sf = hamiltonian_field(patch, f, x, tolerance_scale)
-    sg = hamiltonian_field(patch, g, x, tolerance_scale)
+    omega = omega_at(patch, x)
+    sf = _solve_field(patch, omega, f, x, tolerance_scale)
+    sg = _solve_field(patch, omega, g, x, tolerance_scale)
     if not sf.is_hamiltonian or not sg.is_hamiltonian:
         raise ContractViolation(
             "bracket arguments must be Hamiltonian at the point "
             f"(residuals {sf.residual:.3e}, {sg.residual:.3e})"
         )
-    omega = omega_at(patch, x)
     return -np.einsum("i,cij,j->c", sf.X, omega, sg.X)
 
 
 def lie_derivative_of_theta(
-    patch: ExactPatch, gen: Callable[[np.ndarray], np.ndarray], x: np.ndarray
+    patch: ExactPatch, generators: Sequence[Callable[[np.ndarray], np.ndarray]], x: np.ndarray
 ) -> np.ndarray:
-    """(L_X theta)_cb = X_a d_a theta_cb + theta_ca d_b X_a, central differences."""
+    """(L_X theta)_cb = X_a d_a theta_cb + theta_ca d_b X_a for each generator
+    X, stacked (g, k, n), from one derivative and one value of theta."""
     x = np.asarray(x, dtype=float)
-    d_theta = _partials(patch.theta_at, x, DEFAULT_FD_STEP)  # (a, c, b)
-    xv = np.asarray(gen(x), dtype=float)
+    d_theta = _partials(patch.theta_at, x)  # (a, c, b)
     theta = patch.theta_at(x)
-    dx = _partials(gen, x, DEFAULT_FD_STEP)  # dx[b, a] = d X_a / d x_b
-    term1 = np.einsum("a,acb->cb", xv, d_theta)
-    term2 = np.einsum("ca,ba->cb", theta, dx)
-    return term1 + term2
+    out = []
+    for gen in generators:
+        xv = np.asarray(gen(x), dtype=float)
+        dx = _partials(gen, x)  # dx[b, a] = d X_a / d x_b
+        out.append(np.einsum("a,acb->cb", xv, d_theta) + np.einsum("ca,ba->cb", theta, dx))
+    return np.stack(out)
 
 
 @dataclass(frozen=True)
@@ -309,9 +320,8 @@ def moment_identity_defect(
     """Max over samples of |d mu(X)(xi) - omega(xi_induced, X)|.
 
     mu here is the potential contracted with each generator; the derivative
-    along X uses a central difference of the whole moment matrix.
+    along X is the partial of s -> mu(x + s X) at s = 0.
     """
-    h = DEFAULT_FD_STEP
     worst = 0.0
     for x, direction in zip(points, directions):
         x = np.asarray(x, dtype=float)
@@ -319,7 +329,7 @@ def moment_identity_defect(
         if nrm == 0:
             continue
         xdir = direction / nrm
-        dmu = (_moment(patch, generators, x + h * xdir) - _moment(patch, generators, x - h * xdir)) / (2.0 * h)
+        dmu = _partials(lambda s: _moment(patch, generators, x + s[0] * xdir), np.zeros(1))[0]
         omega = omega_at(patch, x)
         for gi, gen in enumerate(generators):
             xi_ind = np.asarray(gen(x), dtype=float)
@@ -344,8 +354,7 @@ def moment_from_potential(
     points = halton_points(patch.dim_m, sample_count, seed=seed, scale=patch.sample_scale)
     preserve = 0.0
     for x in points:
-        for gen in gens:
-            preserve = max(preserve, float(np.max(np.abs(lie_derivative_of_theta(patch, gen, x)))))
+        preserve = max(preserve, float(np.max(np.abs(lie_derivative_of_theta(patch, gens, x)))))
     if preserve > 1e-5 * tolerance_scale:
         raise ContractViolation(
             f"action does not preserve the potential (defect {preserve:.3e})"
@@ -370,14 +379,16 @@ class SectionEmbedding:
         return np.concatenate([x, self.patch.theta_at(x).ravel()])
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return _partials(self.map, x, DEFAULT_FD_STEP).T.copy()
+        return _partials(self.map, x).T.copy()
 
     def pullback_defect(self, x: np.ndarray) -> float:
-        """Max entrywise gap between the pulled-back target form and the patch form."""
+        """Max entrywise gap between the pulled-back target form and the patch
+        form, which is read off the theta rows of the same Jacobian."""
         j = self.jacobian(x)
         pulled = np.einsum("ia,cij,jb->cab", j, self.target_omega, j)
-        return float(np.max(np.abs(pulled - omega_at(self.patch, x))))
+        n = self.patch.dim_m
+        omega = _structure_form(j[n:].T.reshape(n, self.patch.dim_v, n))
+        return float(np.max(np.abs(pulled - omega)))
 
 
 def local_embed(patch: ExactPatch) -> SectionEmbedding:
@@ -404,13 +415,12 @@ def fiber_derivative(
     """Velocity derivative of a V-valued Lagrangian and the induced form.
 
     The map (q, v) -> (q, dL/dv) must be an immersion at the point: its
-    Jacobian (assembled from exact second differences of L) needs full column
-    rank 2n at tolerance 1e-8.
+    Jacobian (central differences of dL/dv, itself one, below an identity
+    block) needs full column rank 2n at tolerance 1e-8.
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     n = q.size
-    h = DEFAULT_FD_STEP
     z = np.concatenate([q, v])
 
     def l_at(zz: np.ndarray) -> np.ndarray:
@@ -419,24 +429,11 @@ def fiber_derivative(
             raise ValidationError("Lagrangian returned non-finite values")
         return out
 
-    fl = _partials(l_at, z, h, range(n, 2 * n)).T.copy()  # dL/dv, (k, n)
+    def dl_dv(zz: np.ndarray) -> np.ndarray:  # dL_c/dv_j, ravelled in (c, j) order
+        return _partials(l_at, zz, range(n, 2 * n)).T.ravel()
 
-    # Second derivatives d^2 L_c / d v_j d z_m via 4-point differences.
-    second = np.empty((dim_v, n, 2 * n))
-    for j in range(n):
-        ej = np.zeros(2 * n)
-        ej[n + j] = h
-        for m in range(2 * n):
-            em = np.zeros(2 * n)
-            em[m] = h
-            val = (l_at(z + ej + em) - l_at(z + ej - em) - l_at(z - ej + em) + l_at(z - ej - em)) / (4.0 * h * h)
-            second[:, j, m] = val
-
-    jac = np.zeros((n + n * dim_v, 2 * n))
-    jac[:n, :n] = np.eye(n)
-    for c in range(dim_v):
-        for j in range(n):
-            jac[n + c * n + j, :] = second[c, j, :]
+    fl = dl_dv(z).reshape(dim_v, n)
+    jac = np.vstack([np.eye(n, 2 * n), _partials(dl_dv, z).T])
 
     jrank = int(np.linalg.matrix_rank(jac, tol=1e-8))
     if jrank < 2 * n:

@@ -19,7 +19,6 @@ from .exactla import (
     Matrix,
     QuotientSpace,
     Subspace,
-    contains,
     intersect,
     kernel,
     quotient,
@@ -77,7 +76,7 @@ class VForm:
     def restrict(self, section: Matrix) -> "VForm":
         """Form induced on the column span of section, in section coordinates."""
         st = section.transpose()
-        return VForm(section.cols, tuple(st @ m @ section for m in self.components))
+        return VForm(section.cols, tuple(st @ (m @ section) for m in self.components))
 
 
 def joint_kernel(n: int, blocks: Sequence[Matrix]) -> Subspace:
@@ -115,16 +114,16 @@ class SubspaceClass:
 
 
 def classify(omega: VForm, a: Subspace) -> SubspaceClass:
-    """Classification flags from the containment relations between A and A-orthogonal."""
+    """Classification flags from I = A intersected with A-orthogonal: A is
+    isotropic iff I = A, coisotropic iff I = A-orthogonal, polysymplectic
+    iff I = 0."""
     orth = orthogonal(omega, a)
-    iso = contains(orth, a)
-    coiso = contains(a, orth)
-    poly = intersect(a, orth).is_zero()
+    meet = intersect(a, orth).dim
     return SubspaceClass(
-        isotropic=iso,
-        coisotropic=coiso,
-        lagrangian=iso and coiso,
-        polysymplectic=poly,
+        isotropic=meet == a.dim,
+        coisotropic=meet == orth.dim,
+        lagrangian=meet == a.dim == orth.dim,
+        polysymplectic=meet == 0,
     )
 
 

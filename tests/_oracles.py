@@ -11,7 +11,10 @@ and the tests require the routine to match them exactly: the numeric
 samplers of `liealg` one sample at a time, the Lie bracket, adjoint and
 Jacobi check from dense dim^3 structure constants, the pointwise derivatives of
 `pointham` one central difference per axis (and the closedness defect of its
-structure form), the joint kernels (orthogonal,
+structure form), the pointham routines that take the structure form once
+per point as they were when each took it again (the bracket, the
+preservation and moment-identity defects, the pullback defect, the fiber
+Jacobian from four-point second differences), the joint kernels (orthogonal,
 centralizer, center, degeneracy kernel) by stacking the blocks one at a time
 before a single `exactla.kernel`, and quotient coordinates by one
 `exactla.solve` per vector.
@@ -23,10 +26,11 @@ from math import lcm
 
 import numpy as np
 
-from polysym.errors import ValidationError
+from polysym.errors import ContractViolation, ValidationError
 from polysym.exactla import Subspace, kernel, solve
 from polysym.liealg import unhat
-from polysym.pointham import DEFAULT_FD_STEP, omega_at
+from polysym.pointham import DEFAULT_FD_STEP, hamiltonian_field, omega_at, vform_to_numpy
+from polysym.polycore import canonical_model
 
 
 def fraction_rref(rows, cols):
@@ -259,6 +263,88 @@ def looped_closedness_defect(patch, x):
                 val = partials[a][:, b, c] - partials[b][:, a, c] + partials[c][:, a, b]
                 worst = max(worst, float(np.max(np.abs(val))))
     return worst
+
+
+# Pointham routines that differentiate the potential again for every use of
+# the structure form.
+
+def three_omega_bracket(patch, f, g, x, tolerance_scale=1.0):
+    """{f, g}(x) from two hamiltonian_field solves and a third omega_at."""
+    x = np.asarray(x, dtype=float)
+    sf = hamiltonian_field(patch, f, x, tolerance_scale)
+    sg = hamiltonian_field(patch, g, x, tolerance_scale)
+    if not sf.is_hamiltonian or not sg.is_hamiltonian:
+        raise ContractViolation(
+            "bracket arguments must be Hamiltonian at the point "
+            f"(residuals {sf.residual:.3e}, {sg.residual:.3e})"
+        )
+    return -np.einsum("i,cij,j->c", sf.X, omega_at(patch, x), sg.X)
+
+
+def looped_preservation_defect(patch, generators, points):
+    """Max |L_X theta| with one Lie derivative, and so one derivative of the
+    potential, per point and generator."""
+    return max(
+        float(np.max(np.abs(looped_lie_derivative_of_theta(patch, gen, x)))) for x in points for gen in generators
+    )
+
+
+def _moment_matrix(patch, generators, x):
+    theta = patch.theta_at(x)
+    return np.stack([theta @ np.asarray(gen(x), dtype=float) for gen in generators], axis=1)
+
+
+def two_point_moment_identity_defect(patch, generators, points, directions):
+    """Max |d mu(X)(xi) - omega(xi_induced, X)| with the directional
+    derivative written out as a two-point quotient."""
+    h = DEFAULT_FD_STEP
+    worst = 0.0
+    for x, direction in zip(points, directions):
+        x = np.asarray(x, dtype=float)
+        nrm = np.linalg.norm(direction)
+        if nrm == 0:
+            continue
+        xdir = direction / nrm
+        dmu = (_moment_matrix(patch, generators, x + h * xdir) - _moment_matrix(patch, generators, x - h * xdir)) / (2.0 * h)
+        omega = omega_at(patch, x)
+        for gi, gen in enumerate(generators):
+            rhs = np.einsum("i,cij,j->c", np.asarray(gen(x), dtype=float), omega, xdir)
+            worst = max(worst, float(np.max(np.abs(dmu[:, gi] - rhs))))
+    return worst
+
+
+def omega_at_pullback_defect(embedding, x):
+    """The section's pullback defect against a second omega_at."""
+    j = embedding.jacobian(x)
+    pulled = np.einsum("ia,cij,jb->cab", j, embedding.target_omega, j)
+    return float(np.max(np.abs(pulled - omega_at(embedding.patch, x))))
+
+
+def four_point_fiber_pullback(lagrangian, q, v, dim_v):
+    """fiber_derivative's pullback form from the Jacobian of (q, v) ->
+    (q, dL/dv) filled entry by entry with four-point second differences."""
+    q = np.asarray(q, dtype=float)
+    n = q.size
+    h = DEFAULT_FD_STEP
+    z = np.concatenate([q, np.asarray(v, dtype=float)])
+
+    def l_at(zz):
+        return np.asarray(lagrangian(zz[:n], zz[n:]), dtype=float).reshape(dim_v)
+
+    jac = np.zeros((n + n * dim_v, 2 * n))
+    jac[:n, :n] = np.eye(n)
+    for j in range(n):
+        ej = np.zeros(2 * n)
+        ej[n + j] = h
+        for m in range(2 * n):
+            em = np.zeros(2 * n)
+            em[m] = h
+            val = (l_at(z + ej + em) - l_at(z + ej - em) - l_at(z - ej + em) + l_at(z - ej - em)) / (4.0 * h * h)
+            for c in range(dim_v):
+                jac[n + c * n + j, m] = val[c]
+    target = vform_to_numpy(canonical_model(n, dim_v))
+    pulled = np.einsum("ia,cij,jb->cab", jac, target, jac)
+    return 0.5 * (pulled - np.transpose(pulled, (0, 2, 1)))
 
 
 # Lie algebras: dim^3 dense structure constants, brackets as dense products,

@@ -200,6 +200,25 @@ class TestExitCodes:
     def test_missing_input(self, capsys):
         assert run(["orth", "--subspace", "e1"]) == 2
 
+    # ham and verify read no document: a document option is an error, not ignored.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ham", "omega", "--file", "DOC"],
+            ["ham", "omega", "--builtin", "torus3"],
+            ["ham", "moment", "--patch", "so3", "--builtin", "so3"],
+            ["verify", "--suite", "cross-table", "--builtin", "nope"],
+            ["verify", "--suite", "cross-table", "--file", "DOC"],
+        ],
+    )
+    def test_document_options_rejected_where_unread(self, tmp_path, capsys, argv):
+        doc = tmp_path / "doc.json"
+        doc.write_text('{"kind": "patch", "patch": "so3"}')
+        assert run([str(doc) if a == "DOC" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unrecognized arguments: --") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     @pytest.mark.parametrize(
         "argv",
@@ -614,12 +633,6 @@ class TestFileDocumentBranches:
         path.write_text(docio.render_document(doc))
         assert run(["gauge", "betti", "--file", str(path)]) == 0
         assert "betti: 1 2 1" in capsys.readouterr().out
-
-    def test_patch_document_kind_parses(self):
-        doc = docio.parse_document('{"kind": "patch", "patch": "canonical:1,1"}')
-        assert doc.payload["patch"] == "canonical:1,1"
-        with pytest.raises(ValidationError):
-            docio.parse_document('{"kind": "patch"}')
 
     def test_unknown_suite_raises(self):
         from polysym.verify import run_suite

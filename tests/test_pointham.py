@@ -1,14 +1,22 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from _oracles import (
+    four_point_fiber_pullback,
     looped_closedness_defect,
     looped_gradient,
     looped_lie_derivative_of_theta,
     looped_omega_at,
+    looped_preservation_defect,
     looped_section_jacobian,
     looped_velocity_derivative,
+    omega_at_pullback_defect,
     so3_log,
+    three_omega_bracket,
+    two_point_moment_identity_defect,
 )
 from polysym import liealg as la
 from polysym import pointham as ph
@@ -310,7 +318,7 @@ def _value_function(k):
 
 def _generators(patch):
     if patch.name == "so3":
-        return [ph.so3_left_generator(np.array([0.3, -1.0, 0.5]))]
+        return [ph.so3_left_generator(np.array([0.3, -1.0, 0.5])), ph.so3_left_generator(np.array([-0.4, 0.1, 0.2]))]
     n, k = patch.base_shape
     rot = np.eye(n)[::-1] - np.eye(n)
     return [ph.translation_generator(n, k, 0), ph.lifted_generator(n, k, lambda q: rot @ q, lambda q: rot)]
@@ -335,10 +343,12 @@ class TestCentralDifferencesMatchPerAxisLoops:
             assert np.array_equal(ph.gradient(patch, f, x), looped_gradient(patch, f, x))
 
     def test_lie_derivative_of_theta(self, patch):
-        for gen in _generators(patch):
-            for x in self.points(patch):
-                got = ph.lie_derivative_of_theta(patch, gen, x)
-                assert np.array_equal(got, looped_lie_derivative_of_theta(patch, gen, x))
+        gens = _generators(patch)
+        for x in self.points(patch):
+            got = ph.lie_derivative_of_theta(patch, gens, x)
+            assert got.shape == (len(gens), patch.dim_v, patch.dim_m)
+            for gi, gen in enumerate(gens):
+                assert np.array_equal(got[gi], looped_lie_derivative_of_theta(patch, gen, x))
 
     def test_section_jacobian(self, patch):
         emb = ph.local_embed(patch)
@@ -351,6 +361,78 @@ class TestCentralDifferencesMatchPerAxisLoops:
             assert looped_closedness_defect(patch, x) < 1e-9
 
 
+def _contracted_potentials(patch):
+    """theta contracted with each generator: Hamiltonian functions, since the
+    generators preserve theta."""
+    return [lambda x, gen=gen: patch.theta_at(x) @ gen(x) for gen in _generators(patch)]
+
+
+@pytest.mark.parametrize("patch", _TEST_PATCHES, ids=lambda p: f"{p.name}-r0")
+class TestOneStructureFormPerPoint:
+    """Each routine that now differentiates theta once per point must equal,
+    bit for bit, its old body that differentiated it again for every use."""
+
+    def points(self, patch):
+        return ph.halton_points(patch.dim_m, 4, seed=6, scale=patch.sample_scale)
+
+    def test_poisson_bracket(self, patch):
+        f, g = _contracted_potentials(patch)
+        pairs = [(f, g), (g, f), (f, _value_function(patch.dim_v))]
+        for x in self.points(patch):
+            for a, b in pairs:
+                try:
+                    expected = three_omega_bracket(patch, a, b, x)
+                except ContractViolation as exc:
+                    with pytest.raises(ContractViolation, match=re.escape(str(exc))):
+                        ph.poisson_bracket(patch, a, b, x)
+                    continue
+                assert np.array_equal(ph.poisson_bracket(patch, a, b, x), expected)
+
+    def test_moment_map_defects(self, patch):
+        gens = _generators(patch)
+        mu = ph.moment_from_potential(patch, gens, sample_count=6, seed=3)
+        points = ph.halton_points(patch.dim_m, 6, seed=3, scale=patch.sample_scale)
+        directions = ph.halton_points(patch.dim_m, 6, seed=4, scale=1.0)
+        assert mu.preservation_defect == looped_preservation_defect(patch, gens, points)
+        assert mu.identity_defect == two_point_moment_identity_defect(patch, gens, points, directions)
+
+    def test_moment_identity_defect(self, patch):
+        gens = _generators(patch)
+        points = self.points(patch)
+        directions = ph.halton_points(patch.dim_m, len(points), seed=7, scale=1.0)
+        directions[1] = 0.0  # a zero direction is skipped
+        got = ph.moment_identity_defect(patch, gens, points, directions)
+        assert got == two_point_moment_identity_defect(patch, gens, points, directions)
+
+    def test_pullback_defect(self, patch):
+        emb = ph.local_embed(patch)
+        for x in self.points(patch):
+            assert emb.pullback_defect(x) == omega_at_pullback_defect(emb, x)
+
+
+@pytest.mark.parametrize("patch", [ph.canonical_theta(3, 2), ph.so3_patch()], ids=lambda p: p.name)
+def test_theta_evaluations_per_point(patch):
+    calls = []
+
+    def theta(x):
+        calls.append(None)
+        return patch.theta(x)
+
+    counted = dataclasses.replace(patch, theta=theta)
+    n = patch.dim_m
+    f, g = _contracted_potentials(patch)  # these read the uncounted patch
+    x = ph.halton_points(n, 1, seed=8, scale=patch.sample_scale)[0]
+
+    ph.poisson_bracket(counted, f, g, x)
+    assert len(calls) == 2 * n
+    calls.clear()
+    ph.local_embed(counted).pullback_defect(x)
+    assert len(calls) == 2 * n
+    calls.clear()
+    ph.moment_from_potential(counted, _generators(patch), sample_count=5, seed=1)
+    assert len(calls) == 5 * (4 * n + 3)
+
+
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 2), (3, 1), (1, 3), (2, 1)])
 def test_fiber_derivative_matches_per_axis_loop(n, k):
     def lagrangian(q, v):
@@ -358,8 +440,9 @@ def test_fiber_derivative_matches_per_axis_loop(n, k):
         return np.array([base + c * np.sin(q[0] + c) * v[-1] ** 3 for c in range(k)])
 
     for q, v in zip(ph.halton_points(n, 3, seed=4), ph.halton_points(n, 3, seed=5)):
-        got = ph.fiber_derivative(lagrangian, q, v, k).fiber_derivative
-        assert np.array_equal(got, looped_velocity_derivative(lagrangian, q, v, k, ph.DEFAULT_FD_STEP))
+        res = ph.fiber_derivative(lagrangian, q, v, k)
+        assert np.array_equal(res.fiber_derivative, looped_velocity_derivative(lagrangian, q, v, k, ph.DEFAULT_FD_STEP))
+        assert np.max(np.abs(res.pullback_form - four_point_fiber_pullback(lagrangian, q, v, k))) < 1e-6
 
 
 def test_halton_points_deterministic():
