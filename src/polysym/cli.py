@@ -105,7 +105,7 @@ def parse_subspace_arg(text: str, ambient_dim: int) -> Subspace:
             raise ValidationError(
                 f"subspace vector {part!r} needs {ambient_dim} entries"
             )
-        vectors.append([Fraction(e) for e in entries])
+        vectors.append([docio.parse_scalar(e) for e in entries])
     return Subspace.from_vectors(ambient_dim, vectors)
 
 

@@ -46,16 +46,21 @@ class ProblemDocument:
     built: object = field(default=None, compare=False, repr=False)
 
 
-def _parse_scalar(x) -> Fraction:
+def parse_scalar(x) -> Fraction:
+    """The exact scalar of a document entry or a --subspace entry: an integer,
+    or a string that Fraction reads and that has no exponent ("1e99999999"
+    would build a 10^8-digit integer)."""
     if isinstance(x, bool):
         raise ValidationError("booleans are not scalars")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad scalar literal {x!r}") from exc
+        if "e" not in x.lower():
+            try:
+                return Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise ValidationError(f"bad scalar literal {x!r}")
     raise ValidationError(f"bad scalar literal {x!r} (use integers or 'p/q' strings)")
 
 
@@ -94,7 +99,7 @@ def _render_scalar(x: Fraction):
 def _parse_matrix(rows, what: str) -> Matrix:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ValidationError(f"{what} must be a non-empty nested array")
-    return Matrix([[_parse_scalar(x) for x in row] for row in rows])
+    return Matrix([[parse_scalar(x) for x in row] for row in rows])
 
 
 def _render_matrix(m: Matrix):
@@ -159,7 +164,7 @@ def document_subspace(doc: ProblemDocument, ambient_dim: int) -> Optional[Subspa
     if not isinstance(vecs, list):
         raise ValidationError("'subspace' must be a list of vectors")
     return Subspace.from_vectors(
-        ambient_dim, [[_parse_scalar(x) for x in v] for v in vecs]
+        ambient_dim, [[parse_scalar(x) for x in v] for v in vecs]
     )
 
 
@@ -188,7 +193,7 @@ def _build_algebra(doc: ProblemDocument) -> LieAlgebra:
         if not isinstance(t, list) or len(t) != 4:
             raise ValidationError(f"bad structure triple {t!r}")
         i, j, k = (_parse_index(x, "structure triple index") for x in t[:3])
-        parsed.append((i, j, k, _parse_scalar(t[3])))
+        parsed.append((i, j, k, parse_scalar(t[3])))
     table = structure_table(dim, parsed)
     constants = sum(len(terms) for (i, j), terms in table.items() if i < j)
     if constants > MAX_LIE_CONSTANTS:

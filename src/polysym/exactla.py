@@ -366,23 +366,16 @@ class Subspace:
 def sum_(a: Subspace, b: Subspace) -> Subspace:
     """Subspace sum A + B."""
     _check_same_ambient(a, b)
-    return Subspace.from_vectors(
-        a.ambient_dim, [a.basis.col(j) for j in range(a.dim)] + [b.basis.col(j) for j in range(b.dim)]
-    )
+    return Subspace.from_matrix_columns(a.basis.hstack(b.basis))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Subspace intersection, via the kernel of the stacked system [A | -B]."""
+    """Subspace intersection: A x for the x of each kernel vector (x, y) of
+    [A | B], since A x = -B y lies in both."""
     _check_same_ambient(a, b)
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim)
-    stacked = a.basis.hstack(b.basis.scale(-1))
-    combos = kernel(stacked)
-    vectors = []
-    for j in range(combos.dim):
-        coeffs = combos.basis.col(j)[: a.dim]
-        vectors.append(a.basis.apply(coeffs))
-    return Subspace.from_vectors(a.ambient_dim, vectors)
+    combos = kernel(a.basis.hstack(b.basis)).basis
+    top = Matrix._make(a.dim, combos.cols, combos.entries[: a.dim])
+    return Subspace.from_matrix_columns(a.basis @ top)
 
 
 def contains(a: Subspace, b: Subspace) -> bool:

@@ -48,10 +48,14 @@ class LieAlgebra:
 
     @cached_property
     def components(self) -> tuple:
-        """Dense matrices with components[k][i, j] = c^k_ij, so row i of the
-        k-th is row k of ad(e_i); only the bracket form reads them."""
-        ads = [self.ad([int(t == i) for t in range(self.dim)]) for i in range(self.dim)]
-        return tuple(Matrix([a.row(k) for a in ads]) for k in range(self.dim))
+        """Dense matrices with components[k][i, j] = c^k_ij, read off the
+        bracket table; only the bracket form reads them."""
+        n = self.dim
+        grids = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for (i, j), terms in self.brackets.items():
+            for k, c in terms:
+                grids[k][i][j] = c
+        return tuple(Matrix(grid) for grid in grids)
 
     def _check_jacobi(self):
         """Sum the nonzero terms on every basis triple i < j < k with a

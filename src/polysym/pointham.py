@@ -277,7 +277,13 @@ def lie_derivative_of_theta(
     """(L_X theta)_cb = X_a d_a theta_cb + theta_ca d_b X_a for each generator
     X, stacked (g, k, n), from one derivative and one value of theta."""
     x = np.asarray(x, dtype=float)
-    d_theta = _partials(patch.theta_at, x)  # (a, c, b)
+    return _lie_derivative(patch, generators, x, _partials(patch.theta_at, x))
+
+
+def _lie_derivative(
+    patch: ExactPatch, generators: Sequence[Callable], x: np.ndarray, d_theta: np.ndarray
+) -> np.ndarray:
+    """lie_derivative_of_theta, given theta's derivative d_theta[a, c, b] at x."""
     theta = patch.theta_at(x)
     out = []
     for gen in generators:
@@ -322,15 +328,21 @@ def moment_identity_defect(
     mu here is the potential contracted with each generator; the derivative
     along X is the partial of s -> mu(x + s X) at s = 0.
     """
+    return _identity_defect(patch, generators, points, directions, lambda i: omega_at(patch, points[i]))
+
+
+def _identity_defect(patch: ExactPatch, generators: Sequence[Callable], points, directions, omega_of: Callable) -> float:
+    """moment_identity_defect with the structure form at the i-th point
+    read from omega_of(i)."""
     worst = 0.0
-    for x, direction in zip(points, directions):
+    for i, (x, direction) in enumerate(zip(points, directions)):
         x = np.asarray(x, dtype=float)
         nrm = np.linalg.norm(direction)
         if nrm == 0:
             continue
         xdir = direction / nrm
         dmu = _partials(lambda s: _moment(patch, generators, x + s[0] * xdir), np.zeros(1))[0]
-        omega = omega_at(patch, x)
+        omega = omega_of(i)
         for gi, gen in enumerate(generators):
             xi_ind = np.asarray(gen(x), dtype=float)
             rhs = np.einsum("i,cij,j->c", xi_ind, omega, xdir)
@@ -348,19 +360,22 @@ def moment_from_potential(
     """Moment map x -> theta_x(generator values), for theta-preserving actions.
 
     Raises ContractViolation when the sampled Lie derivative of the potential
-    exceeds the preservation tolerance.
+    exceeds the preservation tolerance. Theta is differentiated once per
+    sample: the Lie derivative and the identity's structure form share it.
     """
     gens = tuple(generators)
     points = halton_points(patch.dim_m, sample_count, seed=seed, scale=patch.sample_scale)
+    d_thetas = []
     preserve = 0.0
     for x in points:
-        preserve = max(preserve, float(np.max(np.abs(lie_derivative_of_theta(patch, gens, x)))))
+        d_thetas.append(_partials(patch.theta_at, x))
+        preserve = max(preserve, float(np.max(np.abs(_lie_derivative(patch, gens, x, d_thetas[-1])))))
     if preserve > 1e-5 * tolerance_scale:
         raise ContractViolation(
             f"action does not preserve the potential (defect {preserve:.3e})"
         )
     directions = halton_points(patch.dim_m, sample_count, seed=seed + 1, scale=1.0)
-    defect = moment_identity_defect(patch, gens, points, directions)
+    defect = _identity_defect(patch, gens, points, directions, lambda i: _structure_form(d_thetas[i]))
     return MomentMap(
         patch=patch, generators=gens, preservation_defect=preserve, identity_defect=defect
     )

@@ -57,14 +57,6 @@ class VForm:
     def evaluate(self, u: Sequence, v: Sequence) -> tuple:
         return tuple(sum((a * b for a, b in zip(u, m.apply(v))), Fraction(0)) for m in self.components)
 
-    def flat(self, u: Sequence) -> Matrix:
-        """The contraction u -> omega(u, .) as a k x n matrix (rows u^T w_i).
-
-        Components are exactly skew, so u^T w_i is -(w_i u) entry for entry."""
-        if len(u) != self.dim_u:
-            raise ValidationError("vector length does not match dim_u")
-        return Matrix([[-x for x in m.apply(u)] for m in self.components])
-
     def degeneracy_kernel(self) -> Subspace:
         """Vectors killed by every component, i.e. the kernel of the stacked
         components; zero iff the form is polysymplectic."""
@@ -99,10 +91,11 @@ def direct_sum(forms: Sequence[VForm]) -> VForm:
 
 
 def orthogonal(omega: VForm, a: Subspace) -> Subspace:
-    """{v : omega(a, v) = 0 for all a in A}, canonical."""
+    """{v : omega(a, v) = 0 for all a in A}, canonical: the joint kernel of
+    the blocks (W_c A)^T, which are -(A^T W_c) since every W_c is skew."""
     if a.ambient_dim != omega.dim_u:
         raise ValidationError("subspace ambient dimension does not match the form")
-    return joint_kernel(omega.dim_u, [omega.flat(a.basis.col(j)) for j in range(a.dim)])
+    return joint_kernel(omega.dim_u, [(m @ a.basis).transpose() for m in omega.components])
 
 
 @dataclass(frozen=True)
@@ -205,21 +198,16 @@ def canonical_model(n: int, k: int) -> VForm:
 
 
 def universal_embed(omega: VForm) -> Matrix:
-    """Matrix of u -> u - (1/2) iota_u omega into the canonical model.
+    """Matrix of u -> u - (1/2) iota_u omega into the canonical model: the
+    identity stacked on each (1/2) W_c, since -(1/2) W_c^T = (1/2) W_c.
 
     Requires a nondegenerate input; the pullback of canonical_model(n, k)
     along the result reproduces omega exactly.
     """
     if not omega.is_nondegenerate():
         raise ContractViolation("universal embedding requires a nondegenerate form")
-    n, k = omega.dim_u, omega.dim_v
     half = Fraction(1, 2)
-    rows = [[Fraction(1) if m == j else Fraction(0) for m in range(n)] for j in range(n)]
-    for c in range(k):
-        w = omega.components[c]
-        for j in range(n):
-            rows.append([-half * w[m, j] for m in range(n)])
-    return Matrix(rows)
+    return reduce(Matrix.vstack, [m.scale(half) for m in omega.components], Matrix.identity(omega.dim_u))
 
 
 def pullback(omega: VForm, linear_map: Matrix) -> VForm:
@@ -253,15 +241,11 @@ def apply_coefficient_map(f: CoefficientMap, omega: VForm) -> tuple:
         raise ValidationError("coefficient map source does not match the form")
     if f.target_dim < 1:
         raise ValidationError("coefficient map target must be at least 1-dimensional")
-    comps = []
-    for i in range(f.target_dim):
-        acc = Matrix.zeros(omega.dim_u, omega.dim_u)
-        for j in range(omega.dim_v):
-            c = f.matrix[i, j]
-            if c != 0:
-                acc = acc + omega.components[j].scale(c)
-        comps.append(acc)
-    candidate = VForm(omega.dim_u, tuple(comps))
+    # One product F @ W, where row j of W holds component j's entries row by row.
+    n = omega.dim_u
+    product = f.matrix @ Matrix([[x for row in m.entries for x in row] for m in omega.components])
+    comps = (Matrix([row[i : i + n] for i in range(0, n * n, n)]) for row in product.entries)
+    candidate = VForm(n, tuple(comps))
     return candidate, candidate.degeneracy_kernel()
 
 

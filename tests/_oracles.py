@@ -16,8 +16,11 @@ per point as they were when each took it again (the bracket, the
 preservation and moment-identity defects, the pullback defect, the fiber
 Jacobian from four-point second differences), the joint kernels (orthogonal,
 centralizer, center, degeneracy kernel) by stacking the blocks one at a time
-before a single `exactla.kernel`, and quotient coordinates by one
-`exactla.solve` per vector.
+before a single `exactla.kernel`, quotient coordinates by one
+`exactla.solve` per vector, and the linear layer one vector or one entry at a
+time (the contraction of a form at a vector, subspace sums and
+intersections, coefficient maps, the universal embedding, and the bracket
+form's components from the rows of ad).
 """
 
 import math
@@ -27,7 +30,7 @@ from math import lcm
 import numpy as np
 
 from polysym.errors import ContractViolation, ValidationError
-from polysym.exactla import Subspace, kernel, solve
+from polysym.exactla import Matrix, Subspace, kernel, solve
 from polysym.liealg import unhat
 from polysym.pointham import DEFAULT_FD_STEP, hamiltonian_field, omega_at, vform_to_numpy
 from polysym.polycore import canonical_model
@@ -401,7 +404,7 @@ def _stacked_kernel(n, blocks):
 
 
 def stacked_orthogonal(omega, a):
-    return _stacked_kernel(omega.dim_u, (omega.flat(a.basis.col(j)) for j in range(a.dim)))
+    return _stacked_kernel(omega.dim_u, (flat(omega, a.basis.col(j)) for j in range(a.dim)))
 
 
 def stacked_degeneracy_kernel(omega):
@@ -444,3 +447,53 @@ def greedy_section(ambient, sub):
 def _column_rank(columns):
     d = lcm(*(x.denominator for col in columns for x in col))
     return bareiss_rank([[x.numerator * (d // x.denominator) for x in col] for col in columns])
+
+
+# The linear layer one vector or one entry at a time.
+
+def flat(omega, u):
+    """The contraction u -> omega(u, .) as a k x n matrix (rows u^T W_c).
+    Components are exactly skew, so u^T W_c is -(W_c u) entry for entry."""
+    return Matrix([[-x for x in m.apply(u)] for m in omega.components])
+
+
+def looped_sum(a, b):
+    return Subspace.from_vectors(a.ambient_dim, a.basis.columns() + b.basis.columns())
+
+
+def looped_intersect(a, b):
+    """A meet B from the kernel of [A | -B], one A-combination per kernel vector."""
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(a.ambient_dim)
+    combos = kernel(a.basis.hstack(b.basis.scale(-1)))
+    return Subspace.from_vectors(a.ambient_dim, [a.basis.apply(v[: a.dim]) for v in combos.basis.columns()])
+
+
+def entrywise_coefficient_components(f, omega):
+    """Components of f composed with omega: entry (r, s) of the i-th is
+    sum_j F[i, j] W_j[r, s], summed one entry at a time."""
+    n, k = omega.dim_u, omega.dim_v
+    return tuple(
+        Matrix([
+            [sum((f.matrix[i, j] * omega.components[j][r, s] for j in range(k)), Fraction(0)) for s in range(n)]
+            for r in range(n)
+        ])
+        for i in range(f.target_dim)
+    )
+
+
+def row_loop_embedding(omega):
+    """Matrix of u -> u - (1/2) iota_u omega, row by row: the identity, then
+    for each component W and each j the row -(1/2) W[., j]."""
+    n = omega.dim_u
+    rows = [[Fraction(int(m == j)) for m in range(n)] for j in range(n)]
+    for w in omega.components:
+        for j in range(n):
+            rows.append([-Fraction(1, 2) * w[m, j] for m in range(n)])
+    return Matrix(rows)
+
+
+def ad_row_components(g):
+    """components[k][i, j] = c^k_ij as row k of ad(e_i), for each i."""
+    ads = [g.ad([int(t == i) for t in range(g.dim)]) for i in range(g.dim)]
+    return tuple(Matrix([a.row(k) for a in ads]) for k in range(g.dim))

@@ -158,6 +158,17 @@ def test_cli_imports_no_scipy():
     assert out.stdout == "[]\n"
 
 
+def test_exact_modules_import_no_numpy():
+    code = (
+        "import sys, polysym.exactla, polysym.polycore, polysym.discgauge\n"
+        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'numpy'))\n"
+    )
+    src = str(Path(docio.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
 class TestSubspaceArg:
     def test_standard_basis_tokens(self):
         assert parse_subspace_arg("e1", 3) == Subspace.from_vectors(3, [(1, 0, 0)])
@@ -250,6 +261,11 @@ NON_FINITE_ARGUMENTS = {
     "xi of two entries": ["lie", "arnold", "--xi", "1,0", "--trials", "5"],
     "negative haar seed": ["lie", "convexity", "--seed", "-1", "--trials", "5"],
     "negative halton seed": ["ham", "embed", "--patch", "so3", "--seed", "-1"],
+    # --subspace entries go through the document scalar parser.
+    "subspace letters": ["orth", "--builtin", "cross", "--subspace", "a,b,c"],
+    "subspace 1/0": ["orth", "--builtin", "cross", "--subspace", "1/0,1,1"],
+    "subspace nan": ["orth", "--builtin", "cross", "--subspace", "nan,1,1"],
+    "subspace empty entry": ["orth", "--builtin", "cross", "--subspace", "1,,1"],
 }
 
 
@@ -271,6 +287,34 @@ def test_large_magnitudes_print_in_exponent_form(capsys):
     assert [cli._fmt_float(x) for x in (1e15, -1e15, 999999999999999.9, 0.5)] == [
         "1.000000000000e+15", "-1.000000000000e+15", "999999999999999.875000000000", "0.500000000000",
     ]
+
+
+def test_exponent_literals_exit_2_within_a_second(tmp_path):
+    """Fraction("1e99999999") would build a 10^8-digit integer, so scalars
+    with an exponent are rejected before Fraction reads them. Run in a child
+    process, so that a missing check fails on the timeout."""
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"kind": "form", "form": [[[0, "1e3000000"], ["-1e3000000", 0]]]}))
+    argvs = [["orth", "--builtin", "cross", "--subspace", "1e99999999,1,1"], ["orth", "--file", str(path)]]
+    code = (
+        "import contextlib, io, json, sys, time\n"
+        "from polysym.cli import run\n"
+        "out = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    e = io.StringIO()\n"
+        "    start = time.perf_counter()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(e):\n"
+        "        code = run(argv)\n"
+        "    out.append([code, e.getvalue(), time.perf_counter() - start])\n"
+        "print(json.dumps(out))\n"
+    )
+    src = str(Path(docio.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    for argv, (exit_code, stderr, seconds) in zip(argvs, json.loads(proc.stdout)):
+        assert exit_code == 2 and stderr.startswith("error: bad scalar literal") and stderr.count("\n") == 1, argv
+        assert seconds < 1.0, argv
 
 
 # Arguments argparse itself rejects: one `error:` line and exit 2, no usage block.
@@ -702,7 +746,8 @@ _vector_text = st.one_of(
     st.lists(_number_text | st.sampled_from(["", "x", "1/2"]), max_size=6),
 ).map(",".join)
 _subspace_option = st.sampled_from(
-    ["e1", "e2,e3", "zero", "full", "e0", "e9", "e1,x", "1,0,0", "1,0;0,1", "", ";", "1/2,0,0"]
+    ["e1", "e2,e3", "zero", "full", "e0", "e9", "e1,x", "1,0,0", "1,0;0,1", "", ";", "1/2,0,0",
+     "a,b,c", "1/0,1,1", "nan,1,1", "1,,1"]
 ).map(lambda v: f"--subspace={v}")
 _rejected_options = st.sampled_from(
     ["--trials=x", "--seed=1.5", "--tolerance-scale=", "--machine=1", "--bogus", "--file", "-x"]

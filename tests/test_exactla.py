@@ -405,3 +405,34 @@ def test_quotient_eliminates_once_and_projects_without_eliminating(monkeypatch):
             with pytest.raises(ValidationError):
                 q.project((0, 0, 1) if ambient.ambient_dim == 3 else (0, 0, 1, -1))
         assert calls == []
+
+
+# Sums and intersections against the per-vector references (tests/_oracles.py):
+# A and B share a drawn span, so the meet is often neither zero nor all of
+# either; zero and full spaces are drawn too.
+
+
+@st.composite
+def _subspace_pairs(draw):
+    n = draw(st.integers(0, 6))
+
+    def side(shared):
+        kind = draw(st.sampled_from(["zero", "full", "drawn", "drawn"]))
+        if kind == "zero":
+            return Subspace.zero(n)
+        if kind == "full":
+            return Subspace.full(n)
+        return Subspace.from_vectors(n, shared + draw(_grids(draw(st.integers(0, n)), n)))
+
+    shared = draw(_grids(draw(st.integers(0, n)), n))
+    return side(shared), side(shared)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_subspace_pairs())
+def test_sum_and_intersect_match_the_per_vector_loops(pair):
+    from _oracles import looped_intersect, looped_sum
+
+    a, b = pair
+    assert sum_(a, b) == looped_sum(a, b)
+    assert intersect(a, b) == looped_intersect(a, b)

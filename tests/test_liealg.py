@@ -15,10 +15,12 @@ from polysym.polycore import classify, linear_reduce, orthogonal
 from polysym.randgen import rand_subspace
 
 from _oracles import (
+    ad_row_components,
     dense_ad,
     dense_bracket,
     dense_jacobi_error,
     dense_structure,
+    flat,
     fraction_apply,
     fraction_rref,
     looped_displacements,
@@ -269,12 +271,20 @@ def test_bracket_form_flat_is_ad_and_orthogonals_are_centralizers(case, data):
     form = la.bracket_form(g)
     vector = st.lists(_constants, min_size=dim, max_size=dim)
     for u in data.draw(st.lists(vector, min_size=1, max_size=3)):
-        assert form.flat(u) == g.ad(u)
+        assert flat(form, u) == g.ad(u)
     rng = random.Random(data.draw(st.integers(0, 2**16)))
     for a in [Subspace.zero(dim), Subspace.full(dim)] + [rand_subspace(rng, dim) for _ in range(3)]:
         cent = la.centralizer(g, a)
         assert orthogonal(form, a) == cent
         assert la.lie_reduce(g, a).carrier.dim == cent.dim - intersect(a, cent).dim
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(_builtin_triples, _changed_basis_triples()))
+def test_components_are_the_rows_of_ad(case):
+    """The table's dense components against row k of ad(e_i) per basis vector."""
+    g = la.LieAlgebra.from_triples(*case)
+    assert g.components == ad_row_components(g)
 
 
 class TestGroupNumerics:

@@ -430,7 +430,7 @@ def test_theta_evaluations_per_point(patch):
     assert len(calls) == 2 * n
     calls.clear()
     ph.moment_from_potential(counted, _generators(patch), sample_count=5, seed=1)
-    assert len(calls) == 5 * (4 * n + 3)
+    assert len(calls) == 5 * (2 * n + 3)
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 2), (3, 1), (1, 3), (2, 1)])

@@ -2,8 +2,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import in_orthogonal, stacked_degeneracy_kernel, stacked_orthogonal
+from _oracles import (
+    entrywise_coefficient_components,
+    flat,
+    in_orthogonal,
+    row_loop_embedding,
+    stacked_degeneracy_kernel,
+    stacked_orthogonal,
+)
 from polysym.errors import ContractViolation, ValidationError
 from polysym.exactla import Matrix, Subspace, contains, intersect, kernel, sum_
 from polysym.liealg import bracket_form, sl2, so3
@@ -49,21 +58,20 @@ class TestVForm:
 
 
 class TestFlat:
+    """The per-vector contraction the orthogonal is checked against
+    (tests/_oracles.py)."""
+
     def test_cross_at_e1(self):
-        m = cross_form().flat((1, 0, 0))
+        m = flat(cross_form(), (1, 0, 0))
         assert m == Matrix([[0, 0, 0], [0, 0, -1], [0, 1, 0]])
         # the matrix realizes v -> e1 x v
         assert m.apply((0, 1, 0)) == (F(0), F(0), F(1))
 
     def test_zero_vector(self):
-        assert cross_form().flat((0, 0, 0)).is_zero()
+        assert flat(cross_form(), (0, 0, 0)).is_zero()
 
     def test_standard_symplectic_row(self):
-        assert std_symplectic().flat((1, 0)) == Matrix([[0, 1]])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            cross_form().flat((1, 0))
+        assert flat(std_symplectic(), (1, 0)) == Matrix([[0, 1]])
 
 
 class TestNondegeneracy:
@@ -320,3 +328,71 @@ class TestCoefficientOrthogonalRelations:
 def test_sl2_cartan_is_self_orthogonal():
     flags = classify(bracket_form(sl2()), span(3, (1, 0, 0)))
     assert flags.lagrangian
+
+
+# One product per block against the per-vector and per-entry loops
+# (tests/_oracles.py): random forms, degenerate ones included, subspaces
+# including zero and full, and coefficient maps of every shape up to k + 1
+# rows, surjections among them.
+
+_entries = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 1, 2, 3, 7)))
+
+
+@st.composite
+def _forms(draw):
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    comps = []
+    for _ in range(k):
+        upper = [[draw(_entries) if i < j else F(0) for j in range(n)] for i in range(n)]
+        comps.append(Matrix([[upper[i][j] - upper[j][i] for j in range(n)] for i in range(n)]))
+    return VForm(n, tuple(comps))
+
+
+@st.composite
+def _subspaces(draw, n):
+    kind = draw(st.sampled_from(["zero", "full", "drawn", "drawn"]))
+    if kind == "zero":
+        return Subspace.zero(n)
+    if kind == "full":
+        return Subspace.full(n)
+    nonzero = _entries.filter(bool)
+    vectors = draw(st.lists(st.lists(nonzero, min_size=n, max_size=n), min_size=1, max_size=n + 1))
+    return Subspace.from_vectors(n, vectors)
+
+
+@st.composite
+def _coefficient_maps(draw, k):
+    rows = draw(st.integers(1, k + 1))
+    return CoefficientMap(Matrix([[draw(_entries) for _ in range(k)] for _ in range(rows)]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_orthogonal_is_the_stacked_per_vector_contraction(data):
+    form = data.draw(_forms())
+    a = data.draw(_subspaces(form.dim_u))
+    assert orthogonal(form, a) == stacked_orthogonal(form, a)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_coefficient_map_is_the_entrywise_sum(data):
+    form = data.draw(_forms())
+    f = data.draw(_coefficient_maps(form.dim_v))
+    candidate, ker = apply_coefficient_map(f, form)
+    assert candidate.components == entrywise_coefficient_components(f, form)
+    assert ker == stacked_degeneracy_kernel(candidate)
+    if f.is_surjective():
+        assert check_reduction_candidate(form, f) == ker.is_zero()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_forms())
+def test_universal_embedding_is_the_row_loop(form):
+    if not form.is_nondegenerate():
+        with pytest.raises(ContractViolation):
+            universal_embed(form)
+        return
+    emb = universal_embed(form)
+    assert emb == row_loop_embedding(form)
+    assert pullback(canonical_model(form.dim_u, form.dim_v), emb).components == form.components
