@@ -1,8 +1,8 @@
 """Problem-document parsing and rendering.
 
 Documents are JSON with a `kind` discriminator (form, lie, complex).
-Exact entries are decimal integers or "p/q" strings; rendering restores the
-same shape, so parse-render round-trips to a fixpoint.
+Exact entries are integers or strings such as "p/q" (see parse_scalar);
+rendering restores the same shape, so parse-render round-trips to a fixpoint.
 """
 
 from __future__ import annotations

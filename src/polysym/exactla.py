@@ -373,6 +373,8 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Subspace intersection: A x for the x of each kernel vector (x, y) of
     [A | B], since A x = -B y lies in both."""
     _check_same_ambient(a, b)
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(a.ambient_dim)
     combos = kernel(a.basis.hstack(b.basis)).basis
     top = Matrix._make(a.dim, combos.cols, combos.entries[: a.dim])
     return Subspace.from_matrix_columns(a.basis @ top)

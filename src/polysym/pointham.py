@@ -271,19 +271,12 @@ def poisson_bracket(
     return -np.einsum("i,cij,j->c", sf.X, omega, sg.X)
 
 
-def lie_derivative_of_theta(
-    patch: ExactPatch, generators: Sequence[Callable[[np.ndarray], np.ndarray]], x: np.ndarray
-) -> np.ndarray:
-    """(L_X theta)_cb = X_a d_a theta_cb + theta_ca d_b X_a for each generator
-    X, stacked (g, k, n), from one derivative and one value of theta."""
-    x = np.asarray(x, dtype=float)
-    return _lie_derivative(patch, generators, x, _partials(patch.theta_at, x))
-
-
 def _lie_derivative(
     patch: ExactPatch, generators: Sequence[Callable], x: np.ndarray, d_theta: np.ndarray
 ) -> np.ndarray:
-    """lie_derivative_of_theta, given theta's derivative d_theta[a, c, b] at x."""
+    """(L_X theta)_cb = X_a d_a theta_cb + theta_ca d_b X_a for each generator
+    X, stacked (g, k, n), from theta's derivative d_theta[a, c, b] at x and
+    one value of theta."""
     theta = patch.theta_at(x)
     out = []
     for gen in generators:

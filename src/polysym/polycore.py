@@ -73,8 +73,9 @@ class VForm:
 
 def joint_kernel(n: int, blocks: Sequence[Matrix]) -> Subspace:
     """Vectors of Q^n killed by every block: the kernel of the blocks stacked,
-    or all of Q^n when there are none."""
-    return kernel(reduce(Matrix.vstack, blocks)) if blocks else Subspace.full(n)
+    or all of Q^n when they have no rows."""
+    stacked = reduce(Matrix.vstack, blocks, Matrix.zeros(0, n))
+    return kernel(stacked) if stacked.rows else Subspace.full(n)
 
 
 def direct_sum(forms: Sequence[VForm]) -> VForm:

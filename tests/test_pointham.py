@@ -345,7 +345,7 @@ class TestCentralDifferencesMatchPerAxisLoops:
     def test_lie_derivative_of_theta(self, patch):
         gens = _generators(patch)
         for x in self.points(patch):
-            got = ph.lie_derivative_of_theta(patch, gens, x)
+            got = ph._lie_derivative(patch, gens, x, ph._partials(patch.theta_at, x))
             assert got.shape == (len(gens), patch.dim_v, patch.dim_m)
             for gi, gen in enumerate(gens):
                 assert np.array_equal(got[gi], looped_lie_derivative_of_theta(patch, gen, x))
