@@ -428,7 +428,7 @@ def _subspace_pairs(draw):
     return side(shared), side(shared)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(_subspace_pairs())
 def test_sum_and_intersect_match_the_per_vector_loops(pair):
     from _oracles import looped_intersect, looped_sum

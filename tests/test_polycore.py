@@ -366,7 +366,7 @@ def _coefficient_maps(draw, k):
     return CoefficientMap(Matrix([[draw(_entries) for _ in range(k)] for _ in range(rows)]))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.data())
 def test_orthogonal_is_the_stacked_per_vector_contraction(data):
     form = data.draw(_forms())
@@ -374,7 +374,7 @@ def test_orthogonal_is_the_stacked_per_vector_contraction(data):
     assert orthogonal(form, a) == stacked_orthogonal(form, a)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_coefficient_map_is_the_entrywise_sum(data):
     form = data.draw(_forms())
@@ -386,7 +386,7 @@ def test_coefficient_map_is_the_entrywise_sum(data):
         assert check_reduction_candidate(form, f) == ker.is_zero()
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(_forms())
 def test_universal_embedding_is_the_row_loop(form):
     if not form.is_nondegenerate():
