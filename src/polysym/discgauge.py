@@ -144,10 +144,10 @@ class DeltaComplex:
         n_to = self.count(p + 1)
         if n_to == 0:
             return Matrix.zeros(0, n_from)
-        rows = [[Fraction(0)] * n_from for _ in range(n_to)]
+        rows = [[0] * n_from for _ in range(n_to)]
         for s, frow in enumerate(self.faces[p + 1]):
             for i, f in enumerate(frow):
-                rows[s][f] += Fraction(-1) ** i
+                rows[s][f] += (-1) ** i
         return Matrix(rows)
 
     def cocycles(self, p: int) -> Subspace:
@@ -266,26 +266,28 @@ def _cup_matrix(
     Row i*k + c, column j holds coordinate c of proj(left_i cup right_j), where
     k = proj.rows; with by_right the roles swap, so row j*k + c, column i. The
     result is the matrix of a linear map in the coefficients of the column
-    side, stacked over the block side.
+    side, stacked over the block side. The sums run on integer numerators,
+    each matrix over its common denominator.
     """
     if proj is None:
         proj = cx.cup_quotient.presentation.projector
 
-    def sparse_rows(m):
-        return [[(j, x) for j, x in enumerate(row) if x] for row in m.entries]
+    def sparse(rows):
+        return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
 
-    lrows, rrows = sparse_rows(left), sparse_rows(right)
-    pcols = sparse_rows(proj.transpose())
+    (lrows, ld), (rrows, rd) = left._scaled_rows(), right._scaled_rows()
+    pcols, pd = proj._columns()
+    lrows, rrows, pcols = sparse(lrows), sparse(rrows), sparse(pcols)
     k = proj.rows
     blocks, cols = (right.cols, left.cols) if by_right else (left.cols, right.cols)
-    out = [[Fraction(0)] * cols for _ in range(blocks * k)]
+    out = [[0] * cols for _ in range(blocks * k)]
     for s, (f, b) in enumerate(cx.cup_table(p, q)):
         for i, x in lrows[f]:
             for j, y in rrows[b]:
                 block, col = (j, i) if by_right else (i, j)
                 for c, z in pcols[s]:
                     out[block * k + c][col] += x * y * z
-    return Matrix._make(blocks * k, cols, tuple(map(tuple, out)))
+    return Matrix._of_integers(out, cols, ld * rd * pd)
 
 
 @dataclass(frozen=True)
@@ -485,7 +487,7 @@ def reduce_gauge(cx: DeltaComplex) -> GaugeReduction:
     # Row a*b2 + c, column b: coordinate c of the class of reps_a cup reps_b.
     products = _cup_matrix(cx, 1, 1, reps, reps, proj=target.presentation.projector)
     pairing = tuple(
-        Matrix._make(b1, b1, tuple(products.row(a * b2 + c) for a in range(b1)))
+        products._row_block(range(c, b1 * b2, b2))
         for c in range(b2)
     )
     return GaugeReduction(carrier=carrier, target=target, pairing=pairing)

@@ -29,7 +29,9 @@ KINDS = ("form", "lie", "complex")
 # to 1,850 constants; sl3 + sl3 in a random basis, dim 16 and 1,920) build in
 # 1.4-3.1 s; as whole processes, `lie center` and `centralizer` end in
 # 1.6-2.9 s and `reduce` within 4 s (on a line, the slowest); an abelian
-# dim-64 `lie center` takes 0.3 s.
+# dim-64 `lie center` takes 0.3 s. Those builds were measured while the
+# Jacobi check summed Fractions; with integer sums, sl3 + sl3 builds in
+# 0.07 s against 1.0 s before, on the same host.
 MAX_LIE_DIM = 64
 MAX_LIE_CONSTANTS = 1920
 

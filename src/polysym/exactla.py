@@ -3,12 +3,14 @@ quotients with deterministic sections, and annihilators.
 
 Every entry a caller passes in or gets back is a `fractions.Fraction`, so
 every identity in this module is an exact set equality; there are no
-tolerances here. Inside, elimination and products run on integers: each row
-is held as integer numerators over one common denominator, `rref` eliminates
-fraction-free (Bareiss 1968) and divides by the pivots once at the end, and
-products build one `Fraction` per output entry. Subspaces are kept in a
-canonical form (reduced column echelon, pivots normalized to 1, pivot rows
-strictly increasing) so that equality of subspaces is equality of their
+tolerances here. Fractions live only at the edges: a `Matrix` stores each
+row as integer numerators over one positive denominator, in lowest terms, so
+equal matrices have equal rows. Parsing builds those rows, reading an entry
+builds its `Fraction`, and everything between (elimination, products, sums,
+transposes, comparisons) runs on integers. `rref` eliminates fraction-free
+(Bareiss 1968) and leaves each pivot row over its pivot. Subspaces are kept
+in a canonical form (reduced column echelon, pivots normalized to 1, pivot
+rows strictly increasing) so that equality of subspaces is equality of their
 stored bases.
 """
 
@@ -18,34 +20,34 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
 
-Scalar = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _integer_row(row: Sequence[Fraction]) -> tuple:
-    """(numerators, denominator) of a row of Fractions: row == numerators / d
-    entry for entry, with d the lcm of the row's denominators."""
-    dens = [x.denominator for x in row]
-    d = lcm(*dens)
+def _canonical(nums, d: int) -> tuple:
+    """The row nums / d (d nonzero) as (numerators, denominator) in lowest
+    terms: denominator > 0 and gcd(numerators..., denominator) = 1, so equal
+    rows have equal pairs. This is the stored form of a Matrix row."""
     if d == 1:
-        return [x.numerator for x in row], 1
-    return [x.numerator * (d // q) for x, q in zip(row, dens)], d
+        return tuple(nums), 1
+    g = gcd(*nums, d)
+    if d < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums), d
+    return tuple([a // g for a in nums]), d // g
 
 
-def _primitive(nums: list) -> list:
+def _primitive(nums):
     """An integer row divided by the gcd of its entries."""
     h = gcd(*nums)
     return [a // h for a in nums] if h > 1 else nums
 
 
 def _ratio(num: int, den: int) -> Fraction:
-    return Fraction(num, den) if num else _ZERO
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 def _as_scalar(x) -> Fraction:
@@ -53,49 +55,66 @@ def _as_scalar(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise ValidationError(f"not an exact scalar: {x!r}")
 
 
+def _parse_row(row) -> tuple:
+    """A row of ints and Fractions as (numerators, d), d the lcm of the
+    denominators. It is in lowest terms: a prime's full power in d divides
+    some denominator, and that entry's numerator and d // denominator are
+    prime to it."""
+    row = tuple(row)
+    if all(type(x) is int for x in row):
+        return row, 1
+    row = [_as_scalar(x) for x in row]
+    dens = [x.denominator for x in row]
+    d = lcm(*dens)
+    return tuple([x.numerator * (d // q) for x, q in zip(row, dens)]), d
+
+
 class Matrix:
-    """Immutable exact matrix with row-major entries.
+    """Immutable exact matrix, stored as one canonical integer row per row
+    (see `_canonical`); its columns over one common denominator are cached
+    for products on first use.
 
     Zero-row and zero-column shapes are legal; they show up constantly as
     bases of trivial subspaces.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_ints")
+    __slots__ = ("rows", "cols", "_ints", "_cols")
 
     def __init__(self, entries: Sequence[Sequence]):
-        data = tuple(tuple(_as_scalar(x) for x in row) for row in entries)
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        for row in data:
-            if len(row) != cols:
+        ints = tuple(_parse_row(row) for row in entries)
+        cols = len(ints[0][0]) if ints else 0
+        for nums, _ in ints:
+            if len(nums) != cols:
                 raise ValidationError("ragged matrix literal")
-        self.rows = rows
+        self.rows = len(ints)
         self.cols = cols
-        self._data = data
-        self._ints = None
+        self._ints = ints
+        self._cols = None
 
     @classmethod
-    def _make(cls, rows: int, cols: int, data: tuple) -> "Matrix":
+    def _of(cls, rows: int, cols: int, ints: tuple) -> "Matrix":
+        """The matrix of canonical integer rows ints."""
         m = object.__new__(cls)
         m.rows, m.cols = rows, cols
-        m._data = data
-        m._ints = None
+        m._ints = ints
+        m._cols = None
         return m
 
     @classmethod
+    def _of_integers(cls, rows: Sequence[Sequence[int]], cols: int, den: int = 1) -> "Matrix":
+        """The matrix with integer rows divided by den."""
+        return cls._of(len(rows), cols, tuple(_canonical(row, den) for row in rows))
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._make(
-            rows, cols, tuple(tuple(_ZERO for _ in range(cols)) for _ in range(rows))
-        )
+        return cls._of(rows, cols, (((0,) * cols, 1),) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls._of(n, n, tuple((tuple([int(i == j) for j in range(n)]), 1) for i in range(n)))
 
     @classmethod
     def column(cls, entries: Sequence) -> "Matrix":
@@ -103,162 +122,176 @@ class Matrix:
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self._data[i][j]
+        nums, d = self._ints[i]
+        return _ratio(nums[j], d)
 
     def row(self, i: int) -> tuple:
-        return self._data[i]
+        nums, d = self._ints[i]
+        return tuple([_ratio(a, d) for a in nums])
 
     def col(self, j: int) -> tuple:
-        return tuple(self._data[i][j] for i in range(self.rows))
+        return tuple([_ratio(nums[j], d) for nums, d in self._ints])
 
     def columns(self) -> list:
         return [self.col(j) for j in range(self.cols)]
 
     @property
     def entries(self) -> tuple:
-        return self._data
+        return tuple(self.row(i) for i in range(self.rows))
 
-    def _integer_rows(self) -> list:
-        """`_integer_row` of every row, computed once per matrix."""
-        if self._ints is None:
-            self._ints = [_integer_row(row) for row in self._data]
-        return self._ints
+    def _scaled_rows(self) -> tuple:
+        """(integer rows, D): the rows as numerators over one common
+        denominator D, the lcm of the row denominators."""
+        big = lcm(*(d for _, d in self._ints))
+        return [nums if d == big else [a * (big // d) for a in nums] for nums, d in self._ints], big
+
+    def _columns(self) -> tuple:
+        """(integer columns, D) with column j = columns[j] / D, computed once
+        per matrix."""
+        if self._cols is None:
+            rows, big = self._scaled_rows()
+            self._cols = (list(zip(*rows)) if rows else [()] * self.cols), big
+        return self._cols
+
+    def _row_block(self, indices: Iterable[int]) -> "Matrix":
+        """The rows at indices, in that order."""
+        ints = tuple(self._ints[i] for i in indices)
+        return Matrix._of(len(ints), self.cols, ints)
+
+    def _col_block(self, indices: Sequence[int]) -> "Matrix":
+        """The columns at indices, in that order."""
+        return Matrix._of(
+            self.rows, len(indices), tuple(_canonical([nums[j] for j in indices], d) for nums, d in self._ints)
+        )
+
+    def _reshape(self, rows: int, cols: int) -> "Matrix":
+        """The same entries read row by row into a rows x cols matrix."""
+        scaled, big = self._scaled_rows()
+        cells = [x for row in scaled for x in row]
+        return Matrix._of_integers([cells[i : i + cols] for i in range(0, rows * cols, cols)], cols, big)
 
     def transpose(self) -> "Matrix":
-        return Matrix._make(
-            self.cols,
-            self.rows,
-            tuple(
-                tuple(self._data[i][j] for i in range(self.rows)) for j in range(self.cols)
-            ),
-        )
+        cols, big = self._columns()
+        return Matrix._of_integers(cols, self.rows, big)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValidationError(f"shape mismatch: {self.shape} @ {other.shape}")
-        cols = [_integer_row(col) for col in other.transpose()._data]
-        out = []
-        for nums, d in self._integer_rows():
-            nonzero = [(j, a) for j, a in enumerate(nums) if a]
-            out.append(
-                tuple(_ratio(sum(a * cn[j] for j, a in nonzero), d * cd) for cn, cd in cols)
-            )
-        return Matrix._make(self.rows, other.cols, tuple(out))
+        cols, big = other._columns()
+        return Matrix._of(
+            self.rows,
+            other.cols,
+            tuple(
+                _canonical([sum(map(mul, nums, col)) for col in cols], d * big)
+                for nums, d in self._ints
+            ),
+        )
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValidationError("shape mismatch in addition")
-        return Matrix._make(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self._data, other._data)
-            ),
-        )
+        out = []
+        for (a, da), (b, db) in zip(self._ints, other._ints):
+            big = lcm(da, db)
+            fa, fb = big // da, big // db
+            out.append(_canonical([x * fa + y * fb for x, y in zip(a, b)], big))
+        return Matrix._of(self.rows, self.cols, tuple(out))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._make(
-            self.rows, self.cols, tuple(tuple(-a for a in row) for row in self._data)
-        )
+        return Matrix._of(self.rows, self.cols, tuple((tuple([-a for a in nums]), d) for nums, d in self._ints))
 
     def scale(self, c) -> "Matrix":
         c = _as_scalar(c)
-        return Matrix._make(
-            self.rows, self.cols, tuple(tuple(c * a for a in row) for row in self._data)
+        p, q = c.numerator, c.denominator
+        return Matrix._of(
+            self.rows, self.cols, tuple(_canonical([a * p for a in nums], d * q) for nums, d in self._ints)
         )
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product, returning a plain tuple of Fractions."""
-        v = [_as_scalar(x) for x in vec]
-        if len(v) != self.cols:
+        vn, vd = _parse_row(vec)
+        if len(vn) != self.cols:
             raise ValidationError("vector length does not match column count")
-        vn, vd = _integer_row(v)
-        nonzero = [(j, b) for j, b in enumerate(vn) if b]
-        return tuple(
-            _ratio(sum(nums[j] * b for j, b in nonzero), d * vd)
-            for nums, d in self._integer_rows()
-        )
+        return tuple([_ratio(sum(map(mul, nums, vn)), d * vd) for nums, d in self._ints])
 
     def hstack(self, other: "Matrix") -> "Matrix":
+        """[self | other]; a row joined over the lcm of its two denominators
+        stays in lowest terms."""
         if self.rows != other.rows:
             raise ValidationError("row mismatch in hstack")
-        return Matrix._make(
-            self.rows,
-            self.cols + other.cols,
-            tuple(r1 + r2 for r1, r2 in zip(self._data, other._data)),
-        )
+        out = []
+        for (a, da), (b, db) in zip(self._ints, other._ints):
+            big = lcm(da, db)
+            fa, fb = big // da, big // db
+            out.append((tuple([x * fa for x in a] + [y * fb for y in b]), big))
+        return Matrix._of(self.rows, self.cols + other.cols, tuple(out))
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValidationError("column mismatch in vstack")
-        return Matrix._make(self.rows + other.rows, self.cols, self._data + other._data)
+        return Matrix._of(self.rows + other.rows, self.cols, self._ints + other._ints)
 
     @property
     def shape(self) -> tuple:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self._data for x in row)
+        return not any(any(nums) for nums, _ in self._ints)
 
     def is_skew(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self._data[i][j] == -self._data[j][i]
-            for i in range(self.rows)
-            for j in range(i, self.cols)
-        )
+        return self.rows == self.cols and self.transpose() == -self
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self._data == other._data and self.shape == other.shape
+        return isinstance(other, Matrix) and self.shape == other.shape and self._ints == other._ints
 
     def __hash__(self):
-        return hash((self.shape, self._data))
+        return hash((self.shape, self._ints))
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._data)
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix({self.rows}x{self.cols}: [{body}])"
 
 
 def rref(m: Matrix, stop: Optional[int] = None) -> tuple:
     """Reduced row echelon form of m. Returns (R, pivot_columns).
 
-    Fraction-free Gauss-Jordan: each row is scaled to integers, a row is
+    Fraction-free Gauss-Jordan: each row is taken as its numerators, a row is
     cleared at the pivot column as p*row - f*pivot_row with the row gcd
-    divided out, and the pivots are divided out only at the end. Every
-    integer row is a nonzero multiple of the row rational Gauss-Jordan holds
-    at the same step, so the pivots, the swaps and the result are the same.
-    With `stop`, only the first `stop` columns are eliminated; the rows left
-    without a pivot (zero when every column is) come back unreduced.
+    divided out, and each pivot row ends over its pivot. Every integer row is
+    a nonzero multiple of the row rational Gauss-Jordan holds at the same
+    step, so the pivots, the swaps and the result are the same. With `stop`,
+    only the first `stop` columns are eliminated; the rows left without a
+    pivot (zero when every column is) come back as primitive integer rows.
     """
-    data = [_primitive(_integer_row(row)[0]) for row in m.entries]
+    data = [_primitive(nums) for nums, _ in m._ints]
     rows, cols = m.rows, m.cols
     pivots = []
     r = 0
     for c in range(cols if stop is None else stop):
         if r == rows:
             break
-        pivot_row = next((i for i in range(r, rows) if data[i][c]), None)
-        if pivot_row is None:
+        for pivot_row in range(r, rows):
+            if data[pivot_row][c]:
+                break
+        else:
             continue
-        data[r], data[pivot_row] = data[pivot_row], data[r]
-        prow = data[r]
+        prow = data[pivot_row]
+        data[r], data[pivot_row] = prow, data[r]
         p = prow[c]
-        for i in range(rows):
-            f = data[i][c]
-            if i != r and f:
+        for i, row in enumerate(data):
+            f = row[c]
+            if f and i != r:
                 g = gcd(p, f)
                 pg, fg = p // g, f // g
-                data[i] = _primitive([pg * a - fg * b for a, b in zip(data[i], prow)])
+                data[i] = _primitive([pg * a - fg * b for a, b in zip(row, prow)])
         pivots.append(c)
         r += 1
-    out = [tuple(_ratio(a, row[c]) for a in row) for row, c in zip(data, pivots)]
-    out += [tuple(_ratio(a, 1) for a in row) if any(row) else (_ZERO,) * cols for row in data[r:]]
-    return Matrix._make(rows, cols, tuple(out)), tuple(pivots)
+    out = [_canonical(row, row[c]) for row, c in zip(data, pivots)]
+    out += [(tuple(row), 1) for row in data[r:]]
+    return Matrix._of(rows, cols, tuple(out)), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -271,14 +304,12 @@ def solve(a: Matrix, b: Sequence):
     When the solution is not unique the free variables are set to zero, so the
     output is still deterministic.
     """
-    bvec = [_as_scalar(x) for x in b]
-    if len(bvec) != a.rows:
+    if len(b) != a.rows:
         raise ValidationError("right-hand side length mismatch")
-    aug = a.hstack(Matrix.column(bvec))
-    red, pivots = rref(aug)
+    red, pivots = rref(a.hstack(Matrix.column(b)))
     if a.cols in pivots:
         return None
-    x = [_ZERO] * a.cols
+    x = [Fraction(0)] * a.cols
     for r, c in enumerate(pivots):
         x[c] = red[r, a.cols]
     return tuple(x)
@@ -291,22 +322,35 @@ def inverse(m: Matrix) -> Matrix:
     red, pivots = rref(m.hstack(Matrix.identity(m.rows)))
     if pivots[: m.cols] != tuple(range(m.cols)):
         raise ValidationError("matrix columns are dependent")
-    return Matrix._make(m.rows, m.cols, tuple(row[m.cols :] for row in red.entries))
+    return red._col_block(range(m.cols, 2 * m.cols))
 
 
 def kernel(m: Matrix) -> "Subspace":
-    """Kernel {x : m x = 0} in canonical form."""
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    """Kernel {x : m x = 0} in canonical form, read off one elimination of
+    m with its columns reversed.
+
+    There, each free column f gives the kernel vector e_f minus column f of
+    the RREF at the pivot columns. An RREF row is zero left of its pivot, so
+    the vector is zero at the pivot columns right of f, and at the other
+    free columns. With the columns put back in order and f taken in
+    descending order, the vectors have increasing leading entries, each 1
+    and zero in every other vector: they are the kernel's reduced echelon
+    basis as they stand.
+    """
+    n = m.cols
+    red, pivots = rref(Matrix._of(m.rows, n, tuple((nums[::-1], d) for nums, d in m._ints)))
+    pivot_rows = list(zip(red._ints, pivots))
+    free = sorted(set(range(n)) - set(pivots), reverse=True)
     vectors = []
-    for fc in free:
-        v = [_ZERO] * m.cols
-        v[fc] = _ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r, fc]
-        vectors.append(v)
-    return Subspace.from_vectors(m.cols, vectors)
+    for f in free:
+        terms = [(nums[f], d, p) for (nums, d), p in pivot_rows if nums[f]]
+        big = lcm(*(d for _, d, _ in terms))
+        v = [0] * n
+        v[f] = big
+        for a, d, p in terms:
+            v[p] = -a * (big // d)
+        vectors.append(_canonical(v[::-1], big))
+    return Subspace(n, Matrix._of(len(vectors), n, tuple(vectors)).transpose())
 
 
 @dataclass(frozen=True)
@@ -328,25 +372,19 @@ class Subspace:
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         """Canonical subspace spanned by the given vectors (possibly none)."""
-        vecs = [tuple(_as_scalar(x) for x in v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
+        ints = tuple(_parse_row(v) for v in vectors)
+        for nums, _ in ints:
+            if len(nums) != ambient_dim:
                 raise ValidationError("vector length does not match ambient dimension")
-        if not vecs:
-            return Subspace(ambient_dim, Matrix.zeros(ambient_dim, 0))
-        red, pivots = rref(Matrix(vecs))
-        basis_rows = [red.row(r) for r in range(len(pivots))]
-        if not basis_rows:
-            return Subspace(ambient_dim, Matrix.zeros(ambient_dim, 0))
-        return Subspace(ambient_dim, Matrix(basis_rows).transpose())
+        return _span(ambient_dim, Matrix._of(len(ints), ambient_dim, ints))
 
     @staticmethod
     def from_matrix_columns(m: Matrix) -> "Subspace":
-        return Subspace.from_vectors(m.rows, [m.col(j) for j in range(m.cols)])
+        return _span(m.rows, m.transpose())
 
     @staticmethod
     def zero(n: int) -> "Subspace":
-        return Subspace.from_vectors(n, [])
+        return Subspace(n, Matrix.zeros(n, 0))
 
     @staticmethod
     def full(n: int) -> "Subspace":
@@ -363,6 +401,15 @@ class Subspace:
         return solve(self.basis, v) is not None
 
 
+def _span(n: int, m: Matrix) -> Subspace:
+    """Canonical subspace of Q^n spanned by the rows of m: the transpose of
+    its nonzero RREF rows."""
+    if not m.rows:
+        return Subspace.zero(n)
+    red, pivots = rref(m)
+    return Subspace(n, red._row_block(range(len(pivots))).transpose())
+
+
 def sum_(a: Subspace, b: Subspace) -> Subspace:
     """Subspace sum A + B."""
     _check_same_ambient(a, b)
@@ -376,8 +423,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
     combos = kernel(a.basis.hstack(b.basis)).basis
-    top = Matrix._make(a.dim, combos.cols, combos.entries[: a.dim])
-    return Subspace.from_matrix_columns(a.basis @ top)
+    return Subspace.from_matrix_columns(a.basis @ combos._row_block(range(a.dim)))
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
@@ -416,14 +462,13 @@ class QuotientSpace:
     def _beyond_sub(self) -> Matrix:
         """The rows of E from dim sub on: the section rows, then the rows
         that vanish exactly on ambient. No caller reads the sub rows."""
-        rows = self.elimination.entries[self.sub.dim :]
-        return Matrix._make(len(rows), self.elimination.cols, rows)
+        return self.elimination._row_block(range(self.sub.dim, self.elimination.rows))
 
     @cached_property
     def projector(self) -> Matrix:
         """dim x n matrix sending each vector of ambient to its section
         coordinates: the section rows of E."""
-        return Matrix._make(self.dim, self.elimination.cols, self._beyond_sub.entries[: self.dim])
+        return self._beyond_sub._row_block(range(self.dim))
 
     def project(self, v: Sequence) -> tuple:
         """Section coordinates of the coset of v (v must lie in ambient)."""
@@ -452,8 +497,8 @@ def quotient(ambient: Subspace, sub: Subspace) -> QuotientSpace:
     if len(pivots) != ambient.dim:
         raise ValidationError("quotient requires sub to be contained in ambient")
     chosen = [p - sub.dim for p in pivots[sub.dim :]]
-    section = Matrix._make(n, len(chosen), tuple(tuple(row[j] for j in chosen) for row in ambient.basis.entries))
-    elimination = Matrix._make(n, n, tuple(row[width:] for row in red.entries))
+    section = ambient.basis._col_block(chosen)
+    elimination = red._col_block(range(width, width + n))
     return QuotientSpace(ambient, sub, section, elimination)
 
 

@@ -60,14 +60,21 @@ class LieAlgebra:
     def _check_jacobi(self):
         """Sum the nonzero terms on every basis triple i < j < k with a
         nonzero bracket among its pairs, in lexicographic order; on the other
-        triples every term vanishes."""
+        triples every term vanishes. The constants are scaled once to
+        integers over their common denominator D, so the sums (D^2 times the
+        rational ones) run on integers."""
         n = self.dim
-        triples = sorted({tuple(sorted((i, j, k))) for i, j in self.brackets for k in range(n) if k not in (i, j)})
+        big = math.lcm(*(c.denominator for terms in self.brackets.values() for _, c in terms))
+        table = {
+            pair: [(k, c.numerator * (big // c.denominator)) for k, c in terms]
+            for pair, terms in self.brackets.items()
+        }
+        triples = sorted({tuple(sorted((i, j, k))) for i, j in table for k in range(n) if k not in (i, j)})
         for i, j, k in triples:
             acc = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, x in self.brackets.get((a, b), ()):
-                    for p, y in self.brackets.get((m, c), ()):
+                for m, x in table.get((a, b), ()):
+                    for p, y in table.get((m, c), ()):
                         acc[p] = acc.get(p, 0) + x * y
             if any(acc.values()):
                 raise ValidationError(f"Jacobi identity fails on basis triple ({i+1},{j+1},{k+1})")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 from .errors import ContractViolation, ValidationError
@@ -65,6 +65,11 @@ class VForm:
     def is_nondegenerate(self) -> bool:
         return self.degeneracy_kernel().is_zero()
 
+    @cached_property
+    def _wide(self) -> Matrix:
+        """[W_1 | ... | W_k], the components side by side."""
+        return reduce(Matrix.hstack, self.components)
+
     def restrict(self, section: Matrix) -> "VForm":
         """Form induced on the column span of section, in section coordinates."""
         st = section.transpose()
@@ -93,10 +98,12 @@ def direct_sum(forms: Sequence[VForm]) -> VForm:
 
 def orthogonal(omega: VForm, a: Subspace) -> Subspace:
     """{v : omega(a, v) = 0 for all a in A}, canonical: the joint kernel of
-    the blocks (W_c A)^T, which are -(A^T W_c) since every W_c is skew."""
+    the blocks A^T W_c = -(W_c A)^T, split off the one product A^T [W_1 | ... | W_k]."""
     if a.ambient_dim != omega.dim_u:
         raise ValidationError("subspace ambient dimension does not match the form")
-    return joint_kernel(omega.dim_u, [(m @ a.basis).transpose() for m in omega.components])
+    n = omega.dim_u
+    product = a.basis.transpose() @ omega._wide
+    return joint_kernel(n, [product._col_block(range(c * n, (c + 1) * n)) for c in range(omega.dim_v)])
 
 
 @dataclass(frozen=True)
@@ -189,11 +196,11 @@ def canonical_model(n: int, k: int) -> VForm:
     dim = canonical_dim(n, k)
     comps = []
     for c in range(k):
-        rows = [[Fraction(0)] * dim for _ in range(dim)]
+        rows = [[0] * dim for _ in range(dim)]
         for j in range(n):
             p = n + c * n + j
-            rows[j][p] = Fraction(1)
-            rows[p][j] = Fraction(-1)
+            rows[j][p] = 1
+            rows[p][j] = -1
         comps.append(Matrix(rows))
     return VForm(dim, tuple(comps))
 
@@ -244,8 +251,9 @@ def apply_coefficient_map(f: CoefficientMap, omega: VForm) -> tuple:
         raise ValidationError("coefficient map target must be at least 1-dimensional")
     # One product F @ W, where row j of W holds component j's entries row by row.
     n = omega.dim_u
-    product = f.matrix @ Matrix([[x for row in m.entries for x in row] for m in omega.components])
-    comps = (Matrix([row[i : i + n] for i in range(0, n * n, n)]) for row in product.entries)
+    flat = reduce(Matrix.vstack, [m._reshape(1, n * n) for m in omega.components])
+    product = f.matrix @ flat
+    comps = (product._row_block([c])._reshape(n, n) for c in range(product.rows))
     candidate = VForm(n, tuple(comps))
     return candidate, candidate.degeneracy_kernel()
 

@@ -3,8 +3,8 @@
 The oracles deliberately avoid the package's echelon/quotient machinery:
 ranks use fraction-free integer elimination (Bareiss style), bilinear-form
 facts are checked straight from definitions, and the scalar kernels of
-`exactla` (`rref`, matrix products) have plain `Fraction` reference versions
-here.
+`exactla` (`rref`, matrix products, sums, scaling, transposes, stacking and
+the skew test) have plain `Fraction` reference versions here.
 
 The reference loops compute what a package routine computes, the plain way,
 and the tests require the routine to match them exactly: the numeric
@@ -73,6 +73,34 @@ def fraction_matmul(left, right, cols):
     rows, as Fraction dot products."""
     columns = [[row[j] for row in right] for j in range(cols)]
     return tuple(fraction_apply(columns, row) for row in left)
+
+
+def fraction_add(left, right):
+    """Entrywise sum of two lists of rows."""
+    return tuple(tuple(Fraction(a) + Fraction(b) for a, b in zip(r, s)) for r, s in zip(left, right))
+
+
+def fraction_scale(rows, c):
+    return tuple(tuple(Fraction(c) * Fraction(a) for a in row) for row in rows)
+
+
+def fraction_transpose(rows, cols):
+    return tuple(tuple(Fraction(row[j]) for row in rows) for j in range(cols))
+
+
+def fraction_hstack(left, right):
+    return tuple(tuple(Fraction(a) for a in list(r) + list(s)) for r, s in zip(left, right))
+
+
+def fraction_vstack(top, bottom):
+    return tuple(tuple(Fraction(a) for a in row) for row in list(top) + list(bottom))
+
+
+def fraction_is_skew(rows, cols):
+    """Square, and entry (i, j) is minus entry (j, i) for every i <= j."""
+    return len(rows) == cols and all(
+        Fraction(rows[i][j]) == -Fraction(rows[j][i]) for i in range(cols) for j in range(i, cols)
+    )
 
 
 def looped_rotations(count, seed):

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -35,9 +36,13 @@ class TestMatrix:
         assert (m - m).is_zero()
 
     def test_fraction_literals(self):
-        m = Matrix([["1/2", 1], [0, "-3/4"]])
+        m = Matrix([[F(1, 2), 1], [0, F(-3, 4)]])
         assert m[0, 0] == F(1, 2)
         assert m[1, 1] == F(-3, 4)
+        # Text goes through docio.parse_scalar; the matrix layer reads no strings.
+        for text in ("1/2", "1e1000000"):
+            with pytest.raises(ValidationError, match="not an exact scalar"):
+                Matrix([[text, 1]])
 
     def test_ragged_rejected(self):
         with pytest.raises(ValidationError):
@@ -243,6 +248,15 @@ def _all_fractions(rows):
     return all(type(x) is F for row in rows for x in row)
 
 
+def _assert_canonical(m):
+    """Each stored row is (numerators, d), integers with d > 0 and
+    gcd(numerators..., d) = 1: the one form equal rows can take."""
+    assert len(m._ints) == m.rows
+    for nums, d in m._ints:
+        assert type(d) is int and d > 0 and len(nums) == m.cols
+        assert all(type(a) is int for a in nums) and gcd(*nums, d) == 1
+
+
 _dims = st.integers(0, 6)
 
 
@@ -257,6 +271,7 @@ def test_rref_matches_fraction_gauss_jordan(args):
     assert red.shape == (len(grid), cols)
     assert red.entries == ref_rows and _all_fractions(red.entries)
     assert pivots == ref_pivots
+    _assert_canonical(red)
 
 
 @settings(max_examples=80, deadline=None)
@@ -273,6 +288,7 @@ def test_matmul_matches_fraction_products(args):
     assert product.shape == (len(left), cols)
     assert product.entries == fraction_matmul(left, right, cols)
     assert _all_fractions(product.entries)
+    _assert_canonical(product)
 
 
 @settings(max_examples=80, deadline=None)
@@ -317,6 +333,118 @@ def test_rref_with_stop_reduces_the_leading_columns_only(args):
     full_rank = len(fraction_rref(grid, cols)[1])
     assert len(fraction_rref(list(red.entries), cols)[1]) == full_rank
     assert len(fraction_rref(list(red.entries) + grid, cols)[1]) == full_rank
+
+
+# The stored form: canonical integer rows. Every operation that runs on them
+# equals its entrywise Fraction reference (tests/_oracles.py), leaves every
+# row canonical, and equal matrices compare and hash equal whatever built them.
+
+_same_shape_pairs = st.tuples(_dims, _dims).flatmap(
+    lambda rc: st.tuples(st.just(rc[1]), _grids(*rc), _grids(*rc), _scalars)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_same_shape_pairs)
+def test_entrywise_operations_match_the_fraction_references(args):
+    from _oracles import fraction_add, fraction_hstack, fraction_scale, fraction_transpose, fraction_vstack
+
+    cols, left, right, c = args
+    a, b = _matrix(left, cols), _matrix(right, cols)
+    _assert_canonical(a)
+    cases = [
+        (a + b, fraction_add(left, right)),
+        (a - b, fraction_add(left, fraction_scale(right, -1))),
+        (-a, fraction_scale(left, -1)),
+        (a.scale(c), fraction_scale(left, c)),
+        (a.transpose(), fraction_transpose(left, cols)),
+        (a.hstack(b), fraction_hstack(left, right)),
+        (a.vstack(b), fraction_vstack(left, right)),
+    ]
+    for m, ref in cases:
+        _assert_canonical(m)
+        assert m.entries == ref and _all_fractions(m.entries)
+    assert (a.hstack(b).shape, a.vstack(b).shape) == ((len(left), 2 * cols), (2 * len(left), cols))
+    assert a.transpose().shape == (cols, len(left))
+    assert a.is_zero() == all(x == 0 for row in left for x in row)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), _grids(n, n))))
+def test_is_skew_matches_the_fraction_reference(args):
+    from _oracles import fraction_is_skew
+
+    n, grid = args
+    m = _matrix(grid, n)
+    skew = m - m.transpose()
+    assert skew.is_skew() and fraction_is_skew(skew.entries, n)
+    assert m.is_skew() == fraction_is_skew(grid, n)
+    if n:
+        # One entry off its negated mirror.
+        bumped = skew + _matrix([[F(int((i, j) == (0, n - 1)), 3) for j in range(n)] for i in range(n)], n)
+        assert not bumped.is_skew() and not fraction_is_skew(bumped.entries, n)
+    assert not Matrix.zeros(n, n + 1).is_skew()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.tuples(_dims, _dims, _dims).flatmap(
+        lambda rkc: st.tuples(st.just(rkc[2]), _grids(rkc[0], rkc[1]), _grids(rkc[1], rkc[2]), _scalars)
+    )
+)
+def test_products_read_the_columns_of_the_right_operand_itself(args):
+    """A matrix caches its columns for products; one derived from it by
+    negation, scaling, sums or transposes must not reuse them."""
+    from _oracles import fraction_add, fraction_matmul, fraction_scale, fraction_transpose
+
+    cols, left, right, c = args
+    inner = len(right)
+    a, b = _matrix(left, inner), _matrix(right, cols)
+    assert (a @ b).entries == fraction_matmul(left, right, cols)  # caches b's columns
+    derived = [
+        (-b, fraction_scale(right, -1)),
+        (b.scale(c), fraction_scale(right, c)),
+        (b + b, fraction_add(right, right)),
+        (b - b.scale(c), fraction_add(right, fraction_scale(right, -c))),
+    ]
+    for m, ref in derived:
+        product = a @ m
+        _assert_canonical(product)
+        assert product.entries == fraction_matmul(left, ref, cols)
+    twice = b.transpose().transpose()
+    assert (a @ twice).entries == fraction_matmul(left, right, cols)
+    assert (b.transpose() @ a.transpose()).entries == fraction_matmul(
+        fraction_transpose(right, cols), fraction_transpose(left, inner), len(left)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(_dims, _dims).flatmap(lambda rc: st.tuples(st.just(rc[1]), _grids(*rc))))
+def test_equal_matrices_from_different_paths_compare_and_hash_equal(args):
+    from _oracles import fraction_rref
+
+    cols, grid = args
+    rows = len(grid)
+    m = _matrix(grid, cols)
+    paths = [
+        _matrix(list(m.entries), cols),
+        _matrix([[x.numerator if x.denominator == 1 else x for x in row] for row in grid], cols),
+        m.transpose().transpose(),
+        m @ Matrix.identity(cols),
+        Matrix.identity(rows) @ m,
+        m.scale(F(-3, 7)).scale(F(-7, 3)),
+        m + Matrix.zeros(rows, cols),
+        m.hstack(Matrix.zeros(rows, 0)),
+    ]
+    for other in paths:
+        _assert_canonical(other)
+        assert other == m and hash(other) == hash(m)
+    red, pivots = rref(m)
+    reference = _matrix(list(fraction_rref(grid, cols)[0]), cols)
+    again = rref(red)[0]
+    assert red == reference == again and hash(red) == hash(reference) == hash(again)
+    if rows and cols:
+        assert m.scale(F(1, 2)) != m or m.is_zero()
 
 
 # Quotients: one echelon pass over [sub | ambient | I] gives the section, the

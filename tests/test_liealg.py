@@ -53,6 +53,18 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             la.LieAlgebra.from_triples(3, [(1, 2, 1, 1), (1, 3, 2, 1)])
 
+    def test_jacobi_on_fractional_constants_reports_the_dense_first_triple(self):
+        # so3 with constants 1/2, 1/3, 1/5 on e1..e3 is a Lie algebra; the
+        # pairs among e2, e4, e5 break the identity, first on (1,3,4).
+        so3_part = [(1, 2, 3, F(1, 2)), (2, 3, 1, F(1, 3)), (3, 1, 2, F(1, 5))]
+        broken = so3_part + [(2, 4, 4, F(1, 2)), (2, 5, 5, F(-1, 3)), (4, 5, 1, F(2, 5))]
+        la.LieAlgebra.from_triples(5, so3_part)
+        error = dense_jacobi_error(dense_structure(5, broken))
+        assert error == "Jacobi identity fails on basis triple (1,3,4)"
+        with pytest.raises(ValidationError) as caught:
+            la.LieAlgebra.from_triples(5, broken)
+        assert str(caught.value) == error
+
     def test_index_range_checked(self):
         with pytest.raises(ValidationError):
             la.LieAlgebra.from_triples(2, [(1, 3, 1, 1)])
