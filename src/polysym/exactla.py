@@ -8,10 +8,10 @@ row as integer numerators over one positive denominator, in lowest terms, so
 equal matrices have equal rows. Parsing builds those rows, reading an entry
 builds its `Fraction`, and everything between (elimination, products, sums,
 transposes, comparisons) runs on integers. `rref` eliminates fraction-free
-(Bareiss 1968) and leaves each pivot row over its pivot. Subspaces are kept
-in a canonical form (reduced column echelon, pivots normalized to 1, pivot
-rows strictly increasing) so that equality of subspaces is equality of their
-stored bases.
+(Bareiss 1968), one row at a time, and leaves each pivot row over its
+pivot. Subspaces are kept in a canonical form (reduced column echelon,
+pivots normalized to 1, pivot rows strictly increasing) so that equality of
+subspaces is equality of their stored bases.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class Matrix:
         return m
 
     @classmethod
-    def _of_integers(cls, rows: Sequence[Sequence[int]], cols: int, den: int = 1) -> "Matrix":
+    def _of_integers(cls, rows: Sequence[Sequence[int]], cols: int, den: int) -> "Matrix":
         """The matrix with integer rows divided by den."""
         return cls._of(len(rows), cols, tuple(_canonical(row, den) for row in rows))
 
@@ -255,43 +255,55 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: [{body}])"
 
 
+def _clear(row, prow, c: int) -> list:
+    """p*row - f*prow, with p and f the entries of prow and row at column c
+    over their gcd, and the gcd of the result divided out: row cleared at c."""
+    g = gcd(prow[c], row[c])
+    pg, fg = prow[c] // g, row[c] // g
+    return _primitive([pg * a - fg * b for a, b in zip(row, prow)])
+
+
 def rref(m: Matrix, stop: Optional[int] = None) -> tuple:
     """Reduced row echelon form of m. Returns (R, pivot_columns).
 
-    Fraction-free Gauss-Jordan: each row is taken as its numerators, a row is
-    cleared at the pivot column as p*row - f*pivot_row with the row gcd
-    divided out, and each pivot row ends over its pivot. Every integer row is
-    a nonzero multiple of the row rational Gauss-Jordan holds at the same
-    step, so the pivots, the swaps and the result are the same. With `stop`,
-    only the first `stop` columns are eliminated; the rows left without a
-    pivot (zero when every column is) come back as primitive integer rows.
+    Fraction-free, one row at a time: each row, as its numerators, is
+    cleared at the pivot columns found so far. If a leading column is still
+    nonzero, the first such column becomes a pivot and the pivot rows are
+    cleared there, so they stay reduced against one another; at the end each
+    is put over its pivot. The RREF is unique, so the pivots and R are those
+    of rational Gauss-Jordan. Once every column has a pivot, the rows left
+    are dependent and are not read. With `stop`, only the first `stop`
+    columns lead, and only they are unique; the rows left without a pivot
+    are zero there, and come back below the pivot rows, in their order, as
+    primitive integer rows.
     """
-    data = [_primitive(nums) for nums, _ in m._ints]
-    rows, cols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(cols if stop is None else stop):
-        if r == rows:
-            break
-        for pivot_row in range(r, rows):
-            if data[pivot_row][c]:
+    cols = m.cols
+    lead = cols if stop is None else stop
+    basis = {}  # pivot column -> pivot row
+    rest = []
+    for nums, _ in m._ints:
+        row = nums
+        for c, prow in basis.items():
+            if row[c]:
+                row = _clear(row, prow, c)
+        for c in range(lead):
+            if row[c]:
                 break
         else:
+            rest.append(_primitive(row))
             continue
-        prow = data[pivot_row]
-        data[r], data[pivot_row] = prow, data[r]
-        p = prow[c]
-        for i, row in enumerate(data):
-            f = row[c]
-            if f and i != r:
-                g = gcd(p, f)
-                pg, fg = p // g, f // g
-                data[i] = _primitive([pg * a - fg * b for a, b in zip(row, prow)])
-        pivots.append(c)
-        r += 1
-    out = [_canonical(row, row[c]) for row, c in zip(data, pivots)]
-    out += [(tuple(row), 1) for row in data[r:]]
-    return Matrix._of(rows, cols, tuple(out)), tuple(pivots)
+        row = _primitive(row)
+        for pc, prow in basis.items():
+            if prow[c]:
+                basis[pc] = _clear(prow, row, c)
+        basis[c] = row
+        if len(basis) == cols:
+            break
+    pivots = sorted(basis)
+    out = [_canonical(basis[c], basis[c][c]) for c in pivots]
+    out += [(tuple(row), 1) for row in rest]
+    out += [((0,) * cols, 1)] * (m.rows - len(out))
+    return Matrix._of(m.rows, cols, tuple(out)), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
