@@ -1,17 +1,18 @@
 """Pointwise numeric Hamiltonian formalism on coordinate patches.
 
-A patch carries a potential callback theta: x -> k x n matrix; the structure
-form at a point is the negative exterior derivative of theta, evaluated by
-central differences and exactly skew by construction. On top of that sit
-Hamiltonian vector-field solves (least squares over the stacked component
-system), the bracket, moment maps of potential-preserving actions, the
-section embedding into the canonical target, and Legendre-transform
-pullbacks.
+A patch carries a stacked potential theta: (P, n) points to (P, k, n)
+values. The structure form at a point is the negative exterior derivative of
+theta, evaluated by central differences and exactly skew by construction. On
+top of that sit Hamiltonian vector-field solves (least squares over the
+stacked component system), the bracket, moment maps of potential-preserving
+actions, the section embedding into the canonical target, and
+Legendre-transform pullbacks.
 
-All derivatives, second and directional ones included, go through one
-central-difference routine with the fixed step DEFAULT_FD_STEP, and each
-routine differentiates theta once per point; all sampling is low-discrepancy
-with an explicit seed.
+All derivatives, second and directional ones included, are central
+differences on the stencil x +- h e_a with the fixed step h = DEFAULT_FD_STEP.
+Each routine differentiates theta once per point, in one call on the whole
+stencil; Hamiltonians and generators take one point per call. All sampling
+is low-discrepancy with an explicit seed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ContractViolation, ValidationError
-from .liealg import hat, so3_exp
+from .liealg import so3_exp
 from .polycore import VForm, canonical_dim, canonical_model
 
 DEFAULT_FD_STEP = 1e-5
@@ -68,9 +69,12 @@ def halton_points(dim: int, count: int, seed: int = 0, scale: float = 1.0) -> np
 class ExactPatch:
     """A coordinate patch with an exact structure form -d(theta).
 
-    theta maps a point (length dim_m array) to a (dim_v, dim_m) matrix.
-    sample_scale bounds the cube used by the verification samplers; keep it
-    inside the domain where theta is defined.
+    theta maps a (P, dim_m) stack of points to the (P, dim_v, dim_m) stack of
+    its values, row for row: row i of the result must not depend on the other
+    rows, so that a derivative can evaluate its whole stencil in one call and
+    a stack gives the same floats as its rows one at a time. sample_scale
+    bounds the cube used by the verification samplers; keep it inside the
+    domain where theta is defined.
     """
 
     dim_m: int
@@ -80,36 +84,58 @@ class ExactPatch:
     sample_scale: float = 1.0
     base_shape: Optional[tuple] = None  # (n, k) for canonical patches
 
-    def theta_at(self, x: np.ndarray) -> np.ndarray:
+    def thetas(self, xs: np.ndarray, at: Optional[np.ndarray] = None) -> np.ndarray:
+        """theta on a (P, dim_m) stack, its shape and finiteness checked once.
+        An error names the point `at` the stack was built around (default:
+        the stack itself)."""
+        xs = np.asarray(xs, dtype=float)
         try:
-            out = np.asarray(self.theta(np.asarray(x, dtype=float)), dtype=float)
+            out = np.asarray(self.theta(xs), dtype=float)
         except (ArithmeticError, ValueError) as exc:
-            raise ValidationError(f"theta is undefined at {x}: {exc}") from exc
-        if out.shape != (self.dim_v, self.dim_m):
+            raise ValidationError(f"theta is undefined at {xs if at is None else at}: {exc}") from exc
+        if out.shape != (len(xs), self.dim_v, self.dim_m):
             raise ValidationError(
-                f"theta returned shape {out.shape}, expected {(self.dim_v, self.dim_m)}"
+                f"theta returned shape {out.shape}, expected {(len(xs), self.dim_v, self.dim_m)}"
             )
-        if not np.all(np.isfinite(out)):
+        if np.count_nonzero(np.isfinite(out)) != out.size:
             raise ValidationError("theta returned non-finite values")
         return out
 
+    def theta_at(self, x: np.ndarray) -> np.ndarray:
+        """theta at one point, the one-row stack: shape (dim_v, dim_m)."""
+        x = np.asarray(x, dtype=float)
+        return self.thetas(x[None], x)[0]
+
+
+def _stencil(x: np.ndarray, axes: Optional[Sequence[int]] = None) -> np.ndarray:
+    """x + h e_a for the i-th axis a of `axes` (default: every axis of x) in
+    row i, then x - h e_a in row len(axes) + i; h = DEFAULT_FD_STEP."""
+    x = np.asarray(x, dtype=float)
+    e = DEFAULT_FD_STEP * np.eye(x.size)
+    if axes is not None:
+        e = e[list(axes)]
+    return np.concatenate([x + e, x - e])
+
+
+def _difference(values: np.ndarray) -> np.ndarray:
+    """Central differences (values[i] - values[m + i]) / 2h from the 2m
+    values of a stencil."""
+    m = len(values) // 2
+    return (values[:m] - values[m:]) / (2.0 * DEFAULT_FD_STEP)
+
 
 def _partials(f: Callable, x: np.ndarray, axes: Optional[Sequence[int]] = None) -> np.ndarray:
-    """out[i] = (f(x + h e_a) - f(x - h e_a)) / 2h, h = DEFAULT_FD_STEP, for
-    the i-th axis a of `axes` (default: every axis of x). Callers that want
-    the axis last take `.T.copy()`, so the einsum or lstsq that follows reads
-    a C-ordered array and sums in a fixed order."""
-    x, h = np.asarray(x, dtype=float), DEFAULT_FD_STEP
-    axes = range(x.size) if axes is None else axes
-    out = None
-    for i, a in enumerate(axes):
-        e = np.zeros(x.size)
-        e[a] = h
-        d = (np.asarray(f(x + e), dtype=float) - np.asarray(f(x - e), dtype=float)) / (2.0 * h)
-        if out is None:
-            out = np.empty((len(axes),) + d.shape)
-        out[i] = d
-    return out
+    """out[i] = (f(x + h e_a) - f(x - h e_a)) / 2h for the i-th axis a of
+    `axes` (default: every axis of x), with f called once per point. Callers
+    that want the axis last take `.T.copy()`, so the einsum or lstsq that
+    follows reads a C-ordered array and sums in a fixed order."""
+    return _difference(np.array([f(p) for p in _stencil(x, axes)], dtype=float))
+
+
+def _theta_partials(patch: ExactPatch, x: np.ndarray) -> np.ndarray:
+    """d[a, c, b] = d theta_cb / d x_a at x, from one theta call on the stencil."""
+    x = np.asarray(x, dtype=float)
+    return _difference(patch.thetas(_stencil(x), x))
 
 
 def _structure_form(d: np.ndarray) -> np.ndarray:
@@ -120,17 +146,16 @@ def _structure_form(d: np.ndarray) -> np.ndarray:
 
 def omega_at(patch: ExactPatch, x: np.ndarray) -> np.ndarray:
     """Components of -d(theta) at x, shape (k, n, n), exactly skew."""
-    return _structure_form(_partials(patch.theta_at, x))
+    return _structure_form(_theta_partials(patch, x))
 
 
 def canonical_theta(n: int, k: int) -> ExactPatch:
     """The canonical patch on coordinates (q, phi): theta maps (dq, dphi) to phi dq."""
     dim = canonical_dim(n, k, "canonical patch")
 
-    def theta(x: np.ndarray) -> np.ndarray:
-        phi = x[n:].reshape(k, n)
-        out = np.zeros((k, dim))
-        out[:, :n] = phi
+    def theta(xs: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(xs), k, dim))
+        out[:, :, :n] = xs[:, n:].reshape(-1, k, n)
         return out
 
     return ExactPatch(
@@ -138,15 +163,37 @@ def canonical_theta(n: int, k: int) -> ExactPatch:
     )
 
 
-def _so3_dexp_inv(x: np.ndarray) -> np.ndarray:
-    """Left-trivialized differential of the exponential chart at x."""
-    th = float(np.linalg.norm(x))
-    k = hat(x)
-    if th < 1e-8:
-        return np.eye(3) - 0.5 * k + (k @ k) / 6.0
-    a = (1.0 - math.cos(th)) / (th * th)
-    b = (th - math.sin(th)) / (th ** 3)
-    return np.eye(3) - a * k + b * (k @ k)
+# hat(x) ravelled is x @ _HAT_BASIS: each entry is one coordinate times +-1
+# or zero, so the product is exact.
+_HAT_BASIS = np.array(
+    [[0, 0, 0, 0, 0, -1, 0, 1, 0], [0, 0, 1, 0, 0, 0, -1, 0, 0], [0, -1, 0, 1, 0, 0, 0, 0, 0]], dtype=float
+)
+_EYE3 = np.eye(3)
+
+
+def _so3_dexp_inv(xs: np.ndarray) -> np.ndarray:
+    """Left-trivialized differential of the exponential chart at each row x
+    of a (P, 3) stack: I - a k + b k^2 with k = hat(x), t = |x|,
+    a = (1 - cos t) / t^2 and b = (t - sin t) / t^3, or the series
+    I - k / 2 + k^2 / 6 where t < 1e-8.
+
+    Each row equals the one-point formula to the bit: t is sqrt of vecdot
+    (norm(axis=1) rounds differently), and a and b are float arithmetic row
+    by row, since a stack is one point or one stencil and at those heights
+    eight numpy calls cost more than the loop.
+    """
+    p = len(xs)
+    k = xs.dot(_HAT_BASIS).reshape(p, 3, 3)
+    kk = k @ k
+    ts = np.sqrt(np.vecdot(xs, xs)).tolist()
+    ab = np.array(
+        [((1.0 - math.cos(t)) / (t * t), (t - math.sin(t)) / t**3) if t >= 1e-8 else (0.0, 0.0) for t in ts]
+    ).reshape(p, 2, 1, 1)
+    out = _EYE3 - ab[:, 0] * k + ab[:, 1] * kk
+    small = [i for i, t in enumerate(ts) if t < 1e-8]
+    if small:
+        out[small] = _EYE3 - 0.5 * k[small] + kk[small] / 6.0
+    return out
 
 
 def so3_patch() -> ExactPatch:
@@ -164,9 +211,10 @@ def so3_left_generator(xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     xi = np.asarray(xi, dtype=float)
 
     def gen(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
         g = so3_exp(x)
         ad_inv = g.T @ xi  # Ad_{g^-1} xi for rotations acts by g^-1
-        return np.linalg.solve(_so3_dexp_inv(x), ad_inv)
+        return np.linalg.solve(_so3_dexp_inv(x[None])[0], ad_inv)
 
     return gen
 
@@ -361,7 +409,7 @@ def moment_from_potential(
     d_thetas = []
     preserve = 0.0
     for x in points:
-        d_thetas.append(_partials(patch.theta_at, x))
+        d_thetas.append(_theta_partials(patch, x))
         preserve = max(preserve, float(np.max(np.abs(_lie_derivative(patch, gens, x, d_thetas[-1])))))
     if preserve > 1e-5 * tolerance_scale:
         raise ContractViolation(
@@ -387,7 +435,11 @@ class SectionEmbedding:
         return np.concatenate([x, self.patch.theta_at(x).ravel()])
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return _partials(self.map, x).T.copy()
+        """Central differences of map, from one theta call on the stencil."""
+        x = np.asarray(x, dtype=float)
+        pts = _stencil(x)
+        maps = np.concatenate([pts, self.patch.thetas(pts, x).reshape(len(pts), -1)], axis=1)
+        return _difference(maps).T.copy()
 
     def pullback_defect(self, x: np.ndarray) -> float:
         """Max entrywise gap between the pulled-back target form and the patch

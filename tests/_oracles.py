@@ -9,7 +9,8 @@ the skew test) have plain `Fraction` reference versions here.
 The reference loops compute what a package routine computes, the plain way,
 and the tests require the routine to match them exactly: the numeric
 samplers of `liealg` one sample at a time, the Lie bracket, adjoint and
-Jacobi check from dense dim^3 structure constants, the pointwise derivatives of
+Jacobi check from dense dim^3 structure constants, the potentials of the
+builtin patches one point at a time, the pointwise derivatives of
 `pointham` one central difference per axis (and the closedness defect of its
 structure form), the pointham routines that take the structure form once
 per point as they were when each took it again (the bracket, the
@@ -31,7 +32,7 @@ import numpy as np
 
 from polysym.errors import ContractViolation, ValidationError
 from polysym.exactla import Matrix, Subspace, kernel, solve
-from polysym.liealg import unhat
+from polysym.liealg import hat, unhat
 from polysym.pointham import DEFAULT_FD_STEP, hamiltonian_field, omega_at, vform_to_numpy
 from polysym.polycore import canonical_model
 
@@ -197,6 +198,28 @@ def in_orthogonal(form, subspace, v):
         if any(x != 0 for x in form.evaluate(a, v)):
             return False
     return True
+
+
+# The builtin potentials at one point, which each row of their stacked
+# kernels must equal bit for bit.
+
+def so3_dexp_inv_at(x):
+    """Left-trivialized differential of the exponential chart at x, with the
+    series below norm 1e-8."""
+    th = float(np.linalg.norm(x))
+    k = hat(x)
+    if th < 1e-8:
+        return np.eye(3) - 0.5 * k + (k @ k) / 6.0
+    a = (1.0 - math.cos(th)) / (th * th)
+    b = (th - math.sin(th)) / (th ** 3)
+    return np.eye(3) - a * k + b * (k @ k)
+
+
+def canonical_theta_at(n, k, x):
+    """phi dq at the point x = (q, phi) of the canonical patch, shape (k, n + nk)."""
+    out = np.zeros((k, n + n * k))
+    out[:, :n] = np.asarray(x, dtype=float)[n:].reshape(k, n)
+    return out
 
 
 # Per-axis central differences, one loop per derivative of `pointham`.

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    canonical_theta_at,
     four_point_fiber_pullback,
     looped_closedness_defect,
     looped_gradient,
@@ -14,6 +15,7 @@ from _oracles import (
     looped_section_jacobian,
     looped_velocity_derivative,
     omega_at_pullback_defect,
+    so3_dexp_inv_at,
     so3_log,
     three_omega_bracket,
     two_point_moment_identity_defect,
@@ -40,7 +42,7 @@ class TestOmegaAt:
         assert np.max(np.abs(ph.omega_at(patch, x) - exact_model(2, 2))) < 1e-7
 
     def test_constant_potential_flat(self):
-        patch = ph.ExactPatch(dim_m=2, dim_v=1, theta=lambda x: np.array([[1.0, 2.0]]))
+        patch = ph.ExactPatch(dim_m=2, dim_v=1, theta=lambda xs: np.tile([[1.0, 2.0]], (len(xs), 1, 1)))
         assert np.max(np.abs(ph.omega_at(patch, np.array([0.5, 0.5])))) == 0.0
 
     def test_exactly_skew(self):
@@ -49,9 +51,16 @@ class TestOmegaAt:
         assert np.max(np.abs(omega + np.transpose(omega, (0, 2, 1)))) == 0.0
 
     def test_nonfinite_theta_rejected(self):
-        patch = ph.ExactPatch(dim_m=1, dim_v=1, theta=lambda x: np.array([[np.inf]]))
-        with pytest.raises(ValidationError):
+        patch = ph.ExactPatch(dim_m=1, dim_v=1, theta=lambda xs: np.full((len(xs), 1, 1), np.inf))
+        with pytest.raises(ValidationError, match="non-finite"):
             ph.omega_at(patch, np.zeros(1))
+
+    def test_per_point_theta_rejected(self):
+        # theta takes a stack of points; one returning a single (k, n) value is refused
+        patch = ph.ExactPatch(dim_m=2, dim_v=1, theta=lambda x: np.array([[1.0, 2.0]]))
+        for evaluate in (ph.omega_at, lambda p, x: p.theta_at(x), lambda p, x: ph.local_embed(p).jacobian(x)):
+            with pytest.raises(ValidationError, match="shape"):
+                evaluate(patch, np.array([0.5, 0.5]))
 
 
 class TestDiffeomorphismLift:
@@ -105,7 +114,7 @@ class TestHamiltonianField:
         assert not sol.is_hamiltonian
 
     def test_degenerate_form_reported_not_raised(self):
-        patch = ph.ExactPatch(dim_m=2, dim_v=1, theta=lambda x: np.array([[0.5, 0.5]]))
+        patch = ph.ExactPatch(dim_m=2, dim_v=1, theta=lambda xs: np.full((len(xs), 1, 2), 0.5))
         sol = ph.hamiltonian_field(patch, lambda x: np.array([x[0]]), np.zeros(2))
         assert sol.degenerate
         assert sol.rank == 0
@@ -205,6 +214,17 @@ class TestMomentFromPotential:
 
 
 class TestSo3Patch:
+    def test_structure_form_is_maurer_cartan(self):
+        # omega_c(u, v) = (theta u x theta v)_c; the opposite sign misses by 2.0
+        eps = np.zeros((3, 3, 3))
+        for c, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            eps[c, a, b], eps[c, b, a] = 1.0, -1.0
+        patch = ph.so3_patch()
+        for x in ph.halton_points(3, 200, seed=3, scale=0.5):
+            theta = patch.theta_at(x)
+            expected = np.einsum("cab,ai,bj->cij", eps, theta, theta)
+            assert np.max(np.abs(ph.omega_at(patch, x) - expected)) < 1e-9
+
     def test_generator_matches_flow_derivative(self):
         rng = np.random.default_rng(0)
         for _ in range(6):
@@ -265,7 +285,7 @@ class TestLocalEmbed:
             assert emb.pullback_defect(x) < 1e-5
 
     def test_constant_patch_lands_in_one_fiber(self):
-        patch = ph.ExactPatch(dim_m=2, dim_v=1, theta=lambda x: np.array([[1.0, 0.0]]))
+        patch = ph.ExactPatch(dim_m=2, dim_v=1, theta=lambda xs: np.tile([[1.0, 0.0]], (len(xs), 1, 1)))
         emb = ph.local_embed(patch)
         a, b = emb.map(np.array([0.1, 0.9])), emb.map(np.array([0.7, -0.3]))
         assert np.array_equal(a[2:], b[2:])
@@ -303,6 +323,42 @@ class TestClosedness:
         x = np.array([0.1, 0.2, 0.3, 0.4, -0.5, 0.6])
         assert looped_closedness_defect(canon, x) < 1e-4
         assert looped_closedness_defect(ph.so3_patch(), np.array([0.1, 0.2, -0.1])) < 1e-4
+
+
+def _assert_same_floats(got, expected):
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def _kernel_points(dim, scale):
+    """Halton points, then the origin (both signs of zero), points with exact
+    zero coordinates and points of norm below 1e-8."""
+    halton = ph.halton_points(dim, 64, seed=11, scale=scale)
+    special = [np.zeros(dim), np.full(dim, -0.0), 1e-9 * halton[0], 3e-9 * np.eye(dim)[-1], -5e-9 * np.ones(dim) / dim]
+    for i in range(dim):
+        zeroed = halton[i].copy()
+        zeroed[i] = 0.0
+        special += [zeroed, -zeroed]
+    return halton, np.concatenate([halton[:8], np.array(special)])
+
+
+@pytest.mark.parametrize(
+    "patch, theta_at",
+    [pytest.param(ph.so3_patch(), so3_dexp_inv_at, id="so3")]
+    + [
+        pytest.param(ph.canonical_theta(n, k), lambda x, n=n, k=k: canonical_theta_at(n, k, x), id=f"canonical:{n},{k}")
+        for n, k in ((1, 1), (2, 2), (3, 2), (1, 3))
+    ],
+)
+@pytest.mark.parametrize("scale", [0.5, 3.0])
+def test_stacked_kernel_matches_per_point_oracle(patch, theta_at, scale):
+    """Each row of a stack, and each one-row call, equals the per-point
+    formula bit for bit, signs of zero included."""
+    for pts in _kernel_points(patch.dim_m, scale):
+        expected = np.array([theta_at(x) for x in pts])
+        _assert_same_floats(patch.thetas(pts), expected)
+        for x, row in zip(pts, expected):
+            _assert_same_floats(patch.theta_at(x), row)
 
 
 _TEST_PATCHES = [
@@ -345,7 +401,7 @@ class TestCentralDifferencesMatchPerAxisLoops:
     def test_lie_derivative_of_theta(self, patch):
         gens = _generators(patch)
         for x in self.points(patch):
-            got = ph._lie_derivative(patch, gens, x, ph._partials(patch.theta_at, x))
+            got = ph._lie_derivative(patch, gens, x, ph._theta_partials(patch, x))
             assert got.shape == (len(gens), patch.dim_v, patch.dim_m)
             for gi, gen in enumerate(gens):
                 assert np.array_equal(got[gi], looped_lie_derivative_of_theta(patch, gen, x))
@@ -412,11 +468,11 @@ class TestOneStructureFormPerPoint:
 
 @pytest.mark.parametrize("patch", [ph.canonical_theta(3, 2), ph.so3_patch()], ids=lambda p: p.name)
 def test_theta_evaluations_per_point(patch):
-    calls = []
+    rows = []  # the stack height of each theta call
 
-    def theta(x):
-        calls.append(None)
-        return patch.theta(x)
+    def theta(xs):
+        rows.append(len(xs))
+        return patch.theta(xs)
 
     counted = dataclasses.replace(patch, theta=theta)
     n = patch.dim_m
@@ -424,13 +480,14 @@ def test_theta_evaluations_per_point(patch):
     x = ph.halton_points(n, 1, seed=8, scale=patch.sample_scale)[0]
 
     ph.poisson_bracket(counted, f, g, x)
-    assert len(calls) == 2 * n
-    calls.clear()
+    assert rows == [2 * n]
+    rows.clear()
     ph.local_embed(counted).pullback_defect(x)
-    assert len(calls) == 2 * n
-    calls.clear()
+    assert rows == [2 * n]
+    rows.clear()
     ph.moment_from_potential(counted, _generators(patch), sample_count=5, seed=1)
-    assert len(calls) == 5 * (2 * n + 3)
+    assert sum(rows) == 5 * (2 * n + 3)
+    assert len(rows) <= 5 * 4
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 2), (3, 1), (1, 3), (2, 1)])
