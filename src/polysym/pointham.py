@@ -89,6 +89,8 @@ class ExactPatch:
         An error names the point `at` the stack was built around (default:
         the stack itself)."""
         xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim_m:
+            raise ValidationError(f"theta takes a (P, {self.dim_m}) stack of points, got shape {xs.shape}")
         try:
             out = np.asarray(self.theta(xs), dtype=float)
         except (ArithmeticError, ValueError) as exc:

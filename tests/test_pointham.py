@@ -55,6 +55,14 @@ class TestOmegaAt:
         with pytest.raises(ValidationError, match="non-finite"):
             ph.omega_at(patch, np.zeros(1))
 
+    def test_points_of_the_wrong_shape_rejected(self):
+        for patch in (ph.so3_patch(), ph.canonical_theta(1, 2)):
+            for bad in (np.zeros(patch.dim_m), np.zeros((2, patch.dim_m + 1))):
+                with pytest.raises(ValidationError, match="stack of points"):
+                    patch.thetas(bad)
+            with pytest.raises(ValidationError, match="stack of points"):
+                patch.theta_at(np.zeros(patch.dim_m + 1))
+
     def test_per_point_theta_rejected(self):
         # theta takes a stack of points; one returning a single (k, n) value is refused
         patch = ph.ExactPatch(dim_m=2, dim_v=1, theta=lambda x: np.array([[1.0, 2.0]]))
