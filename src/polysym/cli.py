@@ -4,22 +4,24 @@ One binary, subcommand style. Every run prints a deterministic report:
 `key: value` lines in a stable order (or `key=value` with --machine), so
 identical input and seed produce identical bytes. Exit codes: 0 success,
 1 computational contract violation, 2 validation error.
+
+Only the commands that compute in floats (`ham`, `lie arnold|convexity` and
+the numeric `verify` suites) import numpy, `pointham` and `liealg`, and they
+import them when they run; every exact command runs without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from . import discgauge as dg
 from . import docio
-from . import liealg as la
-from . import pointham as ph
+from . import lietable as lt
 from .errors import ContractViolation, ValidationError
 from .exactla import Matrix, Subspace
 from .polycore import (
@@ -33,7 +35,12 @@ from .polycore import (
     universal_embed,
 )
 from .randgen import rand_cochain
-from .verify import SUITES, run_suite
+from .verify import NUMERIC_SUITES, SUITES, run_suite
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import pointham as ph
 
 
 class Report:
@@ -204,6 +211,8 @@ def cmd_embed(args) -> Report:
 
 
 def _parse_xi(text: str, size: Optional[int] = None) -> np.ndarray:
+    import numpy as np
+
     try:
         out = np.array([float(t) for t in text.split(",")], dtype=float)
     except ValueError as exc:
@@ -221,7 +230,7 @@ def cmd_lie(args) -> Report:
         algebra = docio.lie_to_algebra(_load_document(args))
         rep.add("algebra_dim", algebra.dim)
         if args.verb == "center":
-            rep.add("center", _fmt_subspace(la.center(algebra)))
+            rep.add("center", _fmt_subspace(lt.center(algebra)))
             rep.add("identity", "joint kernel of the adjoint maps")
             return rep
         if not args.subspace:
@@ -229,18 +238,22 @@ def cmd_lie(args) -> Report:
         sub = parse_subspace_arg(args.subspace, algebra.dim)
         rep.add("subspace", _fmt_subspace(sub))
         if args.verb == "centralizer":
-            rep.add("centralizer", _fmt_subspace(la.centralizer(algebra, sub)))
+            rep.add("centralizer", _fmt_subspace(lt.centralizer(algebra, sub)))
             rep.add("identity", "centralizer equals the bracket-form orthogonal when the center vanishes")
             return rep
-        red = la.lie_reduce(algebra, sub)
+        red = lt.lie_reduce(algebra, sub)
         rep.add("carrier_dim", red.carrier.dim)
         rep.add("kernel_dim", red.kernel.dim)
         rep.add("nondegenerate", str(red.nondegenerate).lower())
         rep.add("identity", "centralizer modulo its meet with the subspace")
         return rep
+    import numpy as np
+
+    from .liealg import arnold_counterexample, convexity_counterexample
+
     if args.verb == "arnold":
         xi = _parse_xi(args.xi, 3) if args.xi else np.array([0.0, 0.0, 2.0 * np.pi])
-        report = la.arnold_counterexample(
+        report = arnold_counterexample(
             xi, args.t, args.trials or 1000, seed=args.seed, tolerance_scale=args.tolerance_scale
         )
         rep.add("samples", report.samples)
@@ -251,7 +264,7 @@ def cmd_lie(args) -> Report:
         return rep
     if args.verb == "convexity":
         xi = _parse_xi(args.xi, 3) if args.xi else np.array([1.0, 0.0, 0.0])
-        report = la.convexity_counterexample(
+        report = convexity_counterexample(
             xi, args.trials or 1000, seed=args.seed, tolerance_scale=args.tolerance_scale
         )
         rep.add("samples", report.samples)
@@ -266,6 +279,8 @@ def cmd_lie(args) -> Report:
 
 
 def _patch_from_name(name: str) -> ph.ExactPatch:
+    from . import pointham as ph
+
     if name in ("so3", "rigidbody"):
         return ph.so3_patch()
     if name.startswith("canonical:"):
@@ -274,6 +289,8 @@ def _patch_from_name(name: str) -> ph.ExactPatch:
 
 
 def _patch_point(args, patch: ph.ExactPatch) -> np.ndarray:
+    import numpy as np
+
     if args.point:
         pt = _parse_xi(args.point)
         if pt.size != patch.dim_m:
@@ -285,6 +302,10 @@ def _patch_point(args, patch: ph.ExactPatch) -> np.ndarray:
 
 
 def _patch_generators(patch: ph.ExactPatch):
+    import numpy as np
+
+    from . import pointham as ph
+
     if patch.name == "so3":
         return [ph.so3_left_generator(np.eye(3)[i]) for i in range(3)]
     n, k = patch.base_shape
@@ -292,6 +313,7 @@ def _patch_generators(patch: ph.ExactPatch):
 
 
 def cmd_ham(args) -> Report:
+    from . import pointham as ph
     from .exprs import compile_vector
 
     patch = _patch_from_name(args.patch)
@@ -497,9 +519,23 @@ def build_parser() -> argparse.ArgumentParser:
 MAX_TRIALS = 100_000
 
 
-# A float overflow or invalid operation (numeric arguments too large for
-# float64) ends the run with one error line, not numpy warnings and nan fields.
-@np.errstate(over="raise", divide="raise", invalid="raise")
+def _float_policy(args):
+    """The float-error policy of a command: a float overflow or invalid
+    operation (numeric arguments too large for float64) ends the run with one
+    error line, not numpy warnings and nan fields. Only the commands that
+    compute in floats enter it, so the exact ones never import numpy."""
+    numeric = (
+        args.cmd == "ham"
+        or (args.cmd == "lie" and args.verb in ("arnold", "convexity"))
+        or (args.cmd == "verify" and args.suite in NUMERIC_SUITES)
+    )
+    if not numeric:
+        return contextlib.nullcontext()
+    import numpy as np
+
+    return np.errstate(over="raise", divide="raise", invalid="raise")
+
+
 def run(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -513,22 +549,23 @@ def run(argv: Optional[List[str]] = None) -> int:
             raise ValidationError(f"--tolerance-scale must be positive and finite, got {args.tolerance_scale}")
         if not math.isfinite(getattr(args, "t", 0.0)):
             raise ValidationError(f"--t must be finite, got {args.t}")
-        if args.cmd == "verify":
-            rep, ok = cmd_verify(args)
+        with _float_policy(args):
+            if args.cmd == "verify":
+                rep, ok = cmd_verify(args)
+                sys.stdout.write(rep.render(args.machine))
+                return 0 if ok else 1
+            handler = {
+                "orth": cmd_orth,
+                "classify": cmd_classify,
+                "reduce": cmd_reduce,
+                "embed": cmd_embed,
+                "lie": cmd_lie,
+                "ham": cmd_ham,
+                "gauge": cmd_gauge,
+            }[args.cmd]
+            rep = handler(args)
             sys.stdout.write(rep.render(args.machine))
-            return 0 if ok else 1
-        handler = {
-            "orth": cmd_orth,
-            "classify": cmd_classify,
-            "reduce": cmd_reduce,
-            "embed": cmd_embed,
-            "lie": cmd_lie,
-            "ham": cmd_ham,
-            "gauge": cmd_gauge,
-        }[args.cmd]
-        rep = handler(args)
-        sys.stdout.write(rep.render(args.machine))
-        return 0
+            return 0
     except (ValidationError, FloatingPointError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -1,8 +1,9 @@
-"""Problem-document parsing and rendering.
+"""Problem-document parsing and the builtin registry.
 
 Documents are JSON with a `kind` discriminator (form, lie, complex).
 Exact entries are integers or strings such as "p/q" (see parse_scalar);
-rendering restores the same shape, so parse-render round-trips to a fixpoint.
+builtin documents are rendered in the same shape, so they parse back to
+themselves. Everything here is exact and loads no numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 from .discgauge import BUILTIN_COMPLEXES, DeltaComplex
 from .errors import ValidationError
 from .exactla import Matrix, Subspace
-from .liealg import BUILTIN_TRIPLES, LieAlgebra, bracket_form, so3, structure_table
+from .lietable import BUILTIN_TRIPLES, LieAlgebra, bracket_form, so3, structure_table
 from .polycore import CoefficientMap, VForm, canonical_model
 
 KINDS = ("form", "lie", "complex")
@@ -124,14 +125,6 @@ def parse_document(text: str) -> ProblemDocument:
     payload = {k: v for k, v in raw.items() if k not in ("kind", "seed")}
     built = _BUILDERS[kind](ProblemDocument(kind, payload))
     return ProblemDocument(kind=kind, payload=payload, seed=seed, built=built)
-
-
-def render_document(doc: ProblemDocument) -> str:
-    out = {"kind": doc.kind}
-    out.update(doc.payload)
-    if doc.seed is not None:
-        out["seed"] = doc.seed
-    return json.dumps(out, indent=2, sort_keys=False) + "\n"
 
 
 def _built(doc: ProblemDocument, kind: str):

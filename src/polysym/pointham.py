@@ -322,12 +322,11 @@ def poisson_bracket(
 
 
 def _lie_derivative(
-    patch: ExactPatch, generators: Sequence[Callable], x: np.ndarray, d_theta: np.ndarray
+    generators: Sequence[Callable], x: np.ndarray, theta: np.ndarray, d_theta: np.ndarray
 ) -> np.ndarray:
     """(L_X theta)_cb = X_a d_a theta_cb + theta_ca d_b X_a for each generator
-    X, stacked (g, k, n), from theta's derivative d_theta[a, c, b] at x and
-    one value of theta."""
-    theta = patch.theta_at(x)
+    X, stacked (g, k, n), from theta's value theta[c, a] and derivative
+    d_theta[a, c, b] at x."""
     out = []
     for gen in generators:
         xv = np.asarray(gen(x), dtype=float)
@@ -403,16 +402,19 @@ def moment_from_potential(
     """Moment map x -> theta_x(generator values), for theta-preserving actions.
 
     Raises ContractViolation when the sampled Lie derivative of the potential
-    exceeds the preservation tolerance. Theta is differentiated once per
-    sample: the Lie derivative and the identity's structure form share it.
+    exceeds the preservation tolerance. Theta is evaluated once per sample on
+    its stencil with the sample appended, which gives both its value and its
+    derivative; the Lie derivative and the identity's structure form share the
+    derivative.
     """
     gens = tuple(generators)
     points = halton_points(patch.dim_m, sample_count, seed=seed, scale=patch.sample_scale)
     d_thetas = []
     preserve = 0.0
     for x in points:
-        d_thetas.append(_theta_partials(patch, x))
-        preserve = max(preserve, float(np.max(np.abs(_lie_derivative(patch, gens, x, d_thetas[-1])))))
+        thetas = patch.thetas(np.concatenate([_stencil(x), x[None]]), x)
+        d_thetas.append(_difference(thetas[:-1]))
+        preserve = max(preserve, float(np.max(np.abs(_lie_derivative(gens, x, thetas[-1], d_thetas[-1])))))
     if preserve > 1e-5 * tolerance_scale:
         raise ContractViolation(
             f"action does not preserve the potential (defect {preserve:.3e})"

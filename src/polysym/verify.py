@@ -4,7 +4,8 @@ Each suite drives one family of identities on randomized or built-in
 instances and returns a structured result; the CLI renders them and the
 acceptance tests pin their seeds, trial counts, and tolerances. Exact suites
 assert set equalities over the rationals; numeric suites compare against the
-stated tolerances, scaled by the caller's tolerance factor.
+stated tolerances, scaled by the caller's tolerance factor. Only the numeric
+suites (NUMERIC_SUITES) import numpy, and they import it when they run.
 """
 
 from __future__ import annotations
@@ -14,11 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List
 
-import numpy as np
-
 from . import discgauge as dg
-from . import liealg as la
-from . import pointham as ph
+from . import lietable as lt
 from .errors import ValidationError
 from .exactla import Subspace, contains, intersect, kernel, sum_
 from .polycore import (
@@ -73,7 +71,7 @@ def suite_cross_table(seed: int, trials: int, tol_scale: float) -> SuiteResult:
         trials,
     )
     rng = random.Random(seed)
-    cross = la.bracket_form(la.so3())
+    cross = lt.bracket_form(lt.so3())
     res.add("zero maps to full", orthogonal(cross, Subspace.zero(3)) == Subspace.full(3))
     res.add("full maps to zero", orthogonal(cross, Subspace.full(3)).is_zero())
     lines = planes = True
@@ -239,26 +237,30 @@ def suite_lie_reductions(seed: int, trials: int, tol_scale: float) -> SuiteResul
         trials,
     )
     rng = random.Random(seed)
-    g3, g2 = la.so3(), la.sl2()
+    g3, g2 = lt.so3(), lt.sl2()
     point_ok = True
     for _ in range(trials):
         line = rand_line(rng, 3)
-        point_ok &= la.lie_reduce(g3, line).carrier.dim == 0
+        point_ok &= lt.lie_reduce(g3, line).carrier.dim == 0
     res.add(f"{trials} lines reduce the rotation algebra to a point", point_ok)
     cartan = Subspace.from_vectors(3, [(1, 0, 0)])
-    flags = classify(la.bracket_form(g2), cartan)
+    flags = classify(lt.bracket_form(g2), cartan)
     res.add("diagonal subalgebra classifies self-orthogonal", flags.lagrangian)
     cent_ok = True
     for g in (g3, g2):
-        form = la.bracket_form(g)
+        form = lt.bracket_form(g)
         for _ in range(trials):
             a = rand_subspace(rng, 3)
-            cent_ok &= orthogonal(form, a) == la.centralizer(g, a)
+            cent_ok &= orthogonal(form, a) == lt.centralizer(g, a)
     res.add(f"centralizer equals bracket orthogonal on {2 * trials} subspaces", cent_ok)
     return res
 
 
 def suite_moment_identity(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+    import numpy as np
+
+    from . import pointham as ph
+
     res = SuiteResult(
         "moment-identity",
         "directional derivative of the moment map pairs as the structure form on induced fields",
@@ -297,6 +299,10 @@ def suite_moment_identity(seed: int, trials: int, tol_scale: float) -> SuiteResu
 
 
 def suite_arnold(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+    import numpy as np
+
+    from . import liealg as la
+
     res = SuiteResult(
         "arnold",
         "a non-identity left translation of the rotation group is fixed-point free",
@@ -320,6 +326,10 @@ def suite_arnold(seed: int, trials: int, tol_scale: float) -> SuiteResult:
 
 
 def suite_convexity(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+    import numpy as np
+
+    from . import liealg as la
+
     res = SuiteResult(
         "convexity",
         "the moment image is a sphere: radius is preserved and midpoints fall inside",
@@ -464,6 +474,8 @@ SUITES: dict = {
     "gauge-invariance": (suite_gauge_invariance, 100),
     "lagrangian-sphere3": (suite_lagrangian_sphere3, 1),
 }
+# The suites that compute in floats; the rest are exact and load no numpy.
+NUMERIC_SUITES = frozenset({"moment-identity", "arnold", "convexity"})
 
 
 def run_suite(name: str, seed: int = 0, trials: int = None, tolerance_scale: float = 1.0) -> SuiteResult:

@@ -21,9 +21,11 @@ before a single `exactla.kernel`, quotient coordinates by one
 `exactla.solve` per vector, and the linear layer one vector or one entry at a
 time (the contraction of a form at a vector, subspace sums and
 intersections, coefficient maps, the universal embedding, and the bracket
-form's components from the rows of ad).
+form's components from the rows of ad), and the JSON rendering of a
+problem document that the round-trip tests parse back.
 """
 
+import json
 import math
 from fractions import Fraction
 from math import lcm
@@ -548,3 +550,14 @@ def ad_row_components(g):
     """components[k][i, j] = c^k_ij as row k of ad(e_i), for each i."""
     ads = [g.ad([int(t == i) for t in range(g.dim)]) for i in range(g.dim)]
     return tuple(Matrix([a.row(k) for a in ads]) for k in range(g.dim))
+
+
+def render_document(doc):
+    """The JSON text of a problem document: its kind, its payload and its
+    seed, in that order; docio.parse_document reads it back to the same
+    document."""
+    out = {"kind": doc.kind}
+    out.update(doc.payload)
+    if doc.seed is not None:
+        out["seed"] = doc.seed
+    return json.dumps(out, indent=2, sort_keys=False) + "\n"

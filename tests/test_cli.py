@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import importlib
 import io
 import json
 import os
@@ -12,12 +13,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _oracles import render_document
 from polysym import cli
 from polysym import discgauge as dg
 from polysym import docio
 from polysym import liealg as la
 from polysym.cli import parse_subspace_arg, run
-from polysym.verify import SUITES
+from polysym.verify import NUMERIC_SUITES, SUITES
 from polysym.errors import ValidationError
 from polysym.exactla import Subspace
 
@@ -26,10 +28,10 @@ class TestDocumentRoundTrip:
     def test_builtin_documents_reach_a_fixpoint(self):
         for name in [*docio.BUILTINS, "canonical:1,1", "canonical:2,2"]:
             doc = docio.resolve_builtin(name)
-            text = docio.render_document(doc)
+            text = render_document(doc)
             reparsed = docio.parse_document(text)
             assert reparsed == doc, name
-            assert docio.render_document(reparsed) == text, name
+            assert render_document(reparsed) == text, name
 
     def test_fraction_entries_survive(self):
         text = json.dumps(
@@ -38,7 +40,7 @@ class TestDocumentRoundTrip:
         doc = docio.parse_document(text)
         form = docio.form_to_vform(doc)
         assert str(form.components[0][0, 1]) == "1/2"
-        again = docio.parse_document(docio.render_document(doc))
+        again = docio.parse_document(render_document(doc))
         assert again == doc
 
     def test_unknown_kind_rejected(self):
@@ -124,7 +126,7 @@ FILE_COMMANDS = {
 def test_file_documents_are_built_once(tmp_path, monkeypatch, capsys, name):
     doc = docio.resolve_builtin(name)
     path = tmp_path / "doc.json"
-    path.write_text(docio.render_document(doc))
+    path.write_text(render_document(doc))
     build = docio._BUILDERS[doc.kind]
     builds = []
     monkeypatch.setitem(docio._BUILDERS, doc.kind, lambda d: builds.append(d) or build(d))
@@ -135,14 +137,14 @@ def test_file_documents_are_built_once(tmp_path, monkeypatch, capsys, name):
 
 
 def test_parsed_documents_carry_what_they_describe():
-    form = docio.parse_document(docio.render_document(docio.resolve_builtin("cross"))).built
+    form = docio.parse_document(render_document(docio.resolve_builtin("cross"))).built
     assert form.components == docio.form_to_vform(docio.resolve_builtin("cross")).components
-    algebra = docio.parse_document(docio.render_document(docio.resolve_builtin("sl2"))).built
+    algebra = docio.parse_document(render_document(docio.resolve_builtin("sl2"))).built
     assert algebra.components == la.sl2().components
-    cx = docio.parse_document(docio.render_document(docio.resolve_builtin("torus3"))).built
+    cx = docio.parse_document(render_document(docio.resolve_builtin("torus3"))).built
     assert (cx.counts, cx.faces) == ((1, 7, 12, 6), dg.torus_complex(3).faces)
     with pytest.raises(ValidationError, match="expected a lie document"):
-        docio.lie_to_algebra(docio.parse_document(docio.render_document(docio.resolve_builtin("cross"))))
+        docio.lie_to_algebra(docio.parse_document(render_document(docio.resolve_builtin("cross"))))
 
 
 def test_cli_imports_no_scipy():
@@ -158,15 +160,70 @@ def test_cli_imports_no_scipy():
     assert out.stdout == "[]\n"
 
 
+def _is_exact(argv) -> bool:
+    """Whether a CLI argv computes over the rationals only: every command but
+    `ham`, `lie arnold|convexity` and the numeric verify suites."""
+    if argv[0] == "verify":
+        return argv[argv.index("--suite") + 1] not in NUMERIC_SUITES
+    return argv[0] != "ham" and argv[:2] not in (["lie", "arnold"], ["lie", "convexity"])
+
+
 def test_exact_modules_import_no_numpy():
+    """The exact modules, the CLI front end, and every exact golden argv run
+    through `cli.run`, all in one process that never loads numpy."""
+    argvs = [case["argv"] for case in GOLDEN if _is_exact(case["argv"])]
     code = (
-        "import sys, polysym.exactla, polysym.polycore, polysym.discgauge\n"
-        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'numpy'))\n"
+        "import contextlib, io, json, sys, polysym.exactla, polysym.polycore, polysym.discgauge\n"
+        "import polysym.cli, polysym.docio, polysym.verify, polysym.lietable\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.stdin.read()):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        codes.append(polysym.cli.run(argv))\n"
+        "print(json.dumps([codes, sorted(n for n in sys.modules if n.split('.')[0] == 'numpy')]))\n"
     )
     src = str(Path(docio.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    out = subprocess.run(
+        [sys.executable, "-c", code], input=json.dumps(argvs), env=env, capture_output=True, text=True, check=True
+    )
+    assert argvs
+    assert json.loads(out.stdout) == [[case["exit"] for case in GOLDEN if _is_exact(case["argv"])], []]
+
+
+# One routine that each numeric command calls, and the module the command
+# reads it from when it runs.
+NUMERIC_PATHS = [
+    (["ham", "omega"], "pointham", "omega_at"),
+    (["ham", "field", "--function", "x0"], "pointham", "hamiltonian_field"),
+    (["ham", "bracket", "--function", "x0", "--function2", "x1"], "pointham", "poisson_bracket"),
+    (["ham", "moment"], "pointham", "moment_from_potential"),
+    (["ham", "embed"], "pointham", "local_embed"),
+    (["lie", "arnold"], "liealg", "arnold_counterexample"),
+    (["lie", "convexity"], "liealg", "convexity_counterexample"),
+    (["verify", "--suite", "moment-identity"], "pointham", "moment_identity_defect"),
+    (["verify", "--suite", "arnold"], "liealg", "arnold_counterexample"),
+    (["verify", "--suite", "convexity"], "liealg", "convexity_counterexample"),
+]
+
+
+@pytest.mark.parametrize("argv,module,routine", NUMERIC_PATHS, ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_numeric_paths_raise_on_float_errors(monkeypatch, capsys, argv, module, routine):
+    """Inside every numeric command, numpy raises on overflow, division by
+    zero and invalid operations, and the policy ends with the run."""
+    import numpy as np
+
+    before = np.geterr()
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append({key: np.geterr()[key] for key in ("over", "divide", "invalid")})
+        raise ValidationError("recorded")
+
+    monkeypatch.setattr(importlib.import_module(f"polysym.{module}"), routine, record)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: recorded\n"
+    assert seen == [{"over": "raise", "divide": "raise", "invalid": "raise"}]
+    assert np.geterr() == before
 
 
 class TestSubspaceArg:
@@ -559,7 +616,7 @@ class TestReports:
     def test_orth_on_file_document(self, tmp_path, capsys):
         doc = docio.resolve_builtin("cross")
         path = tmp_path / "cross.json"
-        path.write_text(docio.render_document(doc))
+        path.write_text(render_document(doc))
         assert run(["orth", "--file", str(path), "--subspace", "e2"]) == 0
         out = capsys.readouterr().out
         assert "orthogonal: (0, 1, 0)" in out
@@ -570,7 +627,7 @@ class TestReports:
         payload["coefficient_map"] = [[1]]
         path = tmp_path / "doc.json"
         path.write_text(
-            docio.render_document(
+            render_document(
                 docio.ProblemDocument(kind="form", payload=payload, seed=0)
             )
         )
@@ -667,14 +724,14 @@ class TestFileDocumentBranches:
     def test_lie_from_file(self, tmp_path, capsys):
         doc = docio.resolve_builtin("so3")
         path = tmp_path / "alg.json"
-        path.write_text(docio.render_document(doc))
+        path.write_text(render_document(doc))
         assert run(["lie", "centralizer", "--file", str(path), "--subspace", "e3"]) == 0
         assert "centralizer: (0, 0, 1)" in capsys.readouterr().out
 
     def test_gauge_from_file(self, tmp_path, capsys):
         doc = docio.resolve_builtin("torus2")
         path = tmp_path / "cx.json"
-        path.write_text(docio.render_document(doc))
+        path.write_text(render_document(doc))
         assert run(["gauge", "betti", "--file", str(path)]) == 0
         assert "betti: 1 2 1" in capsys.readouterr().out
 
@@ -810,7 +867,7 @@ def _assert_clean_exit(argv, code, stderr_lines):
 def test_fuzz_mutated_documents(tmp_path, data):
     name = data.draw(st.sampled_from(sorted(FUZZ_DOCUMENT_VERBS)))
     verb = data.draw(st.sampled_from(FUZZ_DOCUMENT_VERBS[name]))
-    doc = json.loads(docio.render_document(docio.resolve_builtin(name)))
+    doc = json.loads(render_document(docio.resolve_builtin(name)))
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(_mutate(data, doc)))
     options = _common_options | _subspace_option
