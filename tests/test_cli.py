@@ -171,7 +171,7 @@ def _is_exact(argv) -> bool:
 def test_exact_modules_import_no_numpy():
     """The exact modules, the CLI front end, and every exact golden argv run
     through `cli.run`, all in one process that never loads numpy."""
-    argvs = [case["argv"] for case in GOLDEN if _is_exact(case["argv"])]
+    exact = [case for case in GOLDEN if _is_exact(case["argv"])]
     code = (
         "import contextlib, io, json, sys, polysym.exactla, polysym.polycore, polysym.discgauge\n"
         "import polysym.cli, polysym.docio, polysym.verify, polysym.lietable\n"
@@ -184,10 +184,11 @@ def test_exact_modules_import_no_numpy():
     src = str(Path(docio.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
-        [sys.executable, "-c", code], input=json.dumps(argvs), env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], input=json.dumps([case["argv"] for case in exact]),
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert argvs
-    assert json.loads(out.stdout) == [[case["exit"] for case in GOLDEN if _is_exact(case["argv"])], []]
+    assert exact
+    assert json.loads(out.stdout) == [[case["exit"] for case in exact], []]
 
 
 # One routine that each numeric command calls, and the module the command
