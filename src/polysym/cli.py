@@ -50,7 +50,8 @@ class Report:
         self.rows: List[Tuple[str, str]] = [("command", command)]
 
     def add(self, key: str, value) -> "Report":
-        self.rows.append((key, str(value)))
+        """Append a row; a bool renders as `true` or `false`."""
+        self.rows.append((key, str(value).lower() if isinstance(value, bool) else str(value)))
         return self
 
     def render(self, machine: bool) -> str:
@@ -164,10 +165,10 @@ def cmd_classify(args) -> Report:
     flags = classify(form, sub)
     rep = Report(f"classify {args.builtin or args.file}")
     rep.add("subspace", _fmt_subspace(sub))
-    rep.add("isotropic", str(flags.isotropic).lower())
-    rep.add("coisotropic", str(flags.coisotropic).lower())
-    rep.add("lagrangian", str(flags.lagrangian).lower())
-    rep.add("polysymplectic", str(flags.polysymplectic).lower())
+    rep.add("isotropic", flags.isotropic)
+    rep.add("coisotropic", flags.coisotropic)
+    rep.add("lagrangian", flags.lagrangian)
+    rep.add("polysymplectic", flags.polysymplectic)
     rep.add("identity", "classification from containments between a subspace and its orthogonal")
     return rep
 
@@ -180,9 +181,9 @@ def cmd_reduce(args) -> Report:
     rep = Report(f"reduce {args.builtin or args.file}")
     if cmap is not None:
         candidate, ker = apply_coefficient_map(cmap, form)
-        rep.add("coefficient_map", _fmt_matrix(cmap.matrix))
+        rep.add("coefficient_map", _fmt_matrix(cmap))
         rep.add("coefficient_kernel_dim", ker.dim)
-        rep.add("reduction_candidate_ok", str(check_reduction_candidate(form, cmap)).lower())
+        rep.add("reduction_candidate_ok", check_reduction_candidate(form, cmap))
         form = candidate
     red = linear_reduce(form, sub)
     rep.add("subspace", _fmt_subspace(sub))
@@ -191,7 +192,7 @@ def cmd_reduce(args) -> Report:
     for i, comp in enumerate(red.reduced_form.components):
         rep.add(f"reduced_component_{i}", _fmt_matrix(comp))
     rep.add("kernel_dim", red.kernel.dim)
-    rep.add("nondegenerate", str(red.nondegenerate).lower())
+    rep.add("nondegenerate", red.nondegenerate)
     rep.add("identity", "form descends to the quotient of the orthogonal by its core")
     return rep
 
@@ -205,7 +206,7 @@ def cmd_embed(args) -> Report:
     rep = Report(f"embed {args.builtin or args.file}")
     rep.add("target_dim", form.dim_u + form.dim_u * form.dim_v)
     rep.add("embedding", _fmt_matrix(emb))
-    rep.add("pullback_exact", str(exact).lower())
+    rep.add("pullback_exact", exact)
     rep.add("identity", "graph of the half contraction includes into the universal model")
     return rep
 
@@ -244,7 +245,7 @@ def cmd_lie(args) -> Report:
         red = lt.lie_reduce(algebra, sub)
         rep.add("carrier_dim", red.carrier.dim)
         rep.add("kernel_dim", red.kernel.dim)
-        rep.add("nondegenerate", str(red.nondegenerate).lower())
+        rep.add("nondegenerate", red.nondegenerate)
         rep.add("identity", "centralizer modulo its meet with the subspace")
         return rep
     import numpy as np
@@ -269,7 +270,7 @@ def cmd_lie(args) -> Report:
         )
         rep.add("samples", report.samples)
         rep.add("sphere_radius", _fmt_float(report.sphere_radius))
-        rep.add("on_sphere", str(report.on_sphere).lower())
+        rep.add("on_sphere", report.on_sphere)
         rep.add("max_radius_error", f"{report.max_radius_error:.3e}")
         rep.add("midpoint_norm", _fmt_float(report.midpoint_norm))
         rep.add("midpoint_gap", _fmt_float(report.midpoint_gap))
@@ -337,8 +338,8 @@ def cmd_ham(args) -> Report:
         rep.add("residual", f"{sol.residual:.3e}")
         rep.add("threshold", f"{sol.threshold:.3e}")
         rep.add("rank", sol.rank)
-        rep.add("degenerate", str(sol.degenerate).lower())
-        rep.add("is_hamiltonian", str(sol.is_hamiltonian).lower())
+        rep.add("degenerate", sol.degenerate)
+        rep.add("is_hamiltonian", sol.is_hamiltonian)
         rep.add("identity", "minimal-norm solve of the contraction equation")
         return rep
     if args.verb == "bracket":
@@ -391,11 +392,11 @@ def cmd_gauge(args) -> Report:
     if args.verb == "omega":
         alpha = rand_cochain(rng, cx, 1, closed=True)
         beta = rand_cochain(rng, cx, 1, closed=True)
-        coset = dg.omega_disc(cx, alpha, beta)
+        coords = dg.omega_disc(cx, alpha, beta)
         rep.add("alpha", _fmt_vector(alpha.values))
         rep.add("beta", _fmt_vector(beta.values))
-        rep.add("coset_coords", _fmt_vector(coset.coords))
-        rep.add("representative", _fmt_vector(coset.representative.values))
+        rep.add("coset_coords", _fmt_vector(coords))
+        rep.add("representative", _fmt_vector(cx.cup_quotient.presentation.lift(coords)))
         rep.add("form_kernel_dim", dg.omega_kernel(cx).dim)
         rep.add("identity", "cup value taken modulo coboundaries; kernel measured, not assumed")
         return rep
@@ -404,12 +405,12 @@ def cmd_gauge(args) -> Report:
         moment = dg.gauge_moment(cx, a)
         zero = dg.moment_zero_set(cx)
         rep.add("connection", _fmt_vector(a.values))
-        rep.add("functional_matrix", _fmt_matrix(moment.matrix))
-        rep.add("functional_zero", str(moment.is_zero()).lower())
+        rep.add("functional_matrix", _fmt_matrix(moment))
+        rep.add("functional_zero", moment.is_zero())
         rep.add("zero_set_dim", zero.zero_set.dim)
         rep.add("cocycle_dim", zero.cocycles.dim)
-        rep.add("zero_set_equals_cocycles", str(zero.equals_cocycles).lower())
-        rep.add("moment_identity_exact", str(dg.check_gauge_moment_identity(cx)).lower())
+        rep.add("zero_set_equals_cocycles", zero.equals_cocycles)
+        rep.add("moment_identity_exact", dg.check_gauge_moment_identity(cx))
         rep.add("identity", "curvature cupped with test functions, modulo coboundaries")
         return rep
     if args.verb == "reduce":
@@ -424,11 +425,11 @@ def cmd_gauge(args) -> Report:
         return rep
     if args.verb == "lagrangian":
         lag = dg.lagrangian_check(cx)
-        rep.add("h2_trivial", str(lag.h2_trivial).lower())
+        rep.add("h2_trivial", lag.h2_trivial)
         rep.add("z1_dim", lag.z1_dim)
         if lag.h2_trivial:
             rep.add("orthogonal_dim", lag.orthogonal_dim)
-            rep.add("z1_is_lagrangian", str(lag.z1_is_lagrangian).lower())
+            rep.add("z1_is_lagrangian", lag.z1_is_lagrangian)
         else:
             rep.add("z1_is_lagrangian", "skipped")
         rep.add("identity", "zero level set against its cup orthogonal when second cohomology vanishes")

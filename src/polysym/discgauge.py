@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from .errors import ValidationError
 from .exactla import Matrix, QuotientSpace, Subspace, contains, kernel, quotient
-from .polycore import VForm
+from .polycore import joint_kernel
 
 MAX_DIMENSION = 3
 
@@ -344,38 +344,17 @@ class CochainQuotient:
     def coords(self, c: Cochain) -> tuple:
         return self.presentation.project(c.values)
 
-    def coset(self, c: Cochain) -> "Coset":
-        coords = self.coords(c)
-        rep = Cochain(c.complex, self.degree, self.presentation.lift(coords))
-        return Coset(quotient_space=self, coords=coords, representative=rep)
-
     def is_coboundary(self, c: Cochain) -> bool:
         return all(x == 0 for x in self.coords(c))
 
 
-@dataclass(frozen=True)
-class Coset:
-    quotient_space: CochainQuotient
-    coords: tuple
-    representative: Cochain
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Coset)
-            and self.quotient_space is other.quotient_space
-            and self.coords == other.coords
-        )
-
-
-def omega_disc(cx: DeltaComplex, alpha: Cochain, beta: Cochain) -> Coset:
-    """Value of the cup form on two 1-cochains: the coset of their product in
-    C^2 modulo coboundaries, as its canonical representative."""
+def omega_disc(cx: DeltaComplex, alpha: Cochain, beta: Cochain) -> tuple:
+    """Value of the cup form on two 1-cochains: the coordinates of the coset
+    of their product in C^2 modulo coboundaries (`presentation.lift` of the
+    complex's cup quotient gives its canonical representative)."""
     if alpha.degree != 1 or beta.degree != 1:
         raise ValidationError("the cup form takes two 1-cochains")
-    return cx.cup_quotient.coset(_cup_extended(alpha, beta))
+    return cx.cup_quotient.coords(_cup_extended(alpha, beta))
 
 
 def omega_kernel(cx: DeltaComplex) -> Subspace:
@@ -385,37 +364,14 @@ def omega_kernel(cx: DeltaComplex) -> Subspace:
     return kernel(_cup_matrix(cx, 1, 1, edges, edges, by_right=True))
 
 
-@dataclass(frozen=True)
-class GaugeMoment:
-    """The moment functional of a 1-cochain: 0-cochains to cosets in C^2/B^2.
-
-    matrix columns are the section coordinates of (dA cup f_j) over the basis
-    0-cochains f_j.
-    """
-
-    complex: DeltaComplex
-    connection: Cochain
-    quotient_space: CochainQuotient
-    matrix: Matrix
-
-    def evaluate(self, f: Cochain) -> Coset:
-        if f.degree != 0:
-            raise ValidationError("the moment functional takes 0-cochains")
-        coords = self.matrix.apply(f.values)
-        rep = Cochain(self.complex, 2, self.quotient_space.presentation.lift(coords))
-        return Coset(quotient_space=self.quotient_space, coords=tuple(coords), representative=rep)
-
-    def is_zero(self) -> bool:
-        return self.matrix.is_zero()
-
-
-def gauge_moment(cx: DeltaComplex, a: Cochain) -> GaugeMoment:
+def gauge_moment(cx: DeltaComplex, a: Cochain) -> Matrix:
+    """The moment functional of a 1-cochain A, 0-cochains to C^2/B^2: column j
+    holds the cup-quotient coordinates of (dA cup f_j) for the basis
+    0-cochain f_j."""
     if a.degree != 1:
         raise ValidationError("the gauge moment takes a 1-cochain")
-    q = cx.cup_quotient
     curvature = Matrix.column(_d_extended(a).values)
-    mat = _cup_matrix(cx, 2, 0, curvature, Matrix.identity(cx.count(0)))
-    return GaugeMoment(complex=cx, connection=a, quotient_space=q, matrix=mat)
+    return _cup_matrix(cx, 2, 0, curvature, Matrix.identity(cx.count(0)))
 
 
 def _curvature_moments(cx: DeltaComplex) -> Matrix:
@@ -460,15 +416,9 @@ class GaugeReduction:
     target: CohomologyPresentation
     pairing: tuple  # matrices, one per second-cohomology coordinate
 
-    @property
-    def pairing_form(self) -> Optional[VForm]:
-        if len(self.pairing) == 0:
-            return None
-        return VForm(self.carrier.betti, self.pairing)
-
     def pairing_kernel(self) -> Subspace:
-        form = self.pairing_form
-        return Subspace.full(self.carrier.betti) if form is None else form.degeneracy_kernel()
+        """Classes paired to zero with every class; all of H^1 when H^2 = 0."""
+        return joint_kernel(self.carrier.betti, self.pairing)
 
 
 def reduce_gauge(cx: DeltaComplex) -> GaugeReduction:

@@ -18,7 +18,7 @@ from .discgauge import BUILTIN_COMPLEXES, DeltaComplex
 from .errors import ValidationError
 from .exactla import Matrix, Subspace
 from .lietable import BUILTIN_TRIPLES, LieAlgebra, bracket_form, so3, structure_table
-from .polycore import CoefficientMap, VForm, canonical_model
+from .polycore import VForm, canonical_model
 
 KINDS = ("form", "lie", "complex")
 
@@ -143,13 +143,7 @@ def _build_form(doc: ProblemDocument) -> VForm:
     if not isinstance(comps, list) or not comps:
         raise ValidationError("form documents need a non-empty 'form' list of matrices")
     matrices = [_parse_matrix(m, "form component") for m in comps]
-    n = matrices[0].rows
-    for m in matrices:
-        if m.shape != (n, n):
-            raise ValidationError("form components must be square of equal size")
-        if not m.is_skew():
-            raise ValidationError("form components must be skew-symmetric")
-    return VForm(n, tuple(matrices))
+    return VForm(matrices[0].rows, tuple(matrices))
 
 
 def document_subspace(doc: ProblemDocument, ambient_dim: int) -> Optional[Subspace]:
@@ -163,11 +157,12 @@ def document_subspace(doc: ProblemDocument, ambient_dim: int) -> Optional[Subspa
     )
 
 
-def document_coefficient_map(doc: ProblemDocument) -> Optional[CoefficientMap]:
+def document_coefficient_map(doc: ProblemDocument) -> Optional[Matrix]:
+    """The k' x k matrix of the document's coefficient map V -> V', if any."""
     rows = doc.payload.get("coefficient_map")
     if rows is None:
         return None
-    return CoefficientMap(_parse_matrix(rows, "coefficient_map"))
+    return _parse_matrix(rows, "coefficient_map")
 
 
 def lie_to_algebra(doc: ProblemDocument) -> LieAlgebra:

@@ -45,9 +45,9 @@ class VForm:
             raise ValidationError("a form needs at least one component")
         for m in comps:
             if not isinstance(m, Matrix) or m.shape != (self.dim_u, self.dim_u):
-                raise ValidationError("component shape must be dim_u x dim_u")
+                raise ValidationError("form components must be square of equal size")
             if not m.is_skew():
-                raise ValidationError("components must be exactly skew-symmetric")
+                raise ValidationError("form components must be skew-symmetric")
         object.__setattr__(self, "components", comps)
 
     @property
@@ -225,42 +225,24 @@ def pullback(omega: VForm, linear_map: Matrix) -> VForm:
     return omega.restrict(linear_map)
 
 
-@dataclass(frozen=True)
-class CoefficientMap:
-    """A linear map of coefficient spaces V -> V', stored as a k' x k matrix."""
-
-    matrix: Matrix
-
-    @property
-    def source_dim(self) -> int:
-        return self.matrix.cols
-
-    @property
-    def target_dim(self) -> int:
-        return self.matrix.rows
-
-    def is_surjective(self) -> bool:
-        return rank(self.matrix) == self.matrix.rows
-
-
-def apply_coefficient_map(f: CoefficientMap, omega: VForm) -> tuple:
-    """Post-compose omega with f. Returns (candidate form, degeneracy kernel)."""
-    if f.source_dim != omega.dim_v:
+def apply_coefficient_map(f: Matrix, omega: VForm) -> tuple:
+    """Post-compose omega with the coefficient map f: V -> V', given as its
+    k' x k matrix. Returns (candidate form, degeneracy kernel)."""
+    if f.cols != omega.dim_v:
         raise ValidationError("coefficient map source does not match the form")
-    if f.target_dim < 1:
+    if f.rows < 1:
         raise ValidationError("coefficient map target must be at least 1-dimensional")
     # One product F @ W, where row j of W holds component j's entries row by row.
     n = omega.dim_u
     flat = reduce(Matrix.vstack, [m._reshape(1, n * n) for m in omega.components])
-    product = f.matrix @ flat
+    product = f @ flat
     comps = (product._row_block([c])._reshape(n, n) for c in range(product.rows))
     candidate = VForm(n, tuple(comps))
     return candidate, candidate.degeneracy_kernel()
 
 
-def check_reduction_candidate(omega: VForm, f: CoefficientMap) -> bool:
+def check_reduction_candidate(omega: VForm, f: Matrix) -> bool:
     """True iff the surjection f carries omega to a nondegenerate form."""
-    if not f.is_surjective():
+    if rank(f) != f.rows:
         raise ContractViolation("reduction candidates must be surjective")
-    candidate, ker = apply_coefficient_map(f, omega)
-    return ker.is_zero()
+    return apply_coefficient_map(f, omega)[1].is_zero()

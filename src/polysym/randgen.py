@@ -10,10 +10,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .discgauge import Cochain, DeltaComplex, cohomology
-from .errors import ContractViolation
-from .exactla import Matrix, Subspace
-from .polycore import CoefficientMap, VForm
+from .discgauge import Cochain, DeltaComplex
+from .errors import ContractViolation, ValidationError
+from .exactla import Matrix, Subspace, rank
+from .polycore import VForm
 
 
 def rand_fraction(rng: random.Random, span: int = 3) -> Fraction:
@@ -62,15 +62,13 @@ def rand_dims(rng: random.Random, max_n: int = 8, max_k: int = 4) -> tuple:
     return n, k
 
 
-def rand_surjection(rng: random.Random, rows: int, cols: int, attempts: int = 200) -> CoefficientMap:
-    from .exactla import rank
-
+def rand_surjection(rng: random.Random, rows: int, cols: int, attempts: int = 200) -> Matrix:
     if rows > cols:
         raise ContractViolation("a surjection needs rows <= cols")
     for _ in range(attempts):
         m = rand_matrix(rng, rows, cols)
         if rank(m) == rows:
-            return CoefficientMap(m)
+            return m
     raise ContractViolation("no surjection found")
 
 
@@ -92,6 +90,8 @@ def rand_cochain(rng: random.Random, cx: DeltaComplex, degree: int, closed: bool
     """A cochain with integer coordinates in [-3, 3]: on the cocycle basis of
     the degree when closed, else on the simplices."""
     if closed:
-        z = cohomology(cx, degree).cocycles
+        if not (0 <= degree <= cx.dimension):
+            raise ValidationError("cohomology degree out of range")
+        z = cx.cocycles(degree)
         return Cochain(cx, degree, z.basis.apply([Fraction(rng.randint(-3, 3)) for _ in range(z.dim)]))
     return Cochain(cx, degree, [Fraction(rng.randint(-3, 3)) for _ in range(cx.count(degree))])

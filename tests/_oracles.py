@@ -528,10 +528,10 @@ def entrywise_coefficient_components(f, omega):
     n, k = omega.dim_u, omega.dim_v
     return tuple(
         Matrix([
-            [sum((f.matrix[i, j] * omega.components[j][r, s] for j in range(k)), Fraction(0)) for s in range(n)]
+            [sum((f[i, j] * omega.components[j][r, s] for j in range(k)), Fraction(0)) for s in range(n)]
             for r in range(n)
         ])
-        for i in range(f.target_dim)
+        for i in range(f.rows)
     )
 
 

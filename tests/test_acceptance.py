@@ -99,7 +99,7 @@ def test_criterion_12_gauge_invariance():
 
 
 def test_criterion_13_lagrangian_check_sphere3():
-    result = _run(13, "trivial second cohomology confirmed; deterministic orthogonal report",
+    result = _run(13, "trivial second cohomology confirmed; random closed pairs cup to coboundaries",
                   "lagrangian-sphere3", budget=10.0)
     report = dg.lagrangian_check(dg.BUILTIN_COMPLEXES["sphere3"]())
     assert report.h2_trivial

@@ -185,7 +185,7 @@ def test_exact_modules_import_no_numpy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c", code], input=json.dumps([case["argv"] for case in exact]),
-        env=env, capture_output=True, text=True, check=True,
+        env=env, cwd=REPO_ROOT, capture_output=True, text=True, check=True,
     )
     assert exact
     assert json.loads(out.stdout) == [[case["exit"] for case in exact], []]
@@ -491,6 +491,22 @@ def test_malformed_document_exits_2(tmp_path, capsys, case):
     assert captured.err.count("\n") == 1
 
 
+BAD_FORM_DOCUMENTS = {
+    "non-square": ([[[0, 1, 0], [-1, 0, 0]]], "square of equal size"),
+    "unequal sizes": ([[[0, 1], [-1, 0]], [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]], "square of equal size"),
+    "non-skew": ([[[0, 1], [1, 0]]], "skew-symmetric"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FORM_DOCUMENTS))
+def test_bad_form_document_exits_2_with_one_error_line(tmp_path, capsys, case):
+    components, reason = BAD_FORM_DOCUMENTS[case]
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"kind": "form", "form": components}))
+    assert run(["orth", "--file", str(path), "--subspace", "e1"]) == 2
+    assert capsys.readouterr() == ("", f"error: form components must be {reason}\n")
+
+
 def test_oversized_lie_dim_exits_2_before_allocating(tmp_path, capsys):
     import tracemalloc
 
@@ -758,11 +774,14 @@ class TestFileDocumentBranches:
 # Report bytes: stdout, stderr and exit code of gauge, form, lie and verify
 # commands, recorded before the quotient became one echelon pass. A refactor
 # leaves every one unchanged; only an intended report change may rewrite them.
+# A --file argument is a path relative to the repository root.
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
-def test_report_bytes_match_the_golden_file(case):
+def test_report_bytes_match_the_golden_file(monkeypatch, case):
+    monkeypatch.chdir(REPO_ROOT)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(case["argv"])
