@@ -5,9 +5,17 @@ One binary, subcommand style. Every run prints a deterministic report:
 identical input and seed produce identical bytes. Exit codes: 0 success,
 1 computational contract violation, 2 validation error.
 
-Only the commands that compute in floats (`ham`, `lie arnold|convexity` and
-the numeric `verify` suites) import numpy, `pointham` and `liealg`, and they
-import them when they run; every exact command runs without numpy.
+Parsing the arguments imports no computing layer, so a process loads only
+the layer of its command. Each command imports its modules when it runs and
+calls them through the module (`lt.center(...)`), so a function replaced on
+its module is the one called:
+- `orth`, `classify`, `reduce` and `embed`: `docio`, `exactla` and
+  `polycore` (and `lietable` for the `cross` builtin);
+- `lie center|centralizer|reduce`: those and `lietable`;
+- `gauge`: `docio`, `exactla`, `polycore`, `discgauge` and `randgen`;
+- `verify`: `verify`, which loads every exact layer but `docio`;
+- `ham`, `lie arnold|convexity` and the numeric `verify` suites: numpy,
+  `liealg` and `pointham` besides. Every exact command runs without numpy.
 """
 
 from __future__ import annotations
@@ -19,28 +27,25 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from . import discgauge as dg
-from . import docio
-from . import lietable as lt
 from .errors import ContractViolation, ValidationError
-from .exactla import Matrix, Subspace
-from .polycore import (
-    apply_coefficient_map,
-    check_reduction_candidate,
-    classify,
-    linear_reduce,
-    orthogonal,
-    pullback,
-    canonical_model,
-    universal_embed,
-)
-from .randgen import rand_cochain
-from .verify import NUMERIC_SUITES, SUITES, run_suite
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from . import docio
     from . import pointham as ph
+    from .exactla import Matrix, Subspace
+
+# The verify suite names, and those of the suites that compute in floats.
+# --suite help and the float policy read them here, so that neither imports
+# the suites; a test keeps them equal to verify.SUITES and
+# verify.NUMERIC_SUITES.
+SUITE_NAMES = (
+    "arnold", "canonical-reduction", "convexity", "cross-table", "embedding",
+    "gauge-h1", "gauge-invariance", "irreducibility", "lagrangian-sphere3",
+    "lemma-subspaces", "lie-reductions", "moment-identity", "reduction-kernel",
+)
+NUMERIC_SUITE_NAMES = frozenset({"moment-identity", "arnold", "convexity"})
 
 
 class Report:
@@ -88,6 +93,9 @@ def _fmt_float_matrix(m: np.ndarray) -> str:
 
 
 def parse_subspace_arg(text: str, ambient_dim: int) -> Subspace:
+    from .docio import parse_scalar
+    from .exactla import Subspace
+
     text = text.strip()
     if text in ("zero", "0"):
         return Subspace.zero(ambient_dim)
@@ -113,7 +121,7 @@ def parse_subspace_arg(text: str, ambient_dim: int) -> Subspace:
             raise ValidationError(
                 f"subspace vector {part!r} needs {ambient_dim} entries"
             )
-        vectors.append([docio.parse_scalar(e) for e in entries])
+        vectors.append([parse_scalar(e) for e in entries])
     return Subspace.from_vectors(ambient_dim, vectors)
 
 
@@ -122,6 +130,8 @@ _DEFAULT_BUILTIN = {"lie": "so3", "gauge": "torus2"}
 
 
 def _load_document(args) -> docio.ProblemDocument:
+    from . import docio
+
     if args.file:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
@@ -135,6 +145,8 @@ def _load_document(args) -> docio.ProblemDocument:
 
 
 def _form_and_subspace(args):
+    from . import docio
+
     doc = _load_document(args)
     form = docio.form_to_vform(doc)
     sub = None
@@ -146,6 +158,8 @@ def _form_and_subspace(args):
 
 
 def cmd_orth(args) -> Report:
+    from . import polycore as pc
+
     _, form, sub = _form_and_subspace(args)
     if sub is None:
         raise ValidationError("orth needs a subspace (--subspace or document field)")
@@ -153,16 +167,18 @@ def cmd_orth(args) -> Report:
     rep.add("ambient_dim", form.dim_u)
     rep.add("value_dim", form.dim_v)
     rep.add("subspace", _fmt_subspace(sub))
-    rep.add("orthogonal", _fmt_subspace(orthogonal(form, sub)))
+    rep.add("orthogonal", _fmt_subspace(pc.orthogonal(form, sub)))
     rep.add("identity", "orthogonal = joint kernel of the contraction maps")
     return rep
 
 
 def cmd_classify(args) -> Report:
+    from . import polycore as pc
+
     _, form, sub = _form_and_subspace(args)
     if sub is None:
         raise ValidationError("classify needs a subspace (--subspace or document field)")
-    flags = classify(form, sub)
+    flags = pc.classify(form, sub)
     rep = Report(f"classify {args.builtin or args.file}")
     rep.add("subspace", _fmt_subspace(sub))
     rep.add("isotropic", flags.isotropic)
@@ -174,18 +190,21 @@ def cmd_classify(args) -> Report:
 
 
 def cmd_reduce(args) -> Report:
+    from . import docio
+    from . import polycore as pc
+
     doc, form, sub = _form_and_subspace(args)
     if sub is None:
         raise ValidationError("reduce needs a subspace (--subspace or document field)")
     cmap = docio.document_coefficient_map(doc)
     rep = Report(f"reduce {args.builtin or args.file}")
     if cmap is not None:
-        candidate, ker = apply_coefficient_map(cmap, form)
+        candidate, ker = pc.apply_coefficient_map(cmap, form)
         rep.add("coefficient_map", _fmt_matrix(cmap))
         rep.add("coefficient_kernel_dim", ker.dim)
-        rep.add("reduction_candidate_ok", check_reduction_candidate(form, cmap))
+        rep.add("reduction_candidate_ok", pc.check_reduction_candidate(form, cmap))
         form = candidate
-    red = linear_reduce(form, sub)
+    red = pc.linear_reduce(form, sub)
     rep.add("subspace", _fmt_subspace(sub))
     rep.add("carrier_dim", red.carrier.dim)
     rep.add("section", _fmt_matrix(red.carrier.section))
@@ -198,10 +217,12 @@ def cmd_reduce(args) -> Report:
 
 
 def cmd_embed(args) -> Report:
+    from . import polycore as pc
+
     _, form, _ = _form_and_subspace(args)
-    model = canonical_model(form.dim_u, form.dim_v)
-    emb = universal_embed(form)
-    pulled = pullback(model, emb)
+    model = pc.canonical_model(form.dim_u, form.dim_v)
+    emb = pc.universal_embed(form)
+    pulled = pc.pullback(model, emb)
     exact = list(pulled.components) == list(form.components)
     rep = Report(f"embed {args.builtin or args.file}")
     rep.add("target_dim", form.dim_u + form.dim_u * form.dim_v)
@@ -228,6 +249,9 @@ def _parse_xi(text: str, size: Optional[int] = None) -> np.ndarray:
 def cmd_lie(args) -> Report:
     rep = Report(f"lie {args.verb}")
     if args.verb in ("center", "centralizer", "reduce"):
+        from . import docio
+        from . import lietable as lt
+
         algebra = docio.lie_to_algebra(_load_document(args))
         rep.add("algebra_dim", algebra.dim)
         if args.verb == "center":
@@ -250,11 +274,11 @@ def cmd_lie(args) -> Report:
         return rep
     import numpy as np
 
-    from .liealg import arnold_counterexample, convexity_counterexample
+    from . import liealg as la
 
     if args.verb == "arnold":
         xi = _parse_xi(args.xi, 3) if args.xi else np.array([0.0, 0.0, 2.0 * np.pi])
-        report = arnold_counterexample(
+        report = la.arnold_counterexample(
             xi, args.t, args.trials or 1000, seed=args.seed, tolerance_scale=args.tolerance_scale
         )
         rep.add("samples", report.samples)
@@ -265,7 +289,7 @@ def cmd_lie(args) -> Report:
         return rep
     if args.verb == "convexity":
         xi = _parse_xi(args.xi, 3) if args.xi else np.array([1.0, 0.0, 0.0])
-        report = convexity_counterexample(
+        report = la.convexity_counterexample(
             xi, args.trials or 1000, seed=args.seed, tolerance_scale=args.tolerance_scale
         )
         rep.add("samples", report.samples)
@@ -280,6 +304,7 @@ def cmd_lie(args) -> Report:
 
 
 def _patch_from_name(name: str) -> ph.ExactPatch:
+    from . import docio
     from . import pointham as ph
 
     if name in ("so3", "rigidbody"):
@@ -380,6 +405,9 @@ def cmd_ham(args) -> Report:
 def cmd_gauge(args) -> Report:
     import random as _random
 
+    from . import discgauge as dg
+    from . import docio, randgen
+
     cx = docio.complex_to_delta(_load_document(args))
     rep = Report(f"gauge {args.verb} {args.builtin or args.file or _DEFAULT_BUILTIN['gauge']}")
     rep.add("cells", " ".join(str(c) for c in cx.counts))
@@ -390,8 +418,8 @@ def cmd_gauge(args) -> Report:
         rep.add("identity", "cocycle rank minus coboundary rank per degree")
         return rep
     if args.verb == "omega":
-        alpha = rand_cochain(rng, cx, 1, closed=True)
-        beta = rand_cochain(rng, cx, 1, closed=True)
+        alpha = randgen.rand_cochain(rng, cx, 1, closed=True)
+        beta = randgen.rand_cochain(rng, cx, 1, closed=True)
         coords = dg.omega_disc(cx, alpha, beta)
         rep.add("alpha", _fmt_vector(alpha.values))
         rep.add("beta", _fmt_vector(beta.values))
@@ -401,7 +429,7 @@ def cmd_gauge(args) -> Report:
         rep.add("identity", "cup value taken modulo coboundaries; kernel measured, not assumed")
         return rep
     if args.verb == "moment":
-        a = rand_cochain(rng, cx, 1)
+        a = randgen.rand_cochain(rng, cx, 1)
         moment = dg.gauge_moment(cx, a)
         zero = dg.moment_zero_set(cx)
         rep.add("connection", _fmt_vector(a.values))
@@ -438,7 +466,9 @@ def cmd_gauge(args) -> Report:
 
 
 def cmd_verify(args) -> Tuple[Report, bool]:
-    result = run_suite(
+    from . import verify
+
+    result = verify.run_suite(
         args.suite, seed=args.seed, trials=args.trials, tolerance_scale=args.tolerance_scale
     )
     rep = Report(f"verify {args.suite}")
@@ -511,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named property suite")
     common(p, with_document=False)
-    p.add_argument("--suite", required=True, help=", ".join(sorted(SUITES)))
+    p.add_argument("--suite", required=True, help=", ".join(SUITE_NAMES))
     return parser
 
 
@@ -528,7 +558,7 @@ def _float_policy(args):
     numeric = (
         args.cmd == "ham"
         or (args.cmd == "lie" and args.verb in ("arnold", "convexity"))
-        or (args.cmd == "verify" and args.suite in NUMERIC_SUITES)
+        or (args.cmd == "verify" and args.suite in NUMERIC_SUITE_NAMES)
     )
     if not numeric:
         return contextlib.nullcontext()

@@ -13,11 +13,10 @@ plain vertex tuples is supported whenever face lookup is unambiguous.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
-from .errors import ValidationError
+from .errors import ContractViolation, ValidationError
 from .exactla import Matrix, QuotientSpace, Subspace, contains, kernel, quotient
 from .polycore import joint_kernel
 
@@ -190,19 +189,26 @@ class DeltaComplex:
         return self._memo("cup_quotient", lambda: CochainQuotient(self, 2))
 
 
-@dataclass(frozen=True)
 class Cochain:
-    complex: DeltaComplex
-    degree: int
-    values: tuple
+    __slots__ = ("complex", "degree", "values")
 
-    def __post_init__(self):
-        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
-        if len(vals) != self.complex.count(self.degree):
+    def __init__(self, complex: DeltaComplex, degree: int, values):
+        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+        if len(vals) != complex.count(degree):
             raise ValidationError(
-                f"degree-{self.degree} cochain needs {self.complex.count(self.degree)} values"
+                f"degree-{degree} cochain needs {complex.count(degree)} values"
             )
-        object.__setattr__(self, "values", vals)
+        self.complex = complex
+        self.degree = degree
+        self.values = vals
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.complex, self.degree, self.values) == (other.complex, other.degree, other.values)
+
+    def __hash__(self):
+        return hash((self.complex, self.degree, self.values))
 
     @staticmethod
     def zero(complex: DeltaComplex, degree: int) -> "Cochain":
@@ -290,8 +296,7 @@ def _cup_matrix(
     return Matrix._of_integers(out, cols, ld * rd * pd)
 
 
-@dataclass(frozen=True)
-class CohomologyPresentation:
+class CohomologyPresentation(NamedTuple):
     """Cocycles, coboundaries, and a deterministic harmonic section in one degree."""
 
     degree: int
@@ -386,8 +391,7 @@ def check_gauge_moment_identity(cx: DeltaComplex) -> bool:
     return _curvature_moments(cx) == shifted
 
 
-@dataclass(frozen=True)
-class MomentZeroReport:
+class MomentZeroReport(NamedTuple):
     zero_set: Subspace
     cocycles: Subspace
     equals_cocycles: bool
@@ -407,8 +411,7 @@ def moment_zero_set(cx: DeltaComplex) -> MomentZeroReport:
     )
 
 
-@dataclass(frozen=True)
-class GaugeReduction:
+class GaugeReduction(NamedTuple):
     """First cohomology as the reduced space, with the cup pairing into the
     second-cohomology section."""
 
@@ -432,7 +435,7 @@ def reduce_gauge(cx: DeltaComplex) -> GaugeReduction:
     # Gauge invariance of the pairing: shifting a representative by a
     # coboundary moves the product by a coboundary only.
     if not _cup_matrix(cx, 1, 1, cx.coboundary_matrix(0), reps).is_zero():
-        raise AssertionError("pairing is not gauge invariant")
+        raise ContractViolation("pairing is not gauge invariant")
 
     # Row a*b2 + c, column b: coordinate c of the class of reps_a cup reps_b.
     products = _cup_matrix(cx, 1, 1, reps, reps, proj=target.presentation.projector)
@@ -443,8 +446,7 @@ def reduce_gauge(cx: DeltaComplex) -> GaugeReduction:
     return GaugeReduction(carrier=carrier, target=target, pairing=pairing)
 
 
-@dataclass(frozen=True)
-class LagrangianReport:
+class LagrangianReport(NamedTuple):
     h2_trivial: bool
     z1_is_lagrangian: Optional[bool]
     z1_dim: int

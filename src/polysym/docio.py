@@ -3,22 +3,24 @@
 Documents are JSON with a `kind` discriminator (form, lie, complex).
 Exact entries are integers or strings such as "p/q" (see parse_scalar);
 builtin documents are rendered in the same shape, so they parse back to
-themselves. Everything here is exact and loads no numpy.
+themselves. Everything here is exact and loads no numpy. Each builder and
+builtin factory imports the layer it builds from when it runs, so reading a
+form loads neither `lietable` nor `discgauge`.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .discgauge import BUILTIN_COMPLEXES, DeltaComplex
 from .errors import ValidationError
-from .exactla import Matrix, Subspace
-from .lietable import BUILTIN_TRIPLES, LieAlgebra, bracket_form, so3, structure_table
-from .polycore import VForm, canonical_model
+
+if TYPE_CHECKING:
+    from .discgauge import DeltaComplex
+    from .exactla import Matrix, Subspace
+    from .lietable import LieAlgebra
+    from .polycore import VForm
 
 KINDS = ("form", "lie", "complex")
 
@@ -37,16 +39,26 @@ MAX_LIE_DIM = 64
 MAX_LIE_CONSTANTS = 1920
 
 
-@dataclass(frozen=True)
 class ProblemDocument:
     """A parsed or builtin document. `built` holds the form, algebra or
     complex it describes (made once, by parsing or by the builtin's factory),
-    so commands do not build it again."""
+    so commands do not build it again; equality leaves it out."""
 
-    kind: str
-    payload: dict
-    seed: Optional[int] = None
-    built: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("kind", "payload", "seed", "built")
+
+    def __init__(self, kind: str, payload: dict, seed: Optional[int] = None, built: object = None):
+        self.kind = kind
+        self.payload = payload
+        self.seed = seed
+        self.built = built
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.payload, self.seed) == (other.kind, other.payload, other.seed)
+
+    def __hash__(self):
+        return hash((self.kind, self.payload, self.seed))
 
 
 def parse_scalar(x) -> Fraction:
@@ -100,6 +112,8 @@ def _render_scalar(x: Fraction):
 
 
 def _parse_matrix(rows, what: str) -> Matrix:
+    from .exactla import Matrix
+
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ValidationError(f"{what} must be a non-empty nested array")
     return Matrix([[parse_scalar(x) for x in row] for row in rows])
@@ -110,6 +124,8 @@ def _render_matrix(m: Matrix):
 
 
 def parse_document(text: str) -> ProblemDocument:
+    import json
+
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -139,6 +155,8 @@ def form_to_vform(doc: ProblemDocument) -> VForm:
 
 
 def _build_form(doc: ProblemDocument) -> VForm:
+    from .polycore import VForm
+
     comps = doc.payload.get("form")
     if not isinstance(comps, list) or not comps:
         raise ValidationError("form documents need a non-empty 'form' list of matrices")
@@ -152,6 +170,8 @@ def document_subspace(doc: ProblemDocument, ambient_dim: int) -> Optional[Subspa
         return None
     if not isinstance(vecs, list):
         raise ValidationError("'subspace' must be a list of vectors")
+    from .exactla import Subspace
+
     return Subspace.from_vectors(
         ambient_dim, [[parse_scalar(x) for x in v] for v in vecs]
     )
@@ -170,6 +190,8 @@ def lie_to_algebra(doc: ProblemDocument) -> LieAlgebra:
 
 
 def _build_algebra(doc: ProblemDocument) -> LieAlgebra:
+    from . import lietable as lt
+
     dim = doc.payload.get("dim")
     triples = doc.payload.get("triples")
     if not isinstance(dim, int) or dim < 1:
@@ -184,13 +206,13 @@ def _build_algebra(doc: ProblemDocument) -> LieAlgebra:
             raise ValidationError(f"bad structure triple {t!r}")
         i, j, k = (_parse_index(x, "structure triple index") for x in t[:3])
         parsed.append((i, j, k, parse_scalar(t[3])))
-    table = structure_table(dim, parsed)
+    table = lt.structure_table(dim, parsed)
     constants = sum(len(terms) for (i, j), terms in table.items() if i < j)
     if constants > MAX_LIE_CONSTANTS:
         raise ValidationError(
             f"lie document has {constants} nonzero structure constants; at most {MAX_LIE_CONSTANTS} is supported"
         )
-    return LieAlgebra(dim, table)
+    return lt.LieAlgebra(dim, table)
 
 
 def complex_to_delta(doc: ProblemDocument) -> DeltaComplex:
@@ -198,6 +220,8 @@ def complex_to_delta(doc: ProblemDocument) -> DeltaComplex:
 
 
 def _build_complex(doc: ProblemDocument) -> DeltaComplex:
+    from .discgauge import DeltaComplex
+
     simplices = _parse_degree_lists(doc.payload.get("simplices"), "simplices", "simplex")
     faces_raw = doc.payload.get("faces")
     faces = None if faces_raw is None else _parse_degree_lists(faces_raw, "faces", "face row")
@@ -224,14 +248,25 @@ def canonical_shape(name: str) -> tuple:
     return n, k
 
 
+def _cross_document() -> ProblemDocument:
+    """The cross product: the bracket form of so3."""
+    from . import lietable as lt
+
+    return _form_document(lt.bracket_form(lt.so3()))
+
+
 def _lie_document(name: str) -> ProblemDocument:
-    dim, triples = BUILTIN_TRIPLES[name]
+    from . import lietable as lt
+
+    dim, triples = lt.BUILTIN_TRIPLES[name]
     payload = {"dim": dim, "triples": [list(t) for t in triples]}
-    return ProblemDocument(kind="lie", payload=payload, seed=0, built=LieAlgebra.from_triples(dim, triples, name=name))
+    return ProblemDocument(kind="lie", payload=payload, seed=0, built=lt.LieAlgebra.from_triples(dim, triples, name=name))
 
 
 def _complex_document(name: str) -> ProblemDocument:
-    cx = BUILTIN_COMPLEXES[name]()
+    from . import discgauge as dg
+
+    cx = dg.BUILTIN_COMPLEXES[name]()
     simplices = {str(p): [list(s) for s in cx.simplices[p]] for p in sorted(cx.simplices)}
     payload = {"simplices": simplices}
     if cx.explicit_faces:
@@ -240,17 +275,22 @@ def _complex_document(name: str) -> ProblemDocument:
 
 
 # The builtin registry: every --builtin name resolves here, and each factory
-# builds only the document asked for. Besides these names, any
-# `canonical:n,k` resolves to the canonical form of that shape.
+# builds only the document asked for. The names are spelled out, so listing
+# them imports neither table they come from: the algebras of
+# lietable.BUILTIN_TRIPLES and the complexes of discgauge.BUILTIN_COMPLEXES
+# (a test keeps them equal). Besides these names, any `canonical:n,k`
+# resolves to the canonical form of that shape.
 BUILTINS = {
-    "cross": lambda: _form_document(bracket_form(so3())),  # the cross product
-    **{name: partial(_lie_document, name) for name in BUILTIN_TRIPLES},
-    **{name: partial(_complex_document, name) for name in BUILTIN_COMPLEXES},
+    "cross": _cross_document,
+    **{name: partial(_lie_document, name) for name in ("so3", "sl2", "heisenberg")},
+    **{name: partial(_complex_document, name) for name in ("interval", "sphere2", "sphere3", "torus2", "torus3")},
 }
 
 
 def resolve_builtin(name: str) -> ProblemDocument:
     if name.startswith("canonical:"):
+        from .polycore import canonical_model
+
         return _form_document(canonical_model(*canonical_shape(name)))
     if name not in BUILTINS:
         raise ValidationError(f"unknown builtin {name!r}")

@@ -16,7 +16,6 @@ subspaces is equality of their stored bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -365,7 +364,6 @@ def kernel(m: Matrix) -> "Subspace":
     return Subspace(n, Matrix._of(len(vectors), n, tuple(vectors)).transpose())
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A linear subspace of Q^n in canonical reduced-column-echelon form.
 
@@ -374,12 +372,21 @@ class Subspace:
     all other columns. Two subspaces are equal iff their fields are equal.
     """
 
-    ambient_dim: int
-    basis: Matrix
+    __slots__ = ("ambient_dim", "basis")
 
-    def __post_init__(self):
-        if self.basis.rows != self.ambient_dim:
+    def __init__(self, ambient_dim: int, basis: Matrix):
+        if basis.rows != ambient_dim:
             raise ValidationError("basis rows must equal the ambient dimension")
+        self.ambient_dim = ambient_dim
+        self.basis = basis
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ambient_dim, self.basis) == (other.ambient_dim, other.basis)
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.basis))
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -451,7 +458,6 @@ def _check_same_ambient(a: Subspace, b: Subspace):
         )
 
 
-@dataclass(frozen=True)
 class QuotientSpace:
     """ambient/sub presented by an explicit section of coset representatives.
 
@@ -461,10 +467,22 @@ class QuotientSpace:
     its rows below dim ambient vanish exactly on ambient.
     """
 
-    ambient: Subspace
-    sub: Subspace
-    section: Matrix
-    elimination: Matrix
+    # No __slots__: the cached properties below live in the instance dict.
+    def __init__(self, ambient: Subspace, sub: Subspace, section: Matrix, elimination: Matrix):
+        self.ambient = ambient
+        self.sub = sub
+        self.section = section
+        self.elimination = elimination
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ambient, self.sub, self.section, self.elimination) == (
+            other.ambient, other.sub, other.section, other.elimination
+        )
+
+    def __hash__(self):
+        return hash((self.ambient, self.sub, self.section, self.elimination))
 
     @property
     def dim(self) -> int:

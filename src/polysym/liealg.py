@@ -12,7 +12,7 @@ name for both halves; commands that need only the exact half import
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,8 +87,7 @@ def haar_blocks(count: int, seed: int):
         yield haar_so3(rng, min(HAAR_BLOCK, count - start))
 
 
-@dataclass(frozen=True)
-class ArnoldReport:
+class ArnoldReport(NamedTuple):
     samples: int
     fixed_points_found: int
     translation_distance: float
@@ -153,8 +152,7 @@ def moment_images(xi: np.ndarray, samples: int, seed: int = 0) -> np.ndarray:
     return np.concatenate([unhat(np.swapaxes(g, 1, 2) @ x @ g) for g in haar_blocks(samples, seed)])
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
+class ConvexityReport(NamedTuple):
     samples: int
     on_sphere: bool
     sphere_radius: float

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -65,7 +64,6 @@ def halton_points(dim: int, count: int, seed: int = 0, scale: float = 1.0) -> np
     return scale * (2.0 * unit - 1.0)
 
 
-@dataclass(frozen=True)
 class ExactPatch:
     """A coordinate patch with an exact structure form -d(theta).
 
@@ -74,15 +72,36 @@ class ExactPatch:
     rows, so that a derivative can evaluate its whole stencil in one call and
     a stack gives the same floats as its rows one at a time. sample_scale
     bounds the cube used by the verification samplers; keep it inside the
-    domain where theta is defined.
+    domain where theta is defined. base_shape is (n, k) for canonical patches.
     """
 
-    dim_m: int
-    dim_v: int
-    theta: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
-    sample_scale: float = 1.0
-    base_shape: Optional[tuple] = None  # (n, k) for canonical patches
+    __slots__ = ("dim_m", "dim_v", "theta", "name", "sample_scale", "base_shape")
+
+    def __init__(
+        self,
+        dim_m: int,
+        dim_v: int,
+        theta: Callable[[np.ndarray], np.ndarray],
+        name: str = "",
+        sample_scale: float = 1.0,
+        base_shape: Optional[tuple] = None,
+    ):
+        self.dim_m = dim_m
+        self.dim_v = dim_v
+        self.theta = theta
+        self.name = name
+        self.sample_scale = sample_scale
+        self.base_shape = base_shape
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim_m, self.dim_v, self.theta, self.name, self.sample_scale, self.base_shape) == (
+            other.dim_m, other.dim_v, other.theta, other.name, other.sample_scale, other.base_shape
+        )
+
+    def __hash__(self):
+        return hash((self.dim_m, self.dim_v, self.theta, self.name, self.sample_scale, self.base_shape))
 
     def thetas(self, xs: np.ndarray, at: Optional[np.ndarray] = None) -> np.ndarray:
         """theta on a (P, dim_m) stack, its shape and finiteness checked once.
@@ -246,8 +265,7 @@ def gradient(patch: ExactPatch, f: Callable[[np.ndarray], np.ndarray], x: np.nda
     return _partials(f, x).reshape(patch.dim_m, patch.dim_v).T.copy()
 
 
-@dataclass(frozen=True)
-class HamiltonianSolve:
+class HamiltonianSolve(NamedTuple):
     """Least-squares solve of the contraction equation at one point.
 
     X is the minimal-norm solution of the stacked system; the input counts as
@@ -335,8 +353,7 @@ def _lie_derivative(
     return np.stack(out)
 
 
-@dataclass(frozen=True)
-class MomentMap:
+class MomentMap(NamedTuple):
     """Moment map of a potential-preserving action, column per generator.
 
     Construction verifies that the sampled action preserves the potential and
@@ -426,8 +443,7 @@ def moment_from_potential(
     )
 
 
-@dataclass(frozen=True)
-class SectionEmbedding:
+class SectionEmbedding(NamedTuple):
     """The graph x -> (x, theta_x) into the canonical patch over the patch itself."""
 
     patch: ExactPatch
@@ -463,8 +479,7 @@ def local_embed(patch: ExactPatch) -> SectionEmbedding:
     return SectionEmbedding(patch=patch, target=target, target_omega=target_omega)
 
 
-@dataclass(frozen=True)
-class FiberDerivativeResult:
+class FiberDerivativeResult(NamedTuple):
     fiber_derivative: np.ndarray  # (k, n)
     pullback_form: np.ndarray     # (k, 2n, 2n), skew
     jacobian_rank: int

@@ -9,10 +9,9 @@ post-composition with coefficient maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ContractViolation, ValidationError
 from .exactla import (
@@ -26,7 +25,6 @@ from .exactla import (
 )
 
 
-@dataclass(frozen=True)
 class VForm:
     """Alternating bilinear form U x U -> V in coordinates.
 
@@ -36,19 +34,26 @@ class VForm:
     not an invariant.
     """
 
-    dim_u: int
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple(self.components)
+    # No __slots__: the cached property _wide lives in the instance dict.
+    def __init__(self, dim_u: int, components):
+        comps = tuple(components)
         if len(comps) < 1:
             raise ValidationError("a form needs at least one component")
         for m in comps:
-            if not isinstance(m, Matrix) or m.shape != (self.dim_u, self.dim_u):
+            if not isinstance(m, Matrix) or m.shape != (dim_u, dim_u):
                 raise ValidationError("form components must be square of equal size")
             if not m.is_skew():
                 raise ValidationError("form components must be skew-symmetric")
-        object.__setattr__(self, "components", comps)
+        self.dim_u = dim_u
+        self.components = comps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim_u, self.components) == (other.dim_u, other.components)
+
+    def __hash__(self):
+        return hash((self.dim_u, self.components))
 
     @property
     def dim_v(self) -> int:
@@ -106,8 +111,7 @@ def orthogonal(omega: VForm, a: Subspace) -> Subspace:
     return joint_kernel(n, [product._col_block(range(c * n, (c + 1) * n)) for c in range(omega.dim_v)])
 
 
-@dataclass(frozen=True)
-class SubspaceClass:
+class SubspaceClass(NamedTuple):
     isotropic: bool
     coisotropic: bool
     lagrangian: bool
@@ -128,8 +132,7 @@ def classify(omega: VForm, a: Subspace) -> SubspaceClass:
     )
 
 
-@dataclass(frozen=True)
-class LinearReduction:
+class LinearReduction(NamedTuple):
     """Reduction of a form by a subspace A.
 
     carrier presents A-orthogonal over its intersection with A; reduced_form
@@ -155,7 +158,7 @@ def linear_reduce(omega: VForm, a: Subspace) -> LinearReduction:
     # Well-definedness: the form must not see the quotiented directions.
     section_t = section.transpose()
     if not all((section_t @ (m @ core.basis)).is_zero() for m in omega.components):
-        raise AssertionError("descent to the quotient failed")
+        raise ContractViolation("descent to the quotient failed")
 
     reduced = omega.restrict(section)
     ker = reduced.degeneracy_kernel()

@@ -11,9 +11,8 @@ suites (NUMERIC_SUITES) import numpy, and they import it when they run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List
+from typing import NamedTuple
 
 from . import discgauge as dg
 from . import lietable as lt
@@ -40,20 +39,21 @@ from .randgen import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    identity: str
-    seed: int
-    trials: int
-    checks: List[CheckResult] = field(default_factory=list)
+    """The checks of one suite run, appended as the suite makes them."""
+
+    def __init__(self, suite: str, identity: str, seed: int, trials: int):
+        self.suite = suite
+        self.identity = identity
+        self.seed = seed
+        self.trials = trials
+        self.checks = []
 
     @property
     def passed(self) -> bool:

@@ -147,6 +147,17 @@ def test_parsed_documents_carry_what_they_describe():
         docio.lie_to_algebra(docio.parse_document(render_document(docio.resolve_builtin("cross"))))
 
 
+def _in_fresh_process(code: str, stdin: str = "") -> str:
+    """The stdout of `python -c code` in a fresh interpreter that imports
+    this checkout's sources, run from the repository root."""
+    src = str(Path(docio.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", code], input=stdin, env=env, cwd=REPO_ROOT,
+        capture_output=True, text=True, check=True,
+    ).stdout
+
+
 def test_cli_imports_no_scipy():
     code = (
         "import pkgutil, importlib, sys, polysym, polysym.cli\n"
@@ -154,10 +165,7 @@ def test_cli_imports_no_scipy():
         "    importlib.import_module('polysym.' + m.name)\n"
         "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(docio.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    assert _in_fresh_process(code) == "[]\n"
 
 
 def _is_exact(argv) -> bool:
@@ -181,14 +189,74 @@ def test_exact_modules_import_no_numpy():
         "        codes.append(polysym.cli.run(argv))\n"
         "print(json.dumps([codes, sorted(n for n in sys.modules if n.split('.')[0] == 'numpy')]))\n"
     )
-    src = str(Path(docio.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], input=json.dumps([case["argv"] for case in exact]),
-        env=env, cwd=REPO_ROOT, capture_output=True, text=True, check=True,
-    )
+    out = _in_fresh_process(code, json.dumps([case["argv"] for case in exact]))
     assert exact
-    assert json.loads(out.stdout) == [[case["exit"] for case in exact], []]
+    assert json.loads(out) == [[case["exit"] for case in exact], []]
+
+
+# Each verb family, as the golden argvs it matches, and the modules none of
+# its commands may load.
+VERB_FAMILIES = {
+    "lie": (lambda argv: argv[0] == "lie" and argv[1] in ("center", "centralizer", "reduce"),
+            {"discgauge", "randgen", "verify"}),
+    "form": (lambda argv: argv[0] in ("orth", "classify", "reduce", "embed"), {"discgauge", "verify"}),
+    "gauge": (lambda argv: argv[0] == "gauge", {"lietable", "verify"}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(VERB_FAMILIES))
+def test_each_verb_loads_only_its_layer(family):
+    """Every golden argv of one verb family through `cli.run`, in one fresh
+    process; the polysym modules loaded at the end leave out the family's
+    forbidden ones."""
+    matches, forbidden = VERB_FAMILIES[family]
+    cases = [case for case in GOLDEN if matches(case["argv"])]
+    code = (
+        "import contextlib, io, json, sys, polysym.cli\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.stdin.read()):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        codes.append(polysym.cli.run(argv))\n"
+        "print(json.dumps([codes, sorted(n for n in sys.modules if n.startswith('polysym.'))]))\n"
+    )
+    codes, loaded = json.loads(_in_fresh_process(code, json.dumps([case["argv"] for case in cases])))
+    assert cases and codes == [case["exit"] for case in cases]
+    assert "polysym.exactla" in loaded
+    assert not {f"polysym.{name}" for name in forbidden} & set(loaded)
+
+
+def test_no_module_imports_dataclasses():
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "preloaded = 'dataclasses' in sys.modules\n"
+        "import polysym\n"
+        "for m in pkgutil.iter_modules(polysym.__path__):\n"
+        "    importlib.import_module('polysym.' + m.name)\n"
+        "print(preloaded, 'dataclasses' in sys.modules)\n"
+    )
+    preloaded, loaded = _in_fresh_process(code).split()
+    if preloaded == "True":
+        pytest.skip("the interpreter loads dataclasses before polysym")
+    assert loaded == "False"
+
+
+def test_static_name_tables_match_their_sources():
+    """cli and docio spell out the suite and builtin names so that listing
+    them imports no suite, algebra or complex code."""
+    from polysym import lietable
+
+    assert list(cli.SUITE_NAMES) == sorted(SUITES)
+    assert cli.NUMERIC_SUITE_NAMES == NUMERIC_SUITES
+    assert set(docio.BUILTINS) == {"cross"} | set(lietable.BUILTIN_TRIPLES) | set(dg.BUILTIN_COMPLEXES)
+
+
+def test_verify_help_lists_every_suite(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "1000")  # one help line, so no name is wrapped
+    with pytest.raises(SystemExit) as exit_info:
+        run(["verify", "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in SUITES)
 
 
 # One routine that each numeric command calls, and the module the command
@@ -262,6 +330,37 @@ class TestExitCodes:
     def test_contract_violation(self, capsys):
         assert run(["lie", "arnold", "--t", "1.0", "--trials", "5"]) == 1
         assert "vacuous" in capsys.readouterr().err
+
+    # A defect that a product check catches ends the run like any contract
+    # violation: exit 1 and one stderr line, no traceback.
+    def test_defect_in_the_descent_check(self, monkeypatch, capsys):
+        from polysym import polycore
+
+        monkeypatch.setattr(polycore, "orthogonal", lambda omega, a: Subspace.full(omega.dim_u))
+        assert run(["reduce", "--builtin", "cross", "--subspace", "e1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "contract violation: descent to the quotient failed\n"
+
+    def test_defect_in_the_gauge_invariance_check(self, monkeypatch, tmp_path, capsys):
+        # A grid torus has the non-constant 0-cochains the check shifts by; its
+        # edges' back faces read as front faces make the pairing gauge dependent.
+        monkeypatch.syspath_prepend(str(REPO_ROOT))
+        from perfbench.inputs import grid_torus_simplices
+
+        simplices = grid_torus_simplices(3, 2)
+        doc = {"kind": "complex", "simplices": {str(p): [list(s) for s in simplices[p]] for p in simplices}}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        valid = dg.DeltaComplex.cup_table
+
+        def corrupted(self, p, q):
+            table = valid(self, p, q)
+            return tuple((f, f) for f, _ in table) if (p, q) == (1, 1) else table
+
+        monkeypatch.setattr(dg.DeltaComplex, "cup_table", corrupted)
+        assert run(["gauge", "reduce", "--file", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "contract violation: pairing is not gauge invariant\n"
 
     def test_verify_unknown_suite(self, capsys):
         assert run(["verify", "--suite", "nope"]) == 2

@@ -159,7 +159,7 @@ class TestLieReduce:
         # The cross product's orthogonal of e1 is the line e1. With the whole
         # space in its place the carrier keeps e2 and e3, which pair with e1.
         monkeypatch.setattr(polycore, "orthogonal", lambda omega, a: Subspace.full(omega.dim_u))
-        with pytest.raises(AssertionError, match="descent to the quotient failed"):
+        with pytest.raises(ContractViolation, match="descent to the quotient failed"):
             linear_reduce(la.bracket_form(la.so3()), span(3, (1, 0, 0)))
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import numpy as np
@@ -482,7 +481,10 @@ def test_theta_evaluations_per_point(patch):
         rows.append(len(xs))
         return patch.theta(xs)
 
-    counted = dataclasses.replace(patch, theta=theta)
+    counted = ph.ExactPatch(
+        patch.dim_m, patch.dim_v, theta, name=patch.name,
+        sample_scale=patch.sample_scale, base_shape=patch.base_shape,
+    )
     n = patch.dim_m
     f, g = _contracted_potentials(patch)  # these read the uncounted patch
     x = ph.halton_points(n, 1, seed=8, scale=patch.sample_scale)[0]
