@@ -143,11 +143,17 @@ class DeltaComplex:
         n_to = self.count(p + 1)
         if n_to == 0:
             return Matrix.zeros(0, n_from)
-        rows = [[0] * n_from for _ in range(n_to)]
-        for s, frow in enumerate(self.faces[p + 1]):
+        rows = []
+        for frow in self.faces[p + 1]:
+            row = {}
             for i, f in enumerate(frow):
-                rows[s][f] += (-1) ** i
-        return Matrix(rows)
+                v = row.get(f, 0) + (-1) ** i
+                if v:
+                    row[f] = v
+                else:
+                    del row[f]
+            rows.append(row)
+        return Matrix._of_integers(rows, n_from, 1)
 
     def cocycles(self, p: int) -> Subspace:
         """Z^p, the kernel of d on C^p."""
@@ -272,28 +278,25 @@ def _cup_matrix(
     Row i*k + c, column j holds coordinate c of proj(left_i cup right_j), where
     k = proj.rows; with by_right the roles swap, so row j*k + c, column i. The
     result is the matrix of a linear map in the coefficients of the column
-    side, stacked over the block side. The sums run on integer numerators,
-    each matrix over its common denominator.
+    side, stacked over the block side. The sums run on the nonzero integer
+    numerators, each matrix over its common denominator.
     """
     if proj is None:
         proj = cx.cup_quotient.presentation.projector
-
-    def sparse(rows):
-        return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
-
     (lrows, ld), (rrows, rd) = left._scaled_rows(), right._scaled_rows()
-    pcols, pd = proj._columns()
-    lrows, rrows, pcols = sparse(lrows), sparse(rrows), sparse(pcols)
+    pcols, pd = proj.transpose()._scaled_rows()
     k = proj.rows
     blocks, cols = (right.cols, left.cols) if by_right else (left.cols, right.cols)
-    out = [[0] * cols for _ in range(blocks * k)]
+    out = [{} for _ in range(blocks * k)]
     for s, (f, b) in enumerate(cx.cup_table(p, q)):
-        for i, x in lrows[f]:
-            for j, y in rrows[b]:
+        for i, x in lrows[f].items():
+            for j, y in rrows[b].items():
                 block, col = (j, i) if by_right else (i, j)
-                for c, z in pcols[s]:
-                    out[block * k + c][col] += x * y * z
-    return Matrix._of_integers(out, cols, ld * rd * pd)
+                for c, z in pcols[s].items():
+                    row = out[block * k + c]
+                    row[col] = row.get(col, 0) + x * y * z
+    rows = [{j: v for j, v in row.items() if v} for row in out]
+    return Matrix._of_integers(rows, cols, ld * rd * pd)
 
 
 class CohomologyPresentation(NamedTuple):

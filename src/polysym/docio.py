@@ -38,6 +38,13 @@ KINDS = ("form", "lie", "complex")
 MAX_LIE_DIM = 64
 MAX_LIE_CONSTANTS = 1920
 
+# Most cells (simplices of every degree) a complex document may list: those of
+# the 5^3 grid torus (125 + 875 + 1500 + 750). Its slowest command, `gauge
+# omega` (the cup form's kernel pairs every edge with every edge), takes 4.6 s
+# in-process on a shared 2-vCPU Xeon, against 1.3 s on the 4^3 grid (1,664
+# cells) and 15 s on the 6^3 grid (5,616); `gauge reduce` takes 1.0 s on 5^3.
+MAX_COMPLEX_CELLS = 3250
+
 
 class ProblemDocument:
     """A parsed or builtin document. `built` holds the form, algebra or
@@ -223,6 +230,9 @@ def _build_complex(doc: ProblemDocument) -> DeltaComplex:
     from .discgauge import DeltaComplex
 
     simplices = _parse_degree_lists(doc.payload.get("simplices"), "simplices", "simplex")
+    cells = sum(len(items) for items in simplices.values())
+    if cells > MAX_COMPLEX_CELLS:
+        raise ValidationError(f"complex document has {cells} cells; at most {MAX_COMPLEX_CELLS} are supported")
     faces_raw = doc.payload.get("faces")
     faces = None if faces_raw is None else _parse_degree_lists(faces_raw, "faces", "face row")
     return DeltaComplex(simplices, faces=faces)

@@ -3,15 +3,19 @@ quotients with deterministic sections, and annihilators.
 
 Every entry a caller passes in or gets back is a `fractions.Fraction`, so
 every identity in this module is an exact set equality; there are no
-tolerances here. Fractions live only at the edges: a `Matrix` stores each
-row as integer numerators over one positive denominator, in lowest terms, so
-equal matrices have equal rows. Parsing builds those rows, reading an entry
-builds its `Fraction`, and everything between (elimination, products, sums,
-transposes, comparisons) runs on integers. `rref` eliminates fraction-free
-(Bareiss 1968), one row at a time, and leaves each pivot row over its
-pivot. Subspaces are kept in a canonical form (reduced column echelon,
-pivots normalized to 1, pivot rows strictly increasing) so that equality of
-subspaces is equality of their stored bases.
+tolerances here. Fractions and zeros live only at the edges: a `Matrix`
+stores each row as its nonzero entries, a dict from column to integer
+numerator, over one positive denominator, in lowest terms, so equal matrices
+have equal rows. Parsing builds those rows, and reading an entry, a row or a
+column fills in the zeros and builds the `Fraction`s. Everything between
+(elimination, sums, stacking, slicing, transposes, comparisons) runs on the
+integer nonzeros, so its cost follows the nonzeros, not the shape: a
+coboundary matrix has p + 2 of them per row. Products densify each left row
+once. `rref` eliminates fraction-free (Bareiss 1968), one row at a time,
+touching only the union of two rows' supports, and leaves each pivot row
+over its pivot. Subspaces are kept in a canonical form (reduced column
+echelon, pivots normalized to 1, pivot rows strictly increasing) so that
+equality of subspaces is equality of their stored bases.
 """
 
 from __future__ import annotations
@@ -24,25 +28,34 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
 
+_ZERO = Fraction(0)
+_ZERO_ROW = ({}, 1)
 
-def _canonical(nums, d: int) -> tuple:
-    """The row nums / d (d nonzero) as (numerators, denominator) in lowest
-    terms: denominator > 0 and gcd(numerators..., denominator) = 1, so equal
-    rows have equal pairs. This is the stored form of a Matrix row."""
+
+def _canonical(row: dict, d: int) -> tuple:
+    """The row row / d (d nonzero, row's values nonzero integers) as (row,
+    denominator) in lowest terms: denominator > 0 and gcd(numerators...,
+    denominator) = 1, so equal rows have equal pairs. This is the stored
+    form of a Matrix row; the zero row is ({}, 1)."""
     if d == 1:
-        return tuple(nums), 1
-    g = gcd(*nums, d)
+        return row, 1
+    g = gcd(*row.values(), d)
     if d < 0:
         g = -g
     if g == 1:
-        return tuple(nums), d
-    return tuple([a // g for a in nums]), d // g
+        return row, d
+    return {c: a // g for c, a in row.items()}, d // g
 
 
-def _primitive(nums):
+def _primitive(row: dict) -> dict:
     """An integer row divided by the gcd of its entries."""
-    h = gcd(*nums)
-    return [a // h for a in nums] if h > 1 else nums
+    h = gcd(*row.values())
+    return {c: a // h for c, a in row.items()} if h > 1 else row
+
+
+def _nonzeros(nums) -> dict:
+    """A dense integer row as its column -> nonzero numerator dict."""
+    return {j: a for j, a in enumerate(nums) if a}
 
 
 def _ratio(num: int, den: int) -> Fraction:
@@ -58,7 +71,7 @@ def _as_scalar(x) -> Fraction:
 
 
 def _parse_row(row) -> tuple:
-    """A row of ints and Fractions as (numerators, d), d the lcm of the
+    """A row of ints and Fractions as dense (numerators, d), d the lcm of the
     denominators. It is in lowest terms: a prime's full power in d divides
     some denominator, and that entry's numerator and d // denominator are
     prime to it."""
@@ -72,9 +85,13 @@ def _parse_row(row) -> tuple:
 
 
 class Matrix:
-    """Immutable exact matrix, stored as one canonical integer row per row
-    (see `_canonical`); its columns over one common denominator are cached
-    for products on first use.
+    """Immutable exact matrix. Row i is stored as (nonzeros, d): a dict from
+    column to nonzero integer numerator, over one positive denominator d, in
+    lowest terms (see `_canonical`), so `==` and `hash` are exact. Stored
+    dicts are never mutated, so matrices share them freely. The dense
+    readers (`entries`, `row`, `col`, indexing, `apply`) fill in the zeros;
+    the dense integer columns over one common denominator are cached for
+    products on first use.
 
     Zero-row and zero-column shapes are legal; they show up constantly as
     bases of trivial subspaces.
@@ -83,19 +100,19 @@ class Matrix:
     __slots__ = ("rows", "cols", "_ints", "_cols")
 
     def __init__(self, entries: Sequence[Sequence]):
-        ints = tuple(_parse_row(row) for row in entries)
-        cols = len(ints[0][0]) if ints else 0
-        for nums, _ in ints:
+        dense = [_parse_row(row) for row in entries]
+        cols = len(dense[0][0]) if dense else 0
+        for nums, _ in dense:
             if len(nums) != cols:
                 raise ValidationError("ragged matrix literal")
-        self.rows = len(ints)
+        self.rows = len(dense)
         self.cols = cols
-        self._ints = ints
+        self._ints = tuple((_nonzeros(nums), d) for nums, d in dense)
         self._cols = None
 
     @classmethod
     def _of(cls, rows: int, cols: int, ints: tuple) -> "Matrix":
-        """The matrix of canonical integer rows ints."""
+        """The matrix of canonical rows ints."""
         m = object.__new__(cls)
         m.rows, m.cols = rows, cols
         m._ints = ints
@@ -103,33 +120,43 @@ class Matrix:
         return m
 
     @classmethod
-    def _of_integers(cls, rows: Sequence[Sequence[int]], cols: int, den: int) -> "Matrix":
-        """The matrix with integer rows divided by den."""
+    def _of_integers(cls, rows: Sequence[dict], cols: int, den: int) -> "Matrix":
+        """The matrix with rows divided by den, each row a dict from column
+        to nonzero integer."""
         return cls._of(len(rows), cols, tuple(_canonical(row, den) for row in rows))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._of(rows, cols, (((0,) * cols, 1),) * rows)
+        return cls._of(rows, cols, (_ZERO_ROW,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._of(n, n, tuple((tuple([int(i == j) for j in range(n)]), 1) for i in range(n)))
+        return cls._of(n, n, tuple(({i: 1}, 1) for i in range(n)))
 
     @classmethod
     def column(cls, entries: Sequence) -> "Matrix":
         return cls([[x] for x in entries])
 
+    def _check_col(self, j: int):
+        if not 0 <= j < self.cols:
+            raise IndexError("matrix column index out of range")
+
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
+        self._check_col(j)
         nums, d = self._ints[i]
-        return _ratio(nums[j], d)
+        return _ratio(nums[j], d) if j in nums else _ZERO
 
     def row(self, i: int) -> tuple:
         nums, d = self._ints[i]
-        return tuple([_ratio(a, d) for a in nums])
+        out = [_ZERO] * self.cols
+        for c, a in nums.items():
+            out[c] = _ratio(a, d)
+        return tuple(out)
 
     def col(self, j: int) -> tuple:
-        return tuple([_ratio(nums[j], d) for nums, d in self._ints])
+        self._check_col(j)
+        return tuple([_ratio(nums[j], d) if j in nums else _ZERO for nums, d in self._ints])
 
     def columns(self) -> list:
         return [self.col(j) for j in range(self.cols)]
@@ -139,17 +166,21 @@ class Matrix:
         return tuple(self.row(i) for i in range(self.rows))
 
     def _scaled_rows(self) -> tuple:
-        """(integer rows, D): the rows as numerators over one common
+        """(rows, D): the rows as nonzero numerators over one common
         denominator D, the lcm of the row denominators."""
         big = lcm(*(d for _, d in self._ints))
-        return [nums if d == big else [a * (big // d) for a in nums] for nums, d in self._ints], big
+        return [nums if d == big else {c: a * (big // d) for c, a in nums.items()} for nums, d in self._ints], big
 
     def _columns(self) -> tuple:
-        """(integer columns, D) with column j = columns[j] / D, computed once
-        per matrix."""
+        """(dense integer columns, D) with column j = columns[j] / D,
+        computed once per matrix."""
         if self._cols is None:
             rows, big = self._scaled_rows()
-            self._cols = (list(zip(*rows)) if rows else [()] * self.cols), big
+            cols = [[0] * self.rows for _ in range(self.cols)]
+            for i, nums in enumerate(rows):
+                for c, a in nums.items():
+                    cols[c][i] = a
+            self._cols = cols, big
         return self._cols
 
     def _row_block(self, indices: Iterable[int]) -> "Matrix":
@@ -158,33 +189,47 @@ class Matrix:
         return Matrix._of(len(ints), self.cols, ints)
 
     def _col_block(self, indices: Sequence[int]) -> "Matrix":
-        """The columns at indices, in that order."""
+        """The columns at indices (distinct), in that order."""
+        at = {j: k for k, j in enumerate(indices)}
         return Matrix._of(
-            self.rows, len(indices), tuple(_canonical([nums[j] for j in indices], d) for nums, d in self._ints)
+            self.rows,
+            len(at),
+            tuple(_canonical({at[c]: a for c, a in nums.items() if c in at}, d) for nums, d in self._ints),
         )
 
     def _reshape(self, rows: int, cols: int) -> "Matrix":
         """The same entries read row by row into a rows x cols matrix."""
         scaled, big = self._scaled_rows()
-        cells = [x for row in scaled for x in row]
-        return Matrix._of_integers([cells[i : i + cols] for i in range(0, rows * cols, cols)], cols, big)
+        out = [{} for _ in range(rows)]
+        for i, nums in enumerate(scaled):
+            for c, a in nums.items():
+                k = i * self.cols + c
+                out[k // cols][k % cols] = a
+        return Matrix._of_integers(out, cols, big)
 
     def transpose(self) -> "Matrix":
-        cols, big = self._columns()
-        return Matrix._of_integers(cols, self.rows, big)
+        big = lcm(*(d for _, d in self._ints))
+        out = [{} for _ in range(self.cols)]
+        for i, (nums, d) in enumerate(self._ints):
+            f = big // d
+            for c, a in nums.items():
+                out[c][i] = a * f
+        return Matrix._of_integers(out, self.rows, big)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValidationError(f"shape mismatch: {self.shape} @ {other.shape}")
         cols, big = other._columns()
-        return Matrix._of(
-            self.rows,
-            other.cols,
-            tuple(
-                _canonical([sum(map(mul, nums, col)) for col in cols], d * big)
-                for nums, d in self._ints
-            ),
-        )
+        out = []
+        for nums, d in self._ints:
+            if not nums:
+                out.append(_ZERO_ROW)
+                continue
+            dense = [0] * self.cols
+            for c, a in nums.items():
+                dense[c] = a
+            out.append(_canonical(_nonzeros([sum(map(mul, dense, col)) for col in cols]), d * big))
+        return Matrix._of(self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
@@ -193,20 +238,33 @@ class Matrix:
         for (a, da), (b, db) in zip(self._ints, other._ints):
             big = lcm(da, db)
             fa, fb = big // da, big // db
-            out.append(_canonical([x * fa + y * fb for x, y in zip(a, b)], big))
+            row = {c: x * fa for c, x in a.items()}
+            for c, y in b.items():
+                v = row.get(c, 0) + y * fb
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+            out.append(_canonical(row, big))
         return Matrix._of(self.rows, self.cols, tuple(out))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._of(self.rows, self.cols, tuple((tuple([-a for a in nums]), d) for nums, d in self._ints))
+        return Matrix._of(
+            self.rows, self.cols, tuple(({c: -a for c, a in nums.items()}, d) for nums, d in self._ints)
+        )
 
     def scale(self, c) -> "Matrix":
         c = _as_scalar(c)
+        if not c:
+            return Matrix.zeros(self.rows, self.cols)
         p, q = c.numerator, c.denominator
         return Matrix._of(
-            self.rows, self.cols, tuple(_canonical([a * p for a in nums], d * q) for nums, d in self._ints)
+            self.rows,
+            self.cols,
+            tuple(_canonical({j: a * p for j, a in nums.items()}, d * q) for nums, d in self._ints),
         )
 
     def apply(self, vec: Sequence) -> tuple:
@@ -214,18 +272,22 @@ class Matrix:
         vn, vd = _parse_row(vec)
         if len(vn) != self.cols:
             raise ValidationError("vector length does not match column count")
-        return tuple([_ratio(sum(map(mul, nums, vn)), d * vd) for nums, d in self._ints])
+        return tuple([_ratio(sum(map(mul, nums.values(), map(vn.__getitem__, nums))), d * vd) for nums, d in self._ints])
 
     def hstack(self, other: "Matrix") -> "Matrix":
         """[self | other]; a row joined over the lcm of its two denominators
         stays in lowest terms."""
         if self.rows != other.rows:
             raise ValidationError("row mismatch in hstack")
+        shift = self.cols
         out = []
         for (a, da), (b, db) in zip(self._ints, other._ints):
             big = lcm(da, db)
             fa, fb = big // da, big // db
-            out.append((tuple([x * fa for x in a] + [y * fb for y in b]), big))
+            row = {c: x * fa for c, x in a.items()}
+            for c, y in b.items():
+                row[c + shift] = y * fb
+            out.append((row, big))
         return Matrix._of(self.rows, self.cols + other.cols, tuple(out))
 
     def vstack(self, other: "Matrix") -> "Matrix":
@@ -238,7 +300,7 @@ class Matrix:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return not any(any(nums) for nums, _ in self._ints)
+        return not any(nums for nums, _ in self._ints)
 
     def is_skew(self) -> bool:
         return self.rows == self.cols and self.transpose() == -self
@@ -247,26 +309,37 @@ class Matrix:
         return isinstance(other, Matrix) and self.shape == other.shape and self._ints == other._ints
 
     def __hash__(self):
-        return hash((self.shape, self._ints))
+        return hash((self.shape, tuple((frozenset(nums.items()), d) for nums, d in self._ints)))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix({self.rows}x{self.cols}: [{body}])"
 
 
-def _clear(row, prow, c: int) -> list:
+def _clear(row: dict, prow: dict, c: int) -> dict:
     """p*row - f*prow, with p and f the entries of prow and row at column c
-    over their gcd, and the gcd of the result divided out: row cleared at c."""
+    over their gcd, and the gcd of the result divided out: row cleared at c.
+    Only the union of the two rows' supports is touched."""
     g = gcd(prow[c], row[c])
     pg, fg = prow[c] // g, row[c] // g
-    return _primitive([pg * a - fg * b for a, b in zip(row, prow)])
+    out = dict(row) if pg == 1 else {k: pg * a for k, a in row.items()}
+    for k, b in prow.items():
+        v = out.get(k, 0) - fg * b
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return _primitive(out)
 
 
 def rref(m: Matrix, stop: Optional[int] = None) -> tuple:
     """Reduced row echelon form of m. Returns (R, pivot_columns).
 
-    Fraction-free, one row at a time: each row, as its numerators, is
-    cleared at the pivot columns found so far. If a leading column is still
+    Fraction-free, one row at a time: each row, as its nonzero numerators,
+    is cleared at the pivot columns found so far where it is nonzero. The
+    pivot rows are zero at one another's pivots, so a clear changes no other
+    pivot column, and the cleared row is the primitive integer row of its
+    direction whatever the order of the clears. If a leading column is still
     nonzero, the first such column becomes a pivot and the pivot rows are
     cleared there, so they stay reduced against one another; at the end each
     is put over its pivot. The RREF is unique, so the pivots and R are those
@@ -280,28 +353,24 @@ def rref(m: Matrix, stop: Optional[int] = None) -> tuple:
     lead = cols if stop is None else stop
     basis = {}  # pivot column -> pivot row
     rest = []
-    for nums, _ in m._ints:
-        row = nums
-        for c, prow in basis.items():
-            if row[c]:
-                row = _clear(row, prow, c)
-        for c in range(lead):
-            if row[c]:
-                break
-        else:
+    for row, _ in m._ints:
+        for c in [c for c in row if c in basis]:
+            row = _clear(row, basis[c], c)
+        c = min(row, default=lead)
+        if c >= lead:
             rest.append(_primitive(row))
             continue
         row = _primitive(row)
         for pc, prow in basis.items():
-            if prow[c]:
+            if c in prow:
                 basis[pc] = _clear(prow, row, c)
         basis[c] = row
         if len(basis) == cols:
             break
     pivots = sorted(basis)
     out = [_canonical(basis[c], basis[c][c]) for c in pivots]
-    out += [(tuple(row), 1) for row in rest]
-    out += [((0,) * cols, 1)] * (m.rows - len(out))
+    out += [(row, 1) for row in rest]
+    out += [_ZERO_ROW] * (m.rows - len(out))
     return Matrix._of(m.rows, cols, tuple(out)), tuple(pivots)
 
 
@@ -349,18 +418,22 @@ def kernel(m: Matrix) -> "Subspace":
     basis as they stand.
     """
     n = m.cols
-    red, pivots = rref(Matrix._of(m.rows, n, tuple((nums[::-1], d) for nums, d in m._ints)))
-    pivot_rows = list(zip(red._ints, pivots))
+    last = n - 1
+    red, pivots = rref(Matrix._of(m.rows, n, tuple(({last - c: a for c, a in nums.items()}, d) for nums, d in m._ints)))
     free = sorted(set(range(n)) - set(pivots), reverse=True)
+    at = {f: [] for f in free}  # free column -> (numerator, d, pivot) of the RREF rows there
+    for (nums, d), p in zip(red._ints, pivots):
+        for c, a in nums.items():
+            if c in at:
+                at[c].append((a, d, p))
     vectors = []
     for f in free:
-        terms = [(nums[f], d, p) for (nums, d), p in pivot_rows if nums[f]]
+        terms = at[f]
         big = lcm(*(d for _, d, _ in terms))
-        v = [0] * n
-        v[f] = big
+        v = {last - f: big}
         for a, d, p in terms:
-            v[p] = -a * (big // d)
-        vectors.append(_canonical(v[::-1], big))
+            v[last - p] = -a * (big // d)
+        vectors.append(_canonical(v, big))
     return Subspace(n, Matrix._of(len(vectors), n, tuple(vectors)).transpose())
 
 
@@ -391,10 +464,11 @@ class Subspace:
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         """Canonical subspace spanned by the given vectors (possibly none)."""
-        ints = tuple(_parse_row(v) for v in vectors)
-        for nums, _ in ints:
+        dense = [_parse_row(v) for v in vectors]
+        for nums, _ in dense:
             if len(nums) != ambient_dim:
                 raise ValidationError("vector length does not match ambient dimension")
+        ints = tuple((_nonzeros(nums), d) for nums, d in dense)
         return _span(ambient_dim, Matrix._of(len(ints), ambient_dim, ints))
 
     @staticmethod

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .discgauge import Cochain, DeltaComplex
 from .errors import ContractViolation, ValidationError
 from .exactla import Matrix, Subspace, rank
 from .polycore import VForm
@@ -86,9 +85,12 @@ def rand_plane(rng: random.Random, n: int) -> Subspace:
             return s
 
 
-def rand_cochain(rng: random.Random, cx: DeltaComplex, degree: int, closed: bool = False) -> Cochain:
-    """A cochain with integer coordinates in [-3, 3]: on the cocycle basis of
-    the degree when closed, else on the simplices."""
+def rand_cochain(rng: random.Random, cx, degree: int, closed: bool = False):
+    """A `discgauge.Cochain` of the complex cx with integer coordinates in
+    [-3, 3]: on the cocycle basis of the degree when closed, else on the
+    simplices. Only this draw loads `discgauge`."""
+    from .discgauge import Cochain
+
     if closed:
         if not (0 <= degree <= cx.dimension):
             raise ValidationError("cohomology degree out of range")

@@ -4,8 +4,10 @@ Each suite drives one family of identities on randomized or built-in
 instances and returns a structured result; the CLI renders them and the
 acceptance tests pin their seeds, trial counts, and tolerances. Exact suites
 assert set equalities over the rationals; numeric suites compare against the
-stated tolerances, scaled by the caller's tolerance factor. Only the numeric
-suites (NUMERIC_SUITES) import numpy, and they import it when they run.
+stated tolerances, scaled by the caller's tolerance factor. Each suite
+imports what lies beyond the exact core when it runs: the random draws
+(`randgen`), the cochain layer (`discgauge`), and, in the numeric suites
+(NUMERIC_SUITES) only, numpy with the numeric layers.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import discgauge as dg
 from . import lietable as lt
 from .errors import ValidationError
 from .exactla import Subspace, contains, intersect, kernel, sum_
@@ -28,16 +29,6 @@ from .polycore import (
     pullback,
     universal_embed,
 )
-from .randgen import (
-    rand_cochain,
-    rand_dims,
-    rand_line,
-    rand_plane,
-    rand_subspace,
-    rand_surjection,
-    rand_vform,
-)
-
 
 class CheckResult(NamedTuple):
     name: str
@@ -64,6 +55,8 @@ class SuiteResult:
 
 
 def suite_cross_table(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+    from . import randgen as rg
+
     res = SuiteResult(
         "cross-table",
         "cross-product orthogonals: zero space to all, lines fixed, planes to zero",
@@ -76,9 +69,9 @@ def suite_cross_table(seed: int, trials: int, tol_scale: float) -> SuiteResult:
     res.add("full maps to zero", orthogonal(cross, Subspace.full(3)).is_zero())
     lines = planes = True
     for _ in range(trials):
-        line = rand_line(rng, 3)
+        line = rg.rand_line(rng, 3)
         lines &= orthogonal(cross, line) == line
-        plane = rand_plane(rng, 3)
+        plane = rg.rand_plane(rng, 3)
         planes &= orthogonal(cross, plane).is_zero()
     res.add(f"{trials} random lines are self-orthogonal", lines)
     res.add(f"{trials} random planes map to zero", planes)
@@ -86,6 +79,8 @@ def suite_cross_table(seed: int, trials: int, tol_scale: float) -> SuiteResult:
 
 
 def suite_lemma_subspaces(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+    from . import randgen as rg
+
     res = SuiteResult(
         "lemma-subspaces",
         "orthogonal calculus: extremes, inclusion reversal, double orthogonal, sums and intersections",
@@ -95,11 +90,11 @@ def suite_lemma_subspaces(seed: int, trials: int, tol_scale: float) -> SuiteResu
     rng = random.Random(seed)
     ok = {key: True for key in ("i", "ii", "iii", "iv", "v", "vi")}
     for _ in range(trials):
-        n, k = rand_dims(rng, max_n=8, max_k=4)
-        form = rand_vform(rng, n, k)
-        a = rand_subspace(rng, n)
-        b = sum_(a, rand_subspace(rng, n))
-        a1, a2 = rand_subspace(rng, n), rand_subspace(rng, n)
+        n, k = rg.rand_dims(rng, max_n=8, max_k=4)
+        form = rg.rand_vform(rng, n, k)
+        a = rg.rand_subspace(rng, n)
+        b = sum_(a, rg.rand_subspace(rng, n))
+        a1, a2 = rg.rand_subspace(rng, n), rg.rand_subspace(rng, n)
 
         ok["i"] &= orthogonal(form, Subspace.full(n)).is_zero()
         ok["i"] &= orthogonal(form, Subspace.zero(n)) == Subspace.full(n)
@@ -126,6 +121,8 @@ def suite_lemma_subspaces(seed: int, trials: int, tol_scale: float) -> SuiteResu
 
 
 def suite_reduction_kernel(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+    from . import randgen as rg
+
     res = SuiteResult(
         "reduction-kernel",
         "reduced-form kernel matches the quotient image of the double orthogonal",
@@ -135,9 +132,9 @@ def suite_reduction_kernel(seed: int, trials: int, tol_scale: float) -> SuiteRes
     rng = random.Random(seed)
     kernel_ok = nondeg_ok = True
     for _ in range(trials):
-        n, k = rand_dims(rng, max_n=6, max_k=4)
-        form = rand_vform(rng, n, k)
-        a = rand_subspace(rng, n)
+        n, k = rg.rand_dims(rng, max_n=6, max_k=4)
+        form = rg.rand_vform(rng, n, k)
+        a = rg.rand_subspace(rng, n)
         red = linear_reduce(form, a)
         orth = orthogonal(form, a)
         double = orthogonal(form, orth)
@@ -155,6 +152,8 @@ def suite_reduction_kernel(seed: int, trials: int, tol_scale: float) -> SuiteRes
 
 
 def suite_canonical_reduction(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+    from . import randgen as rg
+
     res = SuiteResult(
         "canonical-reduction",
         "reducing the universal model by a base subspace reproduces the smaller model",
@@ -167,7 +166,7 @@ def suite_canonical_reduction(seed: int, trials: int, tol_scale: float) -> Suite
         n = rng.randint(1, 4)
         k = rng.randint(1, 4)
         model = canonical_model(n, k)
-        base = rand_subspace(rng, n)
+        base = rg.rand_subspace(rng, n)
         lifted = Subspace.from_vectors(
             n + n * k,
             [
@@ -184,6 +183,8 @@ def suite_canonical_reduction(seed: int, trials: int, tol_scale: float) -> Suite
 
 
 def suite_embedding(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+    from . import randgen as rg
+
     res = SuiteResult(
         "embedding",
         "graph embedding into the universal model pulls the canonical form back exactly",
@@ -193,8 +194,8 @@ def suite_embedding(seed: int, trials: int, tol_scale: float) -> SuiteResult:
     rng = random.Random(seed)
     ok = True
     for _ in range(trials):
-        n, k = rand_dims(rng, max_n=6, max_k=3)
-        form = rand_vform(rng, n, k)
+        n, k = rg.rand_dims(rng, max_n=6, max_k=3)
+        form = rg.rand_vform(rng, n, k)
         emb = universal_embed(form)
         pulled = pullback(canonical_model(n, k), emb)
         ok &= list(pulled.components) == list(form.components)
@@ -203,6 +204,8 @@ def suite_embedding(seed: int, trials: int, tol_scale: float) -> SuiteResult:
 
 
 def suite_irreducibility(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+    from . import randgen as rg
+
     res = SuiteResult(
         "irreducibility",
         "every proper coefficient surjection degenerates the universal model, with the constant-direction witness",
@@ -216,7 +219,7 @@ def suite_irreducibility(seed: int, trials: int, tol_scale: float) -> SuiteResul
         n = rng.randint(1, 3)
         model = canonical_model(n, k)
         kp = rng.randint(1, k - 1)
-        f = rand_surjection(rng, kp, k)
+        f = rg.rand_surjection(rng, kp, k)
         reject_ok &= check_reduction_candidate(model, f) is False
         _, degeneracy = apply_coefficient_map(f, model)
         v = kernel(f).basis.col(0)
@@ -230,6 +233,8 @@ def suite_irreducibility(seed: int, trials: int, tol_scale: float) -> SuiteResul
 
 
 def suite_lie_reductions(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+    from . import randgen as rg
+
     res = SuiteResult(
         "lie-reductions",
         "rotation algebra reduces to a point by any line; the diagonal subalgebra is self-orthogonal; centralizers are orthogonals",
@@ -240,7 +245,7 @@ def suite_lie_reductions(seed: int, trials: int, tol_scale: float) -> SuiteResul
     g3, g2 = lt.so3(), lt.sl2()
     point_ok = True
     for _ in range(trials):
-        line = rand_line(rng, 3)
+        line = rg.rand_line(rng, 3)
         point_ok &= lt.lie_reduce(g3, line).carrier.dim == 0
     res.add(f"{trials} lines reduce the rotation algebra to a point", point_ok)
     cartan = Subspace.from_vectors(3, [(1, 0, 0)])
@@ -250,7 +255,7 @@ def suite_lie_reductions(seed: int, trials: int, tol_scale: float) -> SuiteResul
     for g in (g3, g2):
         form = lt.bracket_form(g)
         for _ in range(trials):
-            a = rand_subspace(rng, 3)
+            a = rg.rand_subspace(rng, 3)
             cent_ok &= orthogonal(form, a) == lt.centralizer(g, a)
     res.add(f"centralizer equals bracket orthogonal on {2 * trials} subspaces", cent_ok)
     return res
@@ -351,7 +356,7 @@ def suite_convexity(seed: int, trials: int, tol_scale: float) -> SuiteResult:
     return res
 
 
-def _oracle_betti(cx: dg.DeltaComplex, p: int) -> int:
+def _oracle_betti(cx, p: int) -> int:
     """Rank-nullity first Betti oracle by fraction-free integer elimination,
     independent of the package's echelon and cup machinery."""
 
@@ -388,6 +393,8 @@ def _oracle_betti(cx: dg.DeltaComplex, p: int) -> int:
 
 
 def suite_gauge_h1(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+    from . import discgauge as dg
+
     res = SuiteResult(
         "gauge-h1",
         "gauge reduction lands on first cohomology; the pairing is the cup pairing into second cohomology",
@@ -417,6 +424,9 @@ def suite_gauge_h1(seed: int, trials: int, tol_scale: float) -> SuiteResult:
 
 
 def suite_gauge_invariance(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+    from . import discgauge as dg
+    from . import randgen as rg
+
     res = SuiteResult(
         "gauge-invariance",
         "shifting a closed argument by a coboundary moves the cup value by a coboundary only",
@@ -428,9 +438,9 @@ def suite_gauge_invariance(seed: int, trials: int, tol_scale: float) -> SuiteRes
         cx = dg.BUILTIN_COMPLEXES[name]()
         ok = True
         for _ in range(trials):
-            alpha = rand_cochain(rng, cx, 1, closed=True)
-            beta = rand_cochain(rng, cx, 1, closed=True)
-            gamma = rand_cochain(rng, cx, 0)
+            alpha = rg.rand_cochain(rng, cx, 1, closed=True)
+            beta = rg.rand_cochain(rng, cx, 1, closed=True)
+            gamma = rg.rand_cochain(rng, cx, 0)
             shifted = alpha + dg.d(gamma)
             ok &= dg.omega_disc(cx, shifted, beta) == dg.omega_disc(cx, alpha, beta)
         res.add(f"{name}: {trials} random shifted pairs agree mod coboundaries", ok)
@@ -438,6 +448,9 @@ def suite_gauge_invariance(seed: int, trials: int, tol_scale: float) -> SuiteRes
 
 
 def suite_lagrangian_sphere3(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+    from . import discgauge as dg
+    from . import randgen as rg
+
     res = SuiteResult(
         "lagrangian-sphere3",
         "with trivial second cohomology, compare closed 1-cochains with their cup orthogonal",
@@ -456,8 +469,8 @@ def suite_lagrangian_sphere3(seed: int, trials: int, tol_scale: float) -> SuiteR
     # Z^1 = B^1 here, and df cup dg = d(f cup dg), so every closed pair cups to zero.
     ok = True
     for _ in range(trials):
-        alpha = rand_cochain(rng, cx, 1, closed=True)
-        beta = rand_cochain(rng, cx, 1, closed=True)
+        alpha = rg.rand_cochain(rng, cx, 1, closed=True)
+        beta = rg.rand_cochain(rng, cx, 1, closed=True)
         ok &= not any(dg.omega_disc(cx, alpha, beta))
     res.add(f"{trials} random closed pairs cup to zero modulo coboundaries", ok)
     return res

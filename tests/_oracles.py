@@ -4,7 +4,9 @@ The oracles deliberately avoid the package's echelon/quotient machinery:
 ranks use fraction-free integer elimination (Bareiss style), bilinear-form
 facts are checked straight from definitions, and the scalar kernels of
 `exactla` (`rref`, matrix products, sums, scaling, transposes, stacking and
-the skew test) have plain `Fraction` reference versions here.
+the skew test) have plain `Fraction` reference versions here; `rref` with a
+`stop` also has its earlier dense integer version, for the rows it leaves
+below the pivots.
 
 The reference loops compute what a package routine computes, the plain way,
 and the tests require the routine to match them exactly: the numeric
@@ -145,6 +147,48 @@ def so3_log(r):
     if theta > math.pi - 1e-6:
         raise ValueError("logarithm near the cut locus is not supported")
     return theta / (2.0 * math.sin(theta)) * unhat(r - r.T)
+
+
+def _primitive_list(nums):
+    h = math.gcd(*nums)
+    return [a // h for a in nums] if h > 1 else nums
+
+
+def _cleared(row, prow, c):
+    g = math.gcd(prow[c], row[c])
+    return _primitive_list([prow[c] // g * a - row[c] // g * b for a, b in zip(row, prow)])
+
+
+def dense_rows_rref(rows, cols, stop=None):
+    """The fraction-free, one-row-at-a-time elimination of `exactla.rref`, on
+    dense lists of integers, as it ran before matrix rows were stored as their
+    nonzeros. It fixes the rows a `stop` leaves below the pivots (primitive
+    integer rows, with their signs), which no Gauss-Jordan reference does.
+    Returns (all rows as Fraction tuples, pivot columns)."""
+    lead = cols if stop is None else stop
+    basis, rest = {}, []
+    for row in rows:
+        d = lcm(*(Fraction(x).denominator for x in row))
+        row = [int(Fraction(x) * d) for x in row]
+        for c, prow in basis.items():
+            if row[c]:
+                row = _cleared(row, prow, c)
+        first = next((c for c in range(lead) if row[c]), None)
+        if first is None:
+            rest.append(_primitive_list(row))
+            continue
+        row = _primitive_list(row)
+        for c, prow in basis.items():
+            if prow[first]:
+                basis[c] = _cleared(prow, row, first)
+        basis[first] = row
+        if len(basis) == cols:
+            break
+    pivots = sorted(basis)
+    out = [tuple(Fraction(a, basis[c][c]) for a in basis[c]) for c in pivots]
+    out += [tuple(Fraction(a) for a in row) for row in rest]
+    out += [(Fraction(0),) * cols] * (len(rows) - len(out))
+    return tuple(out), tuple(pivots)
 
 
 def bareiss_rank(rows):

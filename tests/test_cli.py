@@ -201,6 +201,9 @@ VERB_FAMILIES = {
             {"discgauge", "randgen", "verify"}),
     "form": (lambda argv: argv[0] in ("orth", "classify", "reduce", "embed"), {"discgauge", "verify"}),
     "gauge": (lambda argv: argv[0] == "gauge", {"lietable", "verify"}),
+    # The suite draws its lines and planes from randgen; no cochains.
+    "verify-cross-table": (lambda argv: argv[:3] == ["verify", "--suite", "cross-table"],
+                           {"discgauge", "liealg", "pointham"}),
 }
 
 
@@ -631,6 +634,32 @@ def test_lie_dim_just_above_the_cap_is_rejected():
         docio.lie_to_algebra(docio.parse_document(text))
 
 
+def _complex_text(simplices) -> str:
+    return json.dumps({"kind": "complex", "simplices": {str(p): [list(s) for s in cells] for p, cells in simplices.items()}})
+
+
+def test_complex_cells_past_the_cap_exit_2_with_one_error_line(tmp_path, capsys):
+    cap = docio.MAX_COMPLEX_CELLS
+    vertices = lambda count: {0: [(v,) for v in range(count)]}  # noqa: E731
+    assert docio.complex_to_delta(docio.parse_document(_complex_text(vertices(cap)))).counts == (cap,)
+    path = tmp_path / "complex.json"
+    path.write_text(_complex_text(vertices(cap + 1)))
+    assert run(["gauge", "betti", "--file", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: complex document has {cap + 1} cells; at most {cap} are supported\n")
+
+
+def test_the_grid_torus_at_the_cell_cap_runs(tmp_path, capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO_ROOT))
+    from perfbench.inputs import grid_torus_simplices
+
+    simplices = grid_torus_simplices(5, 3)
+    assert sum(len(cells) for cells in simplices.values()) == docio.MAX_COMPLEX_CELLS
+    path = tmp_path / "grid.json"
+    path.write_text(_complex_text(simplices))
+    assert run(["gauge", "betti", "--file", str(path)]) == 0
+    assert "betti: 1 3 3 1\n" in capsys.readouterr().out
+
+
 def test_abelian_center_at_the_dim_cap_runs_in_under_a_second(tmp_path, capsys):
     import time
 
@@ -885,6 +914,33 @@ def test_report_bytes_match_the_golden_file(monkeypatch, case):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(case["argv"])
     assert (code, out.getvalue(), err.getvalue()) == (case["exit"], case["stdout"], case["stderr"])
+
+
+# The benchmark's correctness gate: its cli-builtins workload compares the exit
+# code and stdout of every exact argv, byte for byte, with the golden output in
+# perfbench/golden/cli-builtins.json (read here, never written).
+BENCH_GOLDEN = json.loads((REPO_ROOT / "perfbench" / "golden" / "cli-builtins.json").read_text())
+
+
+def _bench_exact_argvs(monkeypatch) -> dict:
+    monkeypatch.syspath_prepend(str(REPO_ROOT))
+    from perfbench.inputs import EXACT_ARGVS
+
+    return {" ".join(argv): list(argv) for argv in EXACT_ARGVS}
+
+
+def test_every_benchmark_exact_argv_has_a_golden_output(monkeypatch):
+    assert sorted(_bench_exact_argvs(monkeypatch)) == sorted(BENCH_GOLDEN)
+
+
+@pytest.mark.parametrize("line", sorted(BENCH_GOLDEN))
+def test_benchmark_exact_argvs_match_their_golden_output(monkeypatch, line):
+    argv = _bench_exact_argvs(monkeypatch)[line]
+    monkeypatch.chdir(REPO_ROOT)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert (code, out.getvalue()) == (BENCH_GOLDEN[line]["exit"], BENCH_GOLDEN[line]["stdout"])
 
 
 # Fuzzing: mutated builtin documents through --file, and mutated option values.

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -249,12 +249,14 @@ def _all_fractions(rows):
 
 
 def _assert_canonical(m):
-    """Each stored row is (numerators, d), integers with d > 0 and
-    gcd(numerators..., d) = 1: the one form equal rows can take."""
+    """Each stored row is (nonzeros, d): a dict from column to nonzero integer
+    numerator, d > 0 and gcd(numerators..., d) = 1: the one form equal rows
+    can take."""
     assert len(m._ints) == m.rows
     for nums, d in m._ints:
-        assert type(d) is int and d > 0 and len(nums) == m.cols
-        assert all(type(a) is int for a in nums) and gcd(*nums, d) == 1
+        assert type(nums) is dict and type(d) is int and d > 0
+        assert all(type(c) is int and 0 <= c < m.cols and type(a) is int and a for c, a in nums.items())
+        assert gcd(*nums.values(), d) == 1
 
 
 _dims = st.integers(0, 6)
@@ -435,6 +437,8 @@ def test_equal_matrices_from_different_paths_compare_and_hash_equal(args):
         m.scale(F(-3, 7)).scale(F(-7, 3)),
         m + Matrix.zeros(rows, cols),
         m.hstack(Matrix.zeros(rows, 0)),
+        Matrix.zeros(rows, 2).hstack(m).hstack(m)._col_block(range(2, 2 + cols)),
+        Matrix._of_integers(*_integer_rows(grid, cols)),
     ]
     for other in paths:
         _assert_canonical(other)
@@ -445,6 +449,111 @@ def test_equal_matrices_from_different_paths_compare_and_hash_equal(args):
     assert red == reference == again and hash(red) == hash(reference) == hash(again)
     if rows and cols:
         assert m.scale(F(1, 2)) != m or m.is_zero()
+
+
+def _integer_rows(grid, cols):
+    """(rows, cols, d): grid over one common denominator d, each row a dict
+    from column to nonzero integer numerator."""
+    d = lcm(*(x.denominator for row in grid for x in row))
+    return [{j: int(x * d) for j, x in enumerate(row) if x} for row in grid], cols, d
+
+
+# Sparse rows: a stored row is its nonzeros, and every routine that builds,
+# eliminates or slices rows equals its Fraction reference on dense random
+# inputs and on coboundary-shaped ones: +-1 entries (now and then +-2), at most
+# three per row, with an identity block beside them as in a quotient.
+
+
+@st.composite
+def _coboundary_grids(draw, rows, cols):
+    grid = []
+    for _ in range(rows):
+        row = [F(0)] * cols
+        for j in draw(st.lists(st.integers(0, max(cols - 1, 0)), max_size=min(3, cols), unique=True)):
+            row[j] = F(draw(st.sampled_from((1, -1, 1, -1, 2, -2))))
+        grid.append(row)
+    return grid
+
+
+def _with_identity(grid):
+    """[grid | I], the shape of every quotient's elimination."""
+    return [list(row) + [F(int(i == j)) for j in range(len(grid))] for i, row in enumerate(grid)]
+
+
+_shaped = st.sampled_from(["dense", "coboundary"]).flatmap(
+    lambda kind: st.tuples(st.integers(0, 7), st.integers(0, 7)).flatmap(
+        lambda rc: st.tuples(
+            st.just(kind), st.just(rc[1]), (_grids if kind == "dense" else _coboundary_grids)(*rc)
+        )
+    )
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_shaped, st.booleans())
+def test_sparse_rref_matches_both_references(args, beside_identity):
+    from _oracles import dense_rows_rref, fraction_rref
+
+    _, cols, grid = args
+    width = cols
+    if beside_identity:
+        grid, width = _with_identity(grid), cols + len(grid)
+    m = _matrix(grid, width)
+    for stop in (None, cols, cols // 2):
+        red, pivots = rref(m, stop=stop)
+        _assert_canonical(red)
+        # Pivots and leading columns against Gauss-Jordan; every row,
+        # including those left below the pivots, against the dense elimination.
+        lead = width if stop is None else stop
+        lead_rows, lead_pivots = fraction_rref([row[:lead] for row in grid], lead)
+        assert pivots == lead_pivots
+        assert tuple(row[:lead] for row in red.entries) == lead_rows
+        assert (red.entries, pivots) == dense_rows_rref(grid, width, stop)
+    assert rref(m)[0].entries == fraction_rref(grid, width)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shaped)
+def test_sparse_kernel_is_the_canonical_null_space(args):
+    """m K = 0, dim K = cols - rank m, and K is in reduced column echelon
+    form: together these fix the kernel's stored basis."""
+    from _oracles import fraction_matmul, fraction_rref
+
+    _, cols, grid = args
+    basis = kernel(_matrix(grid, cols)).basis
+    _assert_canonical(basis)
+    assert basis.shape == (cols, cols - len(fraction_rref(grid, cols)[1]))
+    assert fraction_matmul(grid, basis.entries, basis.cols) == tuple((F(0),) * basis.cols for _ in grid)
+    lead = [next(i for i in range(cols) if basis[i, j]) for j in range(basis.cols)]
+    assert lead == sorted(set(lead))
+    for j, i in enumerate(lead):
+        assert basis.row(i) == tuple(F(int(k == j)) for k in range(basis.cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shaped, st.data())
+def test_sparse_rows_build_and_slice_like_the_fraction_references(args, data):
+    from _oracles import fraction_hstack, fraction_matmul, fraction_transpose, fraction_vstack
+
+    kind, cols, grid = args
+    rows = len(grid)
+    other = data.draw((_grids if kind == "dense" else _coboundary_grids)(rows, cols))
+    inner = data.draw((_grids if kind == "dense" else _coboundary_grids)(cols, 3))
+    picked = data.draw(st.permutations(range(cols)).flatmap(lambda p: st.integers(0, cols).map(lambda k: p[:k])))
+    a, b = _matrix(grid, cols), _matrix(other, cols)
+    cases = [
+        (a @ _matrix(inner, 3), fraction_matmul(grid, inner, 3)),
+        (a.hstack(b), fraction_hstack(grid, other)),
+        (a.vstack(b), fraction_vstack(grid, other)),
+        (a.transpose(), fraction_transpose(grid, cols)),
+        (a._col_block(picked), tuple(tuple(row[j] for j in picked) for row in grid)),
+        (a.hstack(Matrix.identity(rows)), tuple(tuple(row) for row in _with_identity(grid))),
+        (Matrix._of_integers(*_integer_rows(grid, cols)), tuple(tuple(row) for row in grid)),
+    ]
+    for m, ref in cases:
+        _assert_canonical(m)
+        assert m.entries == ref and _all_fractions(m.entries)
+        assert [m.col(j) for j in range(m.cols)] == [tuple(row[j] for row in ref) for j in range(m.cols)]
 
 
 # Quotients: one echelon pass over [sub | ambient | I] gives the section, the
