@@ -30,6 +30,7 @@ from .polycore import (
     universal_embed,
 )
 
+
 class CheckResult(NamedTuple):
     name: str
     passed: bool
