@@ -11,8 +11,8 @@ Legendre-transform pullbacks.
 All derivatives, second and directional ones included, are central
 differences on the stencil x +- h e_a with the fixed step h = DEFAULT_FD_STEP.
 Each routine differentiates theta once per point, in one call on the whole
-stencil; Hamiltonians and generators take one point per call. All sampling
-is low-discrepancy with an explicit seed.
+stencil; Hamiltonians and generators take one point per call, the rotation
+generator in closed form. All sampling is low-discrepancy with an explicit seed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ContractViolation, ValidationError
-from .liealg import so3_exp
 from .polycore import VForm, canonical_dim, canonical_model
 
 DEFAULT_FD_STEP = 1e-5
@@ -48,6 +47,8 @@ def halton_points(dim: int, count: int, seed: int = 0, scale: float = 1.0) -> np
     """
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
+    if count < 0:
+        raise ValidationError(f"point count must be non-negative, got {count}")
     rng = np.random.default_rng(seed)
     primes = (n for n in itertools.count(2) if all(n % p for p in range(2, math.isqrt(n) + 1)))
     unit = np.empty((count, dim))
@@ -227,15 +228,18 @@ def so3_patch() -> ExactPatch:
 
 
 def so3_left_generator(xi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Induced vector field of left translation by exp(t xi), in exponential
-    coordinates: x -> dexp_inv(x)^-1 Ad_{exp(x)^-1} xi."""
-    xi = np.asarray(xi, dtype=float)
+    """Induced field of left translation by exp(s xi) in exponential coordinates, J_l(x)^-1 xi =
+    theta_x^-1 Ad_{exp(x)^-1} xi = xi - k xi / 2 + c k (k xi) with k xi = x cross xi, t = |x| and c =
+    1 / t^2 - cos(t/2) / (2 t sin(t/2)), or 1/12 where t < 1e-8 (Chirikjian 2012; arXiv:1812.01537)."""
+    e0, e1, e2 = np.asarray(xi, dtype=float).tolist()
 
     def gen(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        g = so3_exp(x)
-        ad_inv = g.T @ xi  # Ad_{g^-1} xi for rotations acts by g^-1
-        return np.linalg.solve(_so3_dexp_inv(x[None])[0], ad_inv)
+        x0, x1, x2 = np.asarray(x, dtype=float).tolist()
+        k0, k1, k2 = x1 * e2 - x2 * e1, x2 * e0 - x0 * e2, x0 * e1 - x1 * e0
+        kk0, kk1, kk2 = x1 * k2 - x2 * k1, x2 * k0 - x0 * k2, x0 * k1 - x1 * k0
+        t = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+        c = 1.0 / (t * t) - math.cos(0.5 * t) / (2.0 * t * math.sin(0.5 * t)) if t >= 1e-8 else 1.0 / 12.0
+        return np.array([e0 - 0.5 * k0 + c * kk0, e1 - 0.5 * k1 + c * kk1, e2 - 0.5 * k2 + c * kk2])
 
     return gen
 
@@ -418,12 +422,14 @@ def moment_from_potential(
 ) -> MomentMap:
     """Moment map x -> theta_x(generator values), for theta-preserving actions.
 
-    Raises ContractViolation when the sampled Lie derivative of the potential
-    exceeds the preservation tolerance. Theta is evaluated once per sample on
-    its stencil with the sample appended, which gives both its value and its
-    derivative; the Lie derivative and the identity's structure form share the
-    derivative.
+    Raises ValidationError without a sample and ContractViolation when the
+    sampled Lie derivative of the potential exceeds the preservation tolerance.
+    Theta is evaluated once per sample on its stencil with the sample appended,
+    which gives both its value and its derivative; the Lie derivative and the
+    identity's structure form share the derivative.
     """
+    if sample_count < 1:
+        raise ValidationError("need at least one sample")
     gens = tuple(generators)
     points = halton_points(patch.dim_m, sample_count, seed=seed, scale=patch.sample_scale)
     d_thetas = []

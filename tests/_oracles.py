@@ -17,7 +17,9 @@ builtin patches one point at a time, the pointwise derivatives of
 structure form), the pointham routines that take the structure form once
 per point as they were when each took it again (the bracket, the
 preservation and moment-identity defects, the pullback defect, the fiber
-Jacobian from four-point second differences), the joint kernels (orthogonal,
+Jacobian from four-point second differences), the rotation-group left
+generator as exp, the patch's theta and a 3x3 solve (also in 40-digit
+`Decimal` arithmetic, where the float version cancels), the joint kernels (orthogonal,
 centralizer, center, degeneracy kernel) by stacking the blocks one at a time
 before a single `exactla.kernel`, quotient coordinates by one
 `exactla.solve` per vector, and the linear layer one vector or one entry at a
@@ -27,6 +29,7 @@ form's components from the rows of ad), and the JSON rendering of a
 problem document that the round-trip tests parse back.
 """
 
+import decimal
 import json
 import math
 from fractions import Fraction
@@ -36,7 +39,7 @@ import numpy as np
 
 from polysym.errors import ContractViolation, ValidationError
 from polysym.exactla import Matrix, Subspace, kernel, solve
-from polysym.liealg import hat, unhat
+from polysym.liealg import hat, so3_exp, unhat
 from polysym.pointham import DEFAULT_FD_STEP, hamiltonian_field, omega_at, vform_to_numpy
 from polysym.polycore import canonical_model
 
@@ -259,6 +262,43 @@ def so3_dexp_inv_at(x):
     a = (1.0 - math.cos(th)) / (th * th)
     b = (th - math.sin(th)) / (th ** 3)
     return np.eye(3) - a * k + b * (k @ k)
+
+
+def so3_left_generator_at(xi, x):
+    """Left generator of the rotation-group patch at x as exp and a solve:
+    theta_x^-1 Ad_{exp(x)^-1} xi, with Rodrigues' exp and the patch's theta."""
+    x = np.asarray(x, dtype=float)
+    return np.linalg.solve(so3_dexp_inv_at(x), so3_exp(x).T @ np.asarray(xi, dtype=float))
+
+
+def decimal_left_generator_at(xi, x, digits=40):
+    """so3_left_generator_at in `digits`-digit Decimal arithmetic, as floats.
+
+    sin t / t, (1 - cos t) / t^2 and (t - sin t) / t^3 are summed as power
+    series in t^2, so nothing cancels at small t, where the float version
+    loses digits in 1 - cos t; the solve is Cramer's rule.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        v = [decimal.Decimal(float(c)) for c in x]
+        e = [decimal.Decimal(float(c)) for c in xi]
+        t2 = sum(c * c for c in v)
+        powers = [decimal.Decimal(1)] + [(-t2) ** n for n in range(1, 60)]
+        s1, a, b = (sum(p / math.factorial(2 * n + o) for n, p in enumerate(powers)) for o in (1, 2, 3))
+        k = [[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]]
+        kk = [[sum(k[i][m] * k[m][j] for m in range(3)) for j in range(3)] for i in range(3)]
+        rot = [[(i == j) + s1 * k[i][j] + a * kk[i][j] for j in range(3)] for i in range(3)]
+        jr = [[(i == j) - a * k[i][j] + b * kk[i][j] for j in range(3)] for i in range(3)]
+        rhs = [sum(rot[m][i] * e[m] for m in range(3)) for i in range(3)]
+
+        def det(m):
+            return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                    - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                    + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+        d = det(jr)
+        cols = [[[rhs[i] if j == c else jr[i][j] for j in range(3)] for i in range(3)] for c in range(3)]
+        return np.array([float(det(m) / d) for m in cols])
 
 
 def canonical_theta_at(n, k, x):

@@ -207,6 +207,16 @@ VERB_FAMILIES = {
 }
 
 
+_VERB_RUNNER = (
+    "import contextlib, io, json, sys, polysym.cli\n"
+    "codes = []\n"
+    "for argv in json.loads(sys.stdin.read()):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "        codes.append(polysym.cli.run(argv))\n"
+    "print(json.dumps([codes, sorted(n for n in sys.modules if n.startswith('polysym.'))]))\n"
+)
+
+
 @pytest.mark.parametrize("family", sorted(VERB_FAMILIES))
 def test_each_verb_loads_only_its_layer(family):
     """Every golden argv of one verb family through `cli.run`, in one fresh
@@ -214,18 +224,26 @@ def test_each_verb_loads_only_its_layer(family):
     forbidden ones."""
     matches, forbidden = VERB_FAMILIES[family]
     cases = [case for case in GOLDEN if matches(case["argv"])]
-    code = (
-        "import contextlib, io, json, sys, polysym.cli\n"
-        "codes = []\n"
-        "for argv in json.loads(sys.stdin.read()):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        "        codes.append(polysym.cli.run(argv))\n"
-        "print(json.dumps([codes, sorted(n for n in sys.modules if n.startswith('polysym.'))]))\n"
-    )
-    codes, loaded = json.loads(_in_fresh_process(code, json.dumps([case["argv"] for case in cases])))
+    codes, loaded = json.loads(_in_fresh_process(_VERB_RUNNER, json.dumps([case["argv"] for case in cases])))
     assert cases and codes == [case["exit"] for case in cases]
     assert "polysym.exactla" in loaded
     assert not {f"polysym.{name}" for name in forbidden} & set(loaded)
+
+
+def test_ham_loads_no_lie_layer(monkeypatch):
+    """The benchmark's `ham` argvs (none is in the golden file) through
+    `cli.run` in one fresh process: the rotation-group generator is in closed
+    form, so neither liealg nor lietable loads."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT))
+    from perfbench.inputs import EXACT_ARGVS, NUMERIC_ARGVS
+
+    argvs = [list(argv) for argv in EXACT_ARGVS + NUMERIC_ARGVS if argv[0] == "ham"]
+    assert sorted(argv[1] for argv in argvs) == ["bracket", "embed", "field", "moment", "omega"]
+    assert ["so3", "rigidbody"] == [argv[argv.index("--patch") + 1] for argv in argvs[-2:]]
+    codes, loaded = json.loads(_in_fresh_process(_VERB_RUNNER, json.dumps(argvs)))
+    assert codes == [0] * len(argvs)
+    assert "polysym.pointham" in loaded
+    assert not {"polysym.liealg", "polysym.lietable"} & set(loaded)
 
 
 def test_no_module_imports_dataclasses():

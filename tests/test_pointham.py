@@ -5,6 +5,7 @@ import pytest
 
 from _oracles import (
     canonical_theta_at,
+    decimal_left_generator_at,
     four_point_fiber_pullback,
     looped_closedness_defect,
     looped_gradient,
@@ -15,12 +16,14 @@ from _oracles import (
     looped_velocity_derivative,
     omega_at_pullback_defect,
     so3_dexp_inv_at,
+    so3_left_generator_at,
     so3_log,
     three_omega_bracket,
     two_point_moment_identity_defect,
 )
 from polysym import liealg as la
 from polysym import pointham as ph
+from polysym import verify
 from polysym.errors import ContractViolation, ValidationError
 from polysym.polycore import canonical_model
 
@@ -281,6 +284,85 @@ class TestSo3Patch:
             assert np.max(np.abs(lhs + f3(x))) < 1e-4
 
 
+GENERATOR_XIS = [*np.eye(3), np.array([0.3, -1.0, 0.5])]
+
+
+def _relative_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestSo3LeftGenerator:
+    """The closed form against exp and a 3x3 solve (`so3_left_generator_at`)."""
+
+    POINTS = {
+        "halton-0.5": ph.halton_points(3, 64, seed=11, scale=0.5),
+        "halton-3": ph.halton_points(3, 64, seed=12, scale=3.0),
+        "origin": np.array([[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]]),
+        "below-1e-8": np.array([[3e-9, -6e-9, 6e-9], [-9.9e-9, 0.0, 0.0]]),
+        "t-pi": np.pi * np.array([[1.0, 0.0, 0.0], [1 / 3, 2 / 3, -2 / 3], [0.0, 0.0, -1.0]]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(POINTS))
+    def test_matches_exp_and_solve(self, name):
+        for xi in GENERATOR_XIS:
+            gen = ph.so3_left_generator(xi)
+            for x in self.POINTS[name]:
+                assert _relative_gap(gen(x), so3_left_generator_at(xi, x)) <= 1e-12
+
+    def test_near_1e_5_where_c_cancels(self):
+        # In floats, exp and solve lose digits in 1 - cos t here (up to about
+        # 1e-11 relative); their 40-digit Decimal evaluation does not.
+        directions = ph.halton_points(3, 16, seed=13, scale=1.0)
+        for i, d in enumerate(directions):
+            x = (0.5 + i / 16) * 1e-5 * d / np.linalg.norm(d)
+            for xi in GENERATOR_XIS:
+                got = ph.so3_left_generator(xi)(x)
+                assert _relative_gap(got, decimal_left_generator_at(xi, x)) <= 1e-14
+                assert _relative_gap(got, so3_left_generator_at(xi, x)) <= 1e-10
+
+    def test_decimal_oracle_matches_float_oracle_away_from_zero(self):
+        for x in self.POINTS["halton-3"][:8]:
+            for xi in GENERATOR_XIS:
+                assert _relative_gap(decimal_left_generator_at(xi, x), so3_left_generator_at(xi, x)) <= 1e-13
+
+
+def _mutant_generator(half: float, with_c: bool):
+    """so3_left_generator with the k xi coefficient `half` (-1/2 in the
+    closed form) and its c k (k xi) term kept or dropped."""
+
+    def make(xi):
+        xi = np.asarray(xi, dtype=float)
+
+        def gen(x):
+            k = np.cross(x, xi)
+            t = float(np.linalg.norm(x))
+            c = 1.0 / t**2 - np.cos(t / 2) / (2 * t * np.sin(t / 2)) if t >= 1e-8 else 1.0 / 12.0
+            return xi + half * k + (c * np.cross(x, k) if with_c else 0.0)
+
+        return gen
+
+    return make
+
+
+def test_unmutated_mutant_generator_is_the_closed_form():
+    for xi in GENERATOR_XIS:
+        for x in ph.halton_points(3, 8, seed=14, scale=0.5):
+            expected = ph.so3_left_generator(xi)(x)
+            assert _relative_gap(_mutant_generator(-0.5, True)(xi)(x), expected) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "half, with_c, passes",
+    [(-0.5, True, True), (0.5, True, False), (-0.5, False, False)],
+    ids=["unmutated", "half-term-sign-flipped", "c-term-dropped"],
+)
+def test_moment_identity_suite_notices_a_broken_generator(monkeypatch, half, with_c, passes):
+    monkeypatch.setattr(ph, "so3_left_generator", _mutant_generator(half, with_c))
+    result = verify.run_suite("moment-identity")
+    assert result.passed is passes
+    assert result.checks[0].passed  # the canonical patches use no rotation generator
+
+
 class TestLocalEmbed:
     def test_canonical_patch_into_its_double(self):
         emb = ph.local_embed(ph.canonical_theta(1, 1))
@@ -510,6 +592,20 @@ def test_fiber_derivative_matches_per_axis_loop(n, k):
         res = ph.fiber_derivative(lagrangian, q, v, k)
         assert np.array_equal(res.fiber_derivative, looped_velocity_derivative(lagrangian, q, v, k, ph.DEFAULT_FD_STEP))
         assert np.max(np.abs(res.pullback_form - four_point_fiber_pullback(lagrangian, q, v, k))) < 1e-6
+
+
+def test_halton_points_reject_a_negative_count():
+    with pytest.raises(ValidationError, match="non-negative"):
+        ph.halton_points(3, -1)
+    assert ph.halton_points(3, 0).shape == (0, 3)
+
+
+def test_moment_from_potential_needs_a_sample():
+    patch = ph.so3_patch()
+    gens = [ph.so3_left_generator(np.eye(3)[i]) for i in range(3)]
+    for count in (0, -2):
+        with pytest.raises(ValidationError, match="need at least one sample"):
+            ph.moment_from_potential(patch, gens, sample_count=count)
 
 
 def test_halton_points_deterministic():
