@@ -17,6 +17,7 @@ generator in closed form. All sampling is low-discrepancy with an explicit seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -129,14 +130,25 @@ class ExactPatch:
         return self.thetas(x[None], x)[0]
 
 
+@functools.lru_cache(maxsize=32)
+def _offsets(dim: int) -> np.ndarray:
+    """The read-only rows h e_a for every axis a, then -h e_a; h = DEFAULT_FD_STEP."""
+    e = DEFAULT_FD_STEP * np.eye(dim)
+    out = np.concatenate([e, -e])
+    out.flags.writeable = False
+    return out
+
+
 def _stencil(x: np.ndarray, axes: Optional[Sequence[int]] = None) -> np.ndarray:
     """x + h e_a for the i-th axis a of `axes` (default: every axis of x) in
-    row i, then x - h e_a in row len(axes) + i; h = DEFAULT_FD_STEP."""
+    row i, then x - h e_a in row len(axes) + i; h = DEFAULT_FD_STEP. Adding
+    -h e_a is the same IEEE operation as subtracting h e_a."""
     x = np.asarray(x, dtype=float)
-    e = DEFAULT_FD_STEP * np.eye(x.size)
+    off = _offsets(x.size)
     if axes is not None:
-        e = e[list(axes)]
-    return np.concatenate([x + e, x - e])
+        axes = list(axes)
+        off = off[axes + [x.size + a for a in axes]]
+    return x + off
 
 
 def _difference(values: np.ndarray) -> np.ndarray:
@@ -193,24 +205,32 @@ _HAT_BASIS = np.array(
 _EYE3 = np.eye(3)
 
 
+def _so3_ab(t: float) -> tuple:
+    """The potential's coefficients a = (1 - cos t) / t^2 and b = (t - sin t) / t^3."""
+    return (1.0 - math.cos(t)) / (t * t), (t - math.sin(t)) / t**3
+
+
 def _so3_dexp_inv(xs: np.ndarray) -> np.ndarray:
     """Left-trivialized differential of the exponential chart at each row x
-    of a (P, 3) stack: I - a k + b k^2 with k = hat(x), t = |x|,
-    a = (1 - cos t) / t^2 and b = (t - sin t) / t^3, or the series
-    I - k / 2 + k^2 / 6 where t < 1e-8.
+    of a (P, 3) stack: I - a k + b k^2 with k = hat(x), t = |x| and a, b from
+    _so3_ab, or the series I - k / 2 + k^2 / 6 where t < 1e-8.
 
     Each row equals the one-point formula to the bit: t is sqrt of vecdot
     (norm(axis=1) rounds differently), and a and b are float arithmetic row
     by row, since a stack is one point or one stencil and at those heights
-    eight numpy calls cost more than the loop.
+    eight numpy calls cost more than the loop. One row, the height of every
+    theta_at, scales k and k^2 by the two floats directly.
     """
     p = len(xs)
     k = xs.dot(_HAT_BASIS).reshape(p, 3, 3)
     kk = k @ k
     ts = np.sqrt(np.vecdot(xs, xs)).tolist()
-    ab = np.array(
-        [((1.0 - math.cos(t)) / (t * t), (t - math.sin(t)) / t**3) if t >= 1e-8 else (0.0, 0.0) for t in ts]
-    ).reshape(p, 2, 1, 1)
+    if p == 1:
+        if ts[0] < 1e-8:
+            return _EYE3 - 0.5 * k + kk / 6.0
+        a, b = _so3_ab(ts[0])
+        return _EYE3 - a * k + b * kk
+    ab = np.array([_so3_ab(t) if t >= 1e-8 else (0.0, 0.0) for t in ts]).reshape(p, 2, 1, 1)
     out = _EYE3 - ab[:, 0] * k + ab[:, 1] * kk
     small = [i for i, t in enumerate(ts) if t < 1e-8]
     if small:
@@ -312,8 +332,9 @@ def _solve_field(
     a = omega.reshape(patch.dim_v * patch.dim_m, patch.dim_m)
     b = df.reshape(-1)
     sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.linalg.norm(a @ sol - b))
-    threshold = 1e-6 * tolerance_scale * (1.0 + float(np.linalg.norm(b)))
+    r = a @ sol - b
+    residual = math.sqrt(r.dot(r))  # np.linalg.norm of a 1-D float array, without its wrapper
+    threshold = 1e-6 * tolerance_scale * (1.0 + math.sqrt(b.dot(b)))
     return HamiltonianSolve(
         X=sol,
         residual=residual,

@@ -582,6 +582,75 @@ def test_theta_evaluations_per_point(patch):
     assert len(rows) == 5 * 3
 
 
+class TestStencilOffsets:
+    """The stencil adds cached, read-only offsets +-h e_a."""
+
+    X = np.array([0.25, -0.0, 0.0, -1.5, 3.0])
+
+    def expected(self, axes):
+        h = ph.DEFAULT_FD_STEP
+        plus, minus = [], []
+        for a in axes:
+            e = np.zeros(self.X.size)
+            e[a] = h
+            plus.append(self.X + e)
+            minus.append(self.X - e)
+        return np.array(plus + minus)
+
+    def test_offsets_are_read_only(self):
+        off = ph._offsets(self.X.size)
+        assert not off.flags.writeable
+        with pytest.raises(ValueError):
+            off[0, 0] = 1.0
+
+    @pytest.mark.parametrize("axes", [None, (1, 2), range(2, 5), [4, 0]], ids=["all", "zeros", "range", "unsorted"])
+    def test_rows_are_x_plus_and_minus_h_e_a_to_the_bit(self, axes):
+        got = ph._stencil(self.X, axes)
+        _assert_same_floats(got, self.expected(range(self.X.size) if axes is None else axes))
+
+    def test_mutating_a_stencil_leaves_the_next_one_alone(self):
+        for axes in (None, [1, 3]):
+            first = ph._stencil(self.X, axes)
+            first[...] = np.nan
+            _assert_same_floats(ph._stencil(self.X, axes), self.expected(range(self.X.size) if axes is None else axes))
+
+
+class TestSo3OneRowPath:
+    """theta_at's one-row potential equals the same row of a stack."""
+
+    @pytest.mark.parametrize("radius", [0.99e-8, 1e-8, 1.01e-8, 1e-5, 0.3])
+    def test_one_row_equals_stacked_row(self, radius):
+        patch = ph.so3_patch()
+        for d in ph.halton_points(3, 16, seed=14, scale=1.0):
+            x = radius * d / np.linalg.norm(d)
+            stacked = patch.thetas(np.stack([x, 2.0 * x, -x]))
+            _assert_same_floats(patch.theta_at(x), stacked[0])
+            _assert_same_floats(patch.theta_at(-x), stacked[2])
+
+    def test_both_paths_raise_the_same_error_on_overflow(self):
+        patch = ph.so3_patch()
+        x = np.array([1e200, -3e200, 2e200])
+        errors = []
+        for xs in (x[None], np.stack([x, x])):
+            with pytest.raises(ValidationError) as info, np.errstate(over="ignore", invalid="ignore"):
+                patch.thetas(xs, x)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("theta is undefined at")
+
+
+@pytest.mark.parametrize("patch", [ph.canonical_theta(3, 2), ph.so3_patch()], ids=lambda p: p.name)
+def test_solve_norms_match_linalg_norm(patch):
+    """The residual and threshold equal np.linalg.norm of the same vectors."""
+    f = _contracted_potentials(patch)[0]
+    for x in ph.halton_points(patch.dim_m, 8, seed=15, scale=patch.sample_scale):
+        sol = ph.hamiltonian_field(patch, f, x, tolerance_scale=2.0)
+        a = ph.omega_at(patch, x).reshape(patch.dim_v * patch.dim_m, patch.dim_m)
+        b = ph.gradient(patch, f, x).reshape(-1)
+        assert sol.residual == float(np.linalg.norm(a @ sol.X - b))
+        assert sol.threshold == 1e-6 * 2.0 * (1.0 + float(np.linalg.norm(b)))
+
+
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 2), (3, 1), (1, 3), (2, 1)])
 def test_fiber_derivative_matches_per_axis_loop(n, k):
     def lagrangian(q, v):
