@@ -470,6 +470,12 @@ def moment_from_potential(
     )
 
 
+def _pullback(j: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """j^T w_c j for each component w_c of the (k, N, N) stack w and the
+    (N, n) Jacobian j: shape (k, n, n), two matrix products."""
+    return j.T @ (w @ j)
+
+
 class SectionEmbedding(NamedTuple):
     """The graph x -> (x, theta_x) into the canonical patch over the patch itself."""
 
@@ -492,7 +498,7 @@ class SectionEmbedding(NamedTuple):
         """Max entrywise gap between the pulled-back target form and the patch
         form, which is read off the theta rows of the same Jacobian."""
         j = self.jacobian(x)
-        pulled = np.einsum("ia,cij,jb->cab", j, self.target_omega, j)
+        pulled = _pullback(j, self.target_omega)
         n = self.patch.dim_m
         omega = _structure_form(j[n:].T.reshape(n, self.patch.dim_v, n))
         return float(np.max(np.abs(pulled - omega)))
@@ -548,7 +554,7 @@ def fiber_derivative(
         )
 
     target_omega = vform_to_numpy(canonical_model(n, dim_v))
-    pulled = np.einsum("ia,cij,jb->cab", jac, target_omega, jac)
+    pulled = _pullback(jac, target_omega)
     pulled = 0.5 * (pulled - np.transpose(pulled, (0, 2, 1)))
     return FiberDerivativeResult(fiber_derivative=fl, pullback_form=pulled, jacobian_rank=jrank)
 

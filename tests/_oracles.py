@@ -454,9 +454,10 @@ def two_point_moment_identity_defect(patch, generators, points, directions):
 
 
 def omega_at_pullback_defect(embedding, x):
-    """The section's pullback defect against a second omega_at."""
+    """The section's pullback defect against a second omega_at; the target
+    form is pulled back as j^T (W j), the same products as pullback_defect."""
     j = embedding.jacobian(x)
-    pulled = np.einsum("ia,cij,jb->cab", j, embedding.target_omega, j)
+    pulled = j.T @ (embedding.target_omega @ j)
     return float(np.max(np.abs(pulled - omega_at(embedding.patch, x))))
 
 

@@ -640,6 +640,18 @@ class TestSo3OneRowPath:
 
 
 @pytest.mark.parametrize("patch", [ph.canonical_theta(3, 2), ph.so3_patch()], ids=lambda p: p.name)
+def test_pullback_products_match_the_einsum(patch):
+    """j^T (W j) equals the three-operand einsum up to summation order."""
+    emb = ph.local_embed(patch)
+    for x in ph.halton_points(patch.dim_m, 8, seed=16, scale=patch.sample_scale):
+        j = emb.jacobian(x)
+        want = np.einsum("ia,cij,jb->cab", j, emb.target_omega, j)
+        got = ph._pullback(j, emb.target_omega)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("patch", [ph.canonical_theta(3, 2), ph.so3_patch()], ids=lambda p: p.name)
 def test_solve_norms_match_linalg_norm(patch):
     """The residual and threshold equal np.linalg.norm of the same vectors."""
     f = _contracted_potentials(patch)[0]
