@@ -13,6 +13,10 @@ differences on the stencil x +- h e_a with the fixed step h = DEFAULT_FD_STEP.
 Each routine differentiates theta once per point, in one call on the whole
 stencil; Hamiltonians and generators take one point per call, the rotation
 generator in closed form. All sampling is low-discrepancy with an explicit seed.
+
+The per-point numpy setup is paid once: stencils add cached read-only
+offsets, a one-row rotation potential combines k and k^2 with two floats,
+solve norms are sqrt(v.v), and pullbacks are the two products j^T (W j).
 """
 
 from __future__ import annotations
@@ -174,8 +178,8 @@ def _theta_partials(patch: ExactPatch, x: np.ndarray) -> np.ndarray:
 
 def _structure_form(d: np.ndarray) -> np.ndarray:
     """-d(theta) from d[a, c, b] = d theta_cb / d x_a, shape (k, n, n), exactly skew."""
-    raw = np.transpose(d, (1, 0, 2))  # raw[c, a, b] = d theta_cb / d x_a
-    return -(raw - np.transpose(raw, (0, 2, 1)))
+    raw = d.transpose(1, 0, 2)  # raw[c, a, b] = d theta_cb / d x_a
+    return -(raw - raw.transpose(0, 2, 1))
 
 
 def omega_at(patch: ExactPatch, x: np.ndarray) -> np.ndarray:
