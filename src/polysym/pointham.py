@@ -222,16 +222,14 @@ def _so3_dexp_inv(xs: np.ndarray) -> np.ndarray:
     Each row equals the one-point formula to the bit: t is sqrt of vecdot
     (norm(axis=1) rounds differently), and a and b are float arithmetic row
     by row, since a stack is one point or one stencil and at those heights
-    eight numpy calls cost more than the loop. One row, the height of every
-    theta_at, scales k and k^2 by the two floats directly.
+    eight numpy calls cost more than the loop. One row outside the series,
+    the common theta_at, scales k and k^2 by the two floats directly.
     """
     p = len(xs)
     k = xs.dot(_HAT_BASIS).reshape(p, 3, 3)
     kk = k @ k
     ts = np.sqrt(np.vecdot(xs, xs)).tolist()
-    if p == 1:
-        if ts[0] < 1e-8:
-            return _EYE3 - 0.5 * k + kk / 6.0
+    if p == 1 and ts[0] >= 1e-8:
         a, b = _so3_ab(ts[0])
         return _EYE3 - a * k + b * kk
     ab = np.array([_so3_ab(t) if t >= 1e-8 else (0.0, 0.0) for t in ts]).reshape(p, 2, 1, 1)
