@@ -283,7 +283,8 @@ def lifted_generator(
 def translation_generator(n: int, k: int, direction: int) -> Callable[[np.ndarray], np.ndarray]:
     e = np.zeros(n)
     e[direction] = 1.0
-    return lifted_generator(n, k, lambda q: e, lambda q: np.zeros((n, n)))
+    zero = np.zeros((n, n))
+    return lifted_generator(n, k, lambda q: e, lambda q: zero)
 
 
 def gradient(patch: ExactPatch, f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
