@@ -210,8 +210,10 @@ _EYE3 = np.eye(3)
 
 
 def _so3_ab(t: float) -> tuple:
-    """The potential's coefficients a = (1 - cos t) / t^2 and b = (t - sin t) / t^3."""
-    return (1.0 - math.cos(t)) / (t * t), (t - math.sin(t)) / t**3
+    """The potential's coefficients a = (1 - cos t) / t^2 and b = (t - sin t) / t^3,
+    with a as 2 (sin(t/2) / t)^2, which does not cancel near t = 0."""
+    s = math.sin(0.5 * t) / t
+    return 2.0 * s * s, (t - math.sin(t)) / t**3
 
 
 def _so3_dexp_inv(xs: np.ndarray) -> np.ndarray:

@@ -259,7 +259,8 @@ def so3_dexp_inv_at(x):
     k = hat(x)
     if th < 1e-8:
         return np.eye(3) - 0.5 * k + (k @ k) / 6.0
-    a = (1.0 - math.cos(th)) / (th * th)
+    s = math.sin(0.5 * th) / th
+    a = 2.0 * s * s  # (1 - cos th) / th^2 without the cancellation
     b = (th - math.sin(th)) / (th ** 3)
     return np.eye(3) - a * k + b * (k @ k)
 

@@ -223,17 +223,30 @@ class TestMomentFromPotential:
         assert mu.identity_defect < 1e-5
 
 
+def _maurer_cartan_gap(patch, x):
+    """Largest entry of omega_at(x) - eps(theta_x ., theta_x .), where
+    eps(u, v)_c = (u x v)_c."""
+    eps = np.zeros((3, 3, 3))
+    for c, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[c, a, b], eps[c, b, a] = 1.0, -1.0
+    theta = patch.theta_at(x)
+    return np.max(np.abs(ph.omega_at(patch, x) - np.einsum("cab,ai,bj->cij", eps, theta, theta)))
+
+
 class TestSo3Patch:
     def test_structure_form_is_maurer_cartan(self):
         # omega_c(u, v) = (theta u x theta v)_c; the opposite sign misses by 2.0
-        eps = np.zeros((3, 3, 3))
-        for c, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            eps[c, a, b], eps[c, b, a] = 1.0, -1.0
         patch = ph.so3_patch()
         for x in ph.halton_points(3, 200, seed=3, scale=0.5):
-            theta = patch.theta_at(x)
-            expected = np.einsum("cab,ai,bj->cij", eps, theta, theta)
-            assert np.max(np.abs(ph.omega_at(patch, x) - expected)) < 1e-9
+            assert _maurer_cartan_gap(patch, x) < 1e-9
+
+    @pytest.mark.parametrize("radius", [1e-5, 1e-4, 1e-3])
+    def test_structure_form_is_maurer_cartan_near_the_origin(self, radius):
+        # (1 - cos t) / t^2 cancels here and omega_at divides theta's
+        # rounding by 2h: that form missed by 7.5e-7 at 1e-5
+        patch = ph.so3_patch()
+        for d in ph.halton_points(3, 50, seed=17, scale=1.0):
+            assert _maurer_cartan_gap(patch, radius * d / np.linalg.norm(d)) < 1e-10
 
     def test_generator_matches_flow_derivative(self):
         rng = np.random.default_rng(0)
