@@ -243,7 +243,7 @@ class TestSo3Patch:
     @pytest.mark.parametrize("radius", [1e-5, 1e-4, 1e-3])
     def test_structure_form_is_maurer_cartan_near_the_origin(self, radius):
         # (1 - cos t) / t^2 cancels here and omega_at divides theta's
-        # rounding by 2h: that form missed by 7.5e-7 at 1e-5
+        # rounding by 2h: that form missed by 5.8e-7 at 1e-5
         patch = ph.so3_patch()
         for d in ph.halton_points(3, 50, seed=17, scale=1.0):
             assert _maurer_cartan_gap(patch, radius * d / np.linalg.norm(d)) < 1e-10
