@@ -934,6 +934,13 @@ def test_report_bytes_match_the_golden_file(monkeypatch, case):
     assert (code, out.getvalue(), err.getvalue()) == (case["exit"], case["stdout"], case["stderr"])
 
 
+def test_every_exact_suite_has_a_golden_report():
+    """Each exact suite's report is pinned by at least one golden argv, which
+    `test_exact_modules_import_no_numpy` also replays without numpy."""
+    pinned = {case["argv"][2] for case in GOLDEN if case["argv"][:2] == ["verify", "--suite"]}
+    assert set(SUITES) - NUMERIC_SUITES <= pinned
+
+
 # The benchmark's correctness gate: its cli-builtins workload compares the exit
 # code and stdout of every exact argv, byte for byte, with the golden output in
 # perfbench/golden/cli-builtins.json (read here, never written).
