@@ -13,7 +13,8 @@ its module is the one called:
   `polycore` (and `lietable` for the `cross` builtin);
 - `lie center|centralizer|reduce`: those and `lietable`;
 - `gauge`: `docio`, `exactla`, `polycore`, `discgauge` and `randgen`;
-- `verify`: `verify`, which loads every exact layer but `docio`;
+- `verify`: `verify`, `exactla`, `polycore` and `lietable`, and what the
+  suite runs of `randgen` and `discgauge`;
 - `ham`, `lie arnold|convexity` and the numeric `verify` suites: numpy,
   `liealg` and `pointham` besides. Every exact command runs without numpy.
 """
@@ -36,16 +37,13 @@ if TYPE_CHECKING:
     from . import pointham as ph
     from .exactla import Matrix, Subspace
 
-# The verify suite names, and those of the suites that compute in floats.
-# --suite help and the float policy read them here, so that neither imports
-# the suites; a test keeps them equal to verify.SUITES and
-# verify.NUMERIC_SUITES.
+# The verify suite names. --suite help reads them here, so that parsing any
+# command imports no suite; a test keeps them equal to verify.SUITES.
 SUITE_NAMES = (
     "arnold", "canonical-reduction", "convexity", "cross-table", "embedding",
     "gauge-h1", "gauge-invariance", "irreducibility", "lagrangian-sphere3",
     "lemma-subspaces", "lie-reductions", "moment-identity", "reduction-kernel",
 )
-NUMERIC_SUITE_NAMES = frozenset({"moment-identity", "arnold", "convexity"})
 
 
 class Report:
@@ -555,11 +553,12 @@ def _float_policy(args):
     operation (numeric arguments too large for float64) ends the run with one
     error line, not numpy warnings and nan fields. Only the commands that
     compute in floats enter it, so the exact ones never import numpy."""
-    numeric = (
-        args.cmd == "ham"
-        or (args.cmd == "lie" and args.verb in ("arnold", "convexity"))
-        or (args.cmd == "verify" and args.suite in NUMERIC_SUITE_NAMES)
-    )
+    if args.cmd == "verify":
+        from . import verify
+
+        numeric = args.suite in verify.NUMERIC_SUITES
+    else:
+        numeric = args.cmd == "ham" or (args.cmd == "lie" and args.verb in ("arnold", "convexity"))
     if not numeric:
         return contextlib.nullcontext()
     import numpy as np

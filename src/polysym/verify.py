@@ -1,20 +1,24 @@
 """Named verification suites.
 
 Each suite drives one family of identities on randomized or built-in
-instances and returns a structured result; the CLI renders them and the
-acceptance tests pin their seeds, trial counts, and tolerances. Exact suites
-assert set equalities over the rationals; numeric suites compare against the
-stated tolerances, scaled by the caller's tolerance factor. Each suite
-imports what lies beyond the exact core when it runs: the random draws
-(`randgen`), the cochain layer (`discgauge`), and, in the numeric suites
-(NUMERIC_SUITES) only, numpy with the numeric layers.
+instances and adds its checks to a structured result; the CLI renders them
+and the acceptance tests pin their seeds, trial counts, and tolerances. Exact
+suites assert set equalities over the rationals; numeric suites compare
+against the stated tolerances, scaled by the caller's tolerance factor.
+
+A suite is declared once, by `@_suite(name, default trials, identity)`, which
+registers it in SUITES (and, with `numeric=True`, in NUMERIC_SUITES).
+`run_suite` alone builds the result and the RNG seeded with the run's seed,
+and hands both to the suite. Each suite imports what lies beyond the exact
+core when it runs: the random draws (`randgen`), the cochain layer
+(`discgauge`), and, in the numeric suites only, numpy with the numeric layers.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import lietable as lt
 from .errors import ValidationError
@@ -40,8 +44,7 @@ class CheckResult(NamedTuple):
 class SuiteResult:
     """The checks of one suite run, appended as the suite makes them."""
 
-    def __init__(self, suite: str, identity: str, seed: int, trials: int):
-        self.suite = suite
+    def __init__(self, identity: str, seed: int, trials: int):
         self.identity = identity
         self.seed = seed
         self.trials = trials
@@ -55,42 +58,60 @@ class SuiteResult:
         self.checks.append(CheckResult(name=name, passed=bool(passed), detail=detail))
 
 
-def suite_cross_table(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+class Suite(NamedTuple):
+    """A declared suite: `run(res, rng, tol_scale)` adds its checks to `res`,
+    which carries the run's seed and trial count."""
+
+    run: Callable
+    trials: int
+    identity: str
+    numeric: bool
+
+
+SUITES: dict = {}
+
+
+def _suite(name: str, trials: int, identity: str, numeric: bool = False):
+    """Register the decorated function as the suite `name`, run at `trials`
+    trials unless the caller says otherwise; `numeric` marks a suite that
+    computes in floats (the rest are exact and load no numpy)."""
+
+    def register(run):
+        SUITES[name] = Suite(run, trials, identity, numeric)
+        return run
+
+    return register
+
+
+@_suite(
+    "cross-table", 50,
+    "cross-product orthogonals: zero space to all, lines fixed, planes to zero",
+)
+def _(res: SuiteResult, rng: random.Random, tol_scale: float):
     from . import randgen as rg
 
-    res = SuiteResult(
-        "cross-table",
-        "cross-product orthogonals: zero space to all, lines fixed, planes to zero",
-        seed,
-        trials,
-    )
-    rng = random.Random(seed)
     cross = lt.bracket_form(lt.so3())
     res.add("zero maps to full", orthogonal(cross, Subspace.zero(3)) == Subspace.full(3))
     res.add("full maps to zero", orthogonal(cross, Subspace.full(3)).is_zero())
     lines = planes = True
-    for _ in range(trials):
+    for _ in range(res.trials):
         line = rg.rand_line(rng, 3)
         lines &= orthogonal(cross, line) == line
         plane = rg.rand_plane(rng, 3)
         planes &= orthogonal(cross, plane).is_zero()
-    res.add(f"{trials} random lines are self-orthogonal", lines)
-    res.add(f"{trials} random planes map to zero", planes)
-    return res
+    res.add(f"{res.trials} random lines are self-orthogonal", lines)
+    res.add(f"{res.trials} random planes map to zero", planes)
 
 
-def suite_lemma_subspaces(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+@_suite(
+    "lemma-subspaces", 100,
+    "orthogonal calculus: extremes, inclusion reversal, double orthogonal, sums and intersections",
+)
+def _(res: SuiteResult, rng: random.Random, tol_scale: float):
     from . import randgen as rg
 
-    res = SuiteResult(
-        "lemma-subspaces",
-        "orthogonal calculus: extremes, inclusion reversal, double orthogonal, sums and intersections",
-        seed,
-        trials,
-    )
-    rng = random.Random(seed)
     ok = {key: True for key in ("i", "ii", "iii", "iv", "v", "vi")}
-    for _ in range(trials):
+    for _ in range(res.trials):
         n, k = rg.rand_dims(rng, max_n=8, max_k=4)
         form = rg.rand_vform(rng, n, k)
         a = rg.rand_subspace(rng, n)
@@ -118,21 +139,17 @@ def suite_lemma_subspaces(seed: int, trials: int, tol_scale: float) -> SuiteResu
     res.add("part iv: triple orthogonal stabilizes", ok["iv"])
     res.add("part v: orthogonal of a sum is the intersection", ok["v"])
     res.add("part vi: sum of orthogonals refines the intersection", ok["vi"])
-    return res
 
 
-def suite_reduction_kernel(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+@_suite(
+    "reduction-kernel", 100,
+    "reduced-form kernel matches the quotient image of the double orthogonal",
+)
+def _(res: SuiteResult, rng: random.Random, tol_scale: float):
     from . import randgen as rg
 
-    res = SuiteResult(
-        "reduction-kernel",
-        "reduced-form kernel matches the quotient image of the double orthogonal",
-        seed,
-        trials,
-    )
-    rng = random.Random(seed)
     kernel_ok = nondeg_ok = True
-    for _ in range(trials):
+    for _ in range(res.trials):
         n, k = rg.rand_dims(rng, max_n=6, max_k=4)
         form = rg.rand_vform(rng, n, k)
         a = rg.rand_subspace(rng, n)
@@ -147,23 +164,19 @@ def suite_reduction_kernel(seed: int, trials: int, tol_scale: float) -> SuiteRes
         )
         kernel_ok &= image == red.kernel
         nondeg_ok &= red.nondegenerate == (witness == core)
-    res.add(f"kernel formula on {trials} random instances", kernel_ok)
+    res.add(f"kernel formula on {res.trials} random instances", kernel_ok)
     res.add("nondegeneracy criterion matches", nondeg_ok)
-    return res
 
 
-def suite_canonical_reduction(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+@_suite(
+    "canonical-reduction", 50,
+    "reducing the universal model by a base subspace reproduces the smaller model",
+)
+def _(res: SuiteResult, rng: random.Random, tol_scale: float):
     from . import randgen as rg
 
-    res = SuiteResult(
-        "canonical-reduction",
-        "reducing the universal model by a base subspace reproduces the smaller model",
-        seed,
-        trials,
-    )
-    rng = random.Random(seed)
     dims_ok = nondeg_ok = True
-    for _ in range(trials):
+    for _ in range(res.trials):
         n = rng.randint(1, 4)
         k = rng.randint(1, 4)
         model = canonical_model(n, k)
@@ -178,44 +191,36 @@ def suite_canonical_reduction(seed: int, trials: int, tol_scale: float) -> Suite
         red = linear_reduce(model, lifted)
         dims_ok &= red.carrier.dim == (n - base.dim) * (1 + k)
         nondeg_ok &= red.nondegenerate
-    res.add(f"carrier dimension (n - dim A)(1 + k) on {trials} instances", dims_ok)
+    res.add(f"carrier dimension (n - dim A)(1 + k) on {res.trials} instances", dims_ok)
     res.add("reduced form always nondegenerate", nondeg_ok)
-    return res
 
 
-def suite_embedding(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+@_suite(
+    "embedding", 50,
+    "graph embedding into the universal model pulls the canonical form back exactly",
+)
+def _(res: SuiteResult, rng: random.Random, tol_scale: float):
     from . import randgen as rg
 
-    res = SuiteResult(
-        "embedding",
-        "graph embedding into the universal model pulls the canonical form back exactly",
-        seed,
-        trials,
-    )
-    rng = random.Random(seed)
     ok = True
-    for _ in range(trials):
+    for _ in range(res.trials):
         n, k = rg.rand_dims(rng, max_n=6, max_k=3)
         form = rg.rand_vform(rng, n, k)
         emb = universal_embed(form)
         pulled = pullback(canonical_model(n, k), emb)
         ok &= list(pulled.components) == list(form.components)
-    res.add(f"exact pullback identity on {trials} random forms", ok)
-    return res
+    res.add(f"exact pullback identity on {res.trials} random forms", ok)
 
 
-def suite_irreducibility(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+@_suite(
+    "irreducibility", 50,
+    "every proper coefficient surjection degenerates the universal model, with the constant-direction witness",
+)
+def _(res: SuiteResult, rng: random.Random, tol_scale: float):
     from . import randgen as rg
 
-    res = SuiteResult(
-        "irreducibility",
-        "every proper coefficient surjection degenerates the universal model, with the constant-direction witness",
-        seed,
-        trials,
-    )
-    rng = random.Random(seed)
     reject_ok = witness_ok = True
-    for _ in range(trials):
+    for _ in range(res.trials):
         k = rng.randint(2, 4)
         n = rng.randint(1, 3)
         model = canonical_model(n, k)
@@ -228,53 +233,47 @@ def suite_irreducibility(seed: int, trials: int, tol_scale: float) -> SuiteResul
         for i in range(k):
             witness[n + i * n] = v[i]
         witness_ok &= degeneracy.contains_vector(witness)
-    res.add(f"{trials} proper surjections rejected", reject_ok)
+    res.add(f"{res.trials} proper surjections rejected", reject_ok)
     res.add("kernel contains the constant-direction witness", witness_ok)
-    return res
 
 
-def suite_lie_reductions(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+@_suite(
+    "lie-reductions", 50,
+    "rotation algebra reduces to a point by any line; the diagonal subalgebra is self-orthogonal; centralizers are orthogonals",
+)
+def _(res: SuiteResult, rng: random.Random, tol_scale: float):
     from . import randgen as rg
 
-    res = SuiteResult(
-        "lie-reductions",
-        "rotation algebra reduces to a point by any line; the diagonal subalgebra is self-orthogonal; centralizers are orthogonals",
-        seed,
-        trials,
-    )
-    rng = random.Random(seed)
     g3, g2 = lt.so3(), lt.sl2()
     point_ok = True
-    for _ in range(trials):
+    for _ in range(res.trials):
         line = rg.rand_line(rng, 3)
         point_ok &= lt.lie_reduce(g3, line).carrier.dim == 0
-    res.add(f"{trials} lines reduce the rotation algebra to a point", point_ok)
+    res.add(f"{res.trials} lines reduce the rotation algebra to a point", point_ok)
     cartan = Subspace.from_vectors(3, [(1, 0, 0)])
     flags = classify(lt.bracket_form(g2), cartan)
     res.add("diagonal subalgebra classifies self-orthogonal", flags.lagrangian)
     cent_ok = True
     for g in (g3, g2):
         form = lt.bracket_form(g)
-        for _ in range(trials):
+        for _ in range(res.trials):
             a = rg.rand_subspace(rng, 3)
             cent_ok &= orthogonal(form, a) == lt.centralizer(g, a)
-    res.add(f"centralizer equals bracket orthogonal on {2 * trials} subspaces", cent_ok)
-    return res
+    res.add(f"centralizer equals bracket orthogonal on {2 * res.trials} subspaces", cent_ok)
 
 
-def suite_moment_identity(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+@_suite(
+    "moment-identity", 100,
+    "directional derivative of the moment map pairs as the structure form on induced fields",
+    numeric=True,
+)
+def _(res: SuiteResult, rng: random.Random, tol_scale: float):
     import numpy as np
 
     from . import pointham as ph
 
-    res = SuiteResult(
-        "moment-identity",
-        "directional derivative of the moment map pairs as the structure form on induced fields",
-        seed,
-        trials,
-    )
     tol = 1e-5 * tol_scale
-    per_patch = max(1, -(-trials // 9))
+    per_patch = max(1, -(-res.trials // 9))
     worst_canon = 0.0
     for n in (1, 2, 3):
         for k in (1, 2, 3):
@@ -283,8 +282,8 @@ def suite_moment_identity(seed: int, trials: int, tol_scale: float) -> SuiteResu
             if n == 2:
                 rot = np.array([[0.0, -1.0], [1.0, 0.0]])
                 gens.append(ph.lifted_generator(n, k, lambda q: rot @ q, lambda q: rot))
-            pts = ph.halton_points(patch.dim_m, per_patch, seed=seed + 10 * n + k, scale=1.0)
-            dirs = ph.halton_points(patch.dim_m, per_patch, seed=seed + 100 + 10 * n + k, scale=1.0)
+            pts = ph.halton_points(patch.dim_m, per_patch, seed=res.seed + 10 * n + k, scale=1.0)
+            dirs = ph.halton_points(patch.dim_m, per_patch, seed=res.seed + 100 + 10 * n + k, scale=1.0)
             worst_canon = max(worst_canon, ph.moment_identity_defect(patch, gens, pts, dirs))
     res.add(
         f"canonical patches, {9 * per_patch} samples",
@@ -293,59 +292,55 @@ def suite_moment_identity(seed: int, trials: int, tol_scale: float) -> SuiteResu
     )
     patch = ph.so3_patch()
     gens = [ph.so3_left_generator(np.eye(3)[i]) for i in range(3)]
-    pts = ph.halton_points(3, trials, seed=seed + 7, scale=patch.sample_scale)
-    dirs = ph.halton_points(3, trials, seed=seed + 8, scale=1.0)
+    pts = ph.halton_points(3, res.trials, seed=res.seed + 7, scale=patch.sample_scale)
+    dirs = ph.halton_points(3, res.trials, seed=res.seed + 8, scale=1.0)
     worst_so3 = ph.moment_identity_defect(patch, gens, pts, dirs)
     res.add(
-        f"rotation-group patch, {trials} samples",
+        f"rotation-group patch, {res.trials} samples",
         worst_so3 <= tol,
         f"defect {worst_so3:.3e} <= {tol:.1e}",
     )
-    return res
 
 
-def suite_arnold(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+@_suite(
+    "arnold", 1000,
+    "a non-identity left translation of the rotation group is fixed-point free",
+    numeric=True,
+)
+def _(res: SuiteResult, rng: random.Random, tol_scale: float):
     import numpy as np
 
     from . import liealg as la
 
-    res = SuiteResult(
-        "arnold",
-        "a non-identity left translation of the rotation group is fixed-point free",
-        seed,
-        trials,
-    )
     xi = np.array([0.0, 0.0, 2.0 * np.pi])
-    report = la.arnold_counterexample(xi, 0.5, trials, seed=seed, tolerance_scale=tol_scale)
+    report = la.arnold_counterexample(xi, 0.5, res.trials, seed=res.seed, tolerance_scale=tol_scale)
     res.add(
-        f"{trials} samples, half-period translation",
+        f"{res.trials} samples, half-period translation",
         report.fixed_points_found == 0,
         f"fixed points {report.fixed_points_found}",
     )
-    report2 = la.arnold_counterexample(xi, 1e-4, trials, seed=seed + 1, tolerance_scale=tol_scale)
+    report2 = la.arnold_counterexample(xi, 1e-4, res.trials, seed=res.seed + 1, tolerance_scale=tol_scale)
     res.add(
         "tiny but nonzero translation",
         report2.fixed_points_found == 0,
         f"fixed points {report2.fixed_points_found}",
     )
-    return res
 
 
-def suite_convexity(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+@_suite(
+    "convexity", 1000,
+    "the moment image is a sphere: radius is preserved and midpoints fall inside",
+    numeric=True,
+)
+def _(res: SuiteResult, rng: random.Random, tol_scale: float):
     import numpy as np
 
     from . import liealg as la
 
-    res = SuiteResult(
-        "convexity",
-        "the moment image is a sphere: radius is preserved and midpoints fall inside",
-        seed,
-        trials,
-    )
     xi = np.array([1.0, 0.0, 0.0])
-    report = la.convexity_counterexample(xi, trials, seed=seed, tolerance_scale=tol_scale)
+    report = la.convexity_counterexample(xi, res.trials, seed=res.seed, tolerance_scale=tol_scale)
     res.add(
-        f"{trials} samples stay on the sphere",
+        f"{res.trials} samples stay on the sphere",
         report.on_sphere,
         f"max radius error {report.max_radius_error:.3e}",
     )
@@ -354,7 +349,6 @@ def suite_convexity(seed: int, trials: int, tol_scale: float) -> SuiteResult:
         report.midpoint_gap >= 1e-6,
         f"midpoint norm {report.midpoint_norm:.3e}, gap {report.midpoint_gap:.3e}",
     )
-    return res
 
 
 def _oracle_betti(cx, p: int) -> int:
@@ -393,15 +387,13 @@ def _oracle_betti(cx, p: int) -> int:
     return cx.count(p) - rank_dp - rank_dprev
 
 
-def suite_gauge_h1(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+@_suite(
+    "gauge-h1", 1,
+    "gauge reduction lands on first cohomology; the pairing is the cup pairing into second cohomology",
+)
+def _(res: SuiteResult, rng: random.Random, tol_scale: float):
     from . import discgauge as dg
 
-    res = SuiteResult(
-        "gauge-h1",
-        "gauge reduction lands on first cohomology; the pairing is the cup pairing into second cohomology",
-        seed,
-        trials,
-    )
     expected = {"torus2": 2, "torus3": 3, "sphere2": 0, "sphere3": 0}
     for name, want in expected.items():
         cx = dg.BUILTIN_COMPLEXES[name]()
@@ -421,44 +413,36 @@ def suite_gauge_h1(seed: int, trials: int, tol_scale: float) -> SuiteResult:
                 "torus3 pairing has trivial component-kernel intersection",
                 red.pairing_kernel().is_zero(),
             )
-    return res
 
 
-def suite_gauge_invariance(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+@_suite(
+    "gauge-invariance", 100,
+    "shifting a closed argument by a coboundary moves the cup value by a coboundary only",
+)
+def _(res: SuiteResult, rng: random.Random, tol_scale: float):
     from . import discgauge as dg
     from . import randgen as rg
 
-    res = SuiteResult(
-        "gauge-invariance",
-        "shifting a closed argument by a coboundary moves the cup value by a coboundary only",
-        seed,
-        trials,
-    )
-    rng = random.Random(seed)
     for name in ("torus2", "torus3"):
         cx = dg.BUILTIN_COMPLEXES[name]()
         ok = True
-        for _ in range(trials):
+        for _ in range(res.trials):
             alpha = rg.rand_cochain(rng, cx, 1, closed=True)
             beta = rg.rand_cochain(rng, cx, 1, closed=True)
             gamma = rg.rand_cochain(rng, cx, 0)
             shifted = alpha + dg.d(gamma)
             ok &= dg.omega_disc(cx, shifted, beta) == dg.omega_disc(cx, alpha, beta)
-        res.add(f"{name}: {trials} random shifted pairs agree mod coboundaries", ok)
-    return res
+        res.add(f"{name}: {res.trials} random shifted pairs agree mod coboundaries", ok)
 
 
-def suite_lagrangian_sphere3(seed: int, trials: int, tol_scale: float) -> SuiteResult:
+@_suite(
+    "lagrangian-sphere3", 1,
+    "with trivial second cohomology, compare closed 1-cochains with their cup orthogonal",
+)
+def _(res: SuiteResult, rng: random.Random, tol_scale: float):
     from . import discgauge as dg
     from . import randgen as rg
 
-    res = SuiteResult(
-        "lagrangian-sphere3",
-        "with trivial second cohomology, compare closed 1-cochains with their cup orthogonal",
-        seed,
-        trials,
-    )
-    rng = random.Random(seed)
     cx = dg.BUILTIN_COMPLEXES["sphere3"]()
     report = dg.lagrangian_check(cx)
     res.add(
@@ -469,37 +453,25 @@ def suite_lagrangian_sphere3(seed: int, trials: int, tol_scale: float) -> SuiteR
     )
     # Z^1 = B^1 here, and df cup dg = d(f cup dg), so every closed pair cups to zero.
     ok = True
-    for _ in range(trials):
+    for _ in range(res.trials):
         alpha = rg.rand_cochain(rng, cx, 1, closed=True)
         beta = rg.rand_cochain(rng, cx, 1, closed=True)
         ok &= not any(dg.omega_disc(cx, alpha, beta))
-    res.add(f"{trials} random closed pairs cup to zero modulo coboundaries", ok)
-    return res
+    res.add(f"{res.trials} random closed pairs cup to zero modulo coboundaries", ok)
 
 
-SUITES: dict = {
-    "cross-table": (suite_cross_table, 50),
-    "lemma-subspaces": (suite_lemma_subspaces, 100),
-    "reduction-kernel": (suite_reduction_kernel, 100),
-    "canonical-reduction": (suite_canonical_reduction, 50),
-    "embedding": (suite_embedding, 50),
-    "irreducibility": (suite_irreducibility, 50),
-    "lie-reductions": (suite_lie_reductions, 50),
-    "moment-identity": (suite_moment_identity, 100),
-    "arnold": (suite_arnold, 1000),
-    "convexity": (suite_convexity, 1000),
-    "gauge-h1": (suite_gauge_h1, 1),
-    "gauge-invariance": (suite_gauge_invariance, 100),
-    "lagrangian-sphere3": (suite_lagrangian_sphere3, 1),
-}
-# The suites that compute in floats; the rest are exact and load no numpy.
-NUMERIC_SUITES = frozenset({"moment-identity", "arnold", "convexity"})
+NUMERIC_SUITES = frozenset(name for name, suite in SUITES.items() if suite.numeric)
 
 
 def run_suite(name: str, seed: int = 0, trials: int = None, tolerance_scale: float = 1.0) -> SuiteResult:
+    """Run the suite `name` on a fresh result and an RNG seeded with `seed`,
+    at its default trial count unless `trials` is given."""
     if name not in SUITES:
         raise ValidationError(
             f"unknown suite {name!r}; known suites: {', '.join(sorted(SUITES))}"
         )
-    fn, default_trials = SUITES[name]
-    return fn(seed, trials if trials is not None else default_trials, tolerance_scale)
+    suite = SUITES[name]
+    trials = suite.trials if trials is None else trials
+    res = SuiteResult(suite.identity, seed, trials)
+    suite.run(res, random.Random(seed), tolerance_scale)
+    return res

@@ -267,7 +267,6 @@ def test_static_name_tables_match_their_sources():
     from polysym import lietable
 
     assert list(cli.SUITE_NAMES) == sorted(SUITES)
-    assert cli.NUMERIC_SUITE_NAMES == NUMERIC_SUITES
     assert set(docio.BUILTINS) == {"cross"} | set(lietable.BUILTIN_TRIPLES) | set(dg.BUILTIN_COMPLEXES)
 
 
