@@ -472,6 +472,9 @@ def run_suite(name: str, seed: int = 0, trials: int = None, tolerance_scale: flo
         )
     suite = SUITES[name]
     trials = suite.trials if trials is None else trials
+    # A check run on no samples would pass vacuously.
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
     res = SuiteResult(suite.identity, seed, trials)
     suite.run(res, random.Random(seed), tolerance_scale)
     return res

@@ -903,6 +903,16 @@ class TestFileDocumentBranches:
         with pytest.raises(ValidationError):
             run_suite("nope")
 
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_run_suite_rejects_fewer_than_one_trial(self, suite):
+        """A check run on no samples would pass vacuously, so `run_suite`
+        itself refuses, not only the CLI."""
+        from polysym.verify import run_suite
+
+        for trials in (0, -4):
+            with pytest.raises(ValidationError, match="at least 1"):
+                run_suite(suite, trials=trials)
+
     def test_ham_field_wrong_expression_count(self, capsys):
         assert (
             run(
