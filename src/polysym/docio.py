@@ -64,9 +64,6 @@ class ProblemDocument:
             return NotImplemented
         return (self.kind, self.payload, self.seed) == (other.kind, other.payload, other.seed)
 
-    def __hash__(self):
-        return hash((self.kind, self.payload, self.seed))
-
 
 def parse_scalar(x) -> Fraction:
     """The exact scalar of a document entry or a --subspace entry: an integer,

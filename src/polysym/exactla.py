@@ -548,16 +548,6 @@ class QuotientSpace:
         self.section = section
         self.elimination = elimination
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ambient, self.sub, self.section, self.elimination) == (
-            other.ambient, other.sub, other.section, other.elimination
-        )
-
-    def __hash__(self):
-        return hash((self.ambient, self.sub, self.section, self.elimination))
-
     @property
     def dim(self) -> int:
         return self.section.cols

@@ -99,16 +99,6 @@ class ExactPatch:
         self.sample_scale = sample_scale
         self.base_shape = base_shape
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.dim_m, self.dim_v, self.theta, self.name, self.sample_scale, self.base_shape) == (
-            other.dim_m, other.dim_v, other.theta, other.name, other.sample_scale, other.base_shape
-        )
-
-    def __hash__(self):
-        return hash((self.dim_m, self.dim_v, self.theta, self.name, self.sample_scale, self.base_shape))
-
     def thetas(self, xs: np.ndarray, at: Optional[np.ndarray] = None) -> np.ndarray:
         """theta on a (P, dim_m) stack, its shape and finiteness checked once.
         An error names the point `at` the stack was built around (default:
