@@ -542,8 +542,7 @@ class QuotientSpace:
     """
 
     # No __slots__: the cached properties below live in the instance dict.
-    def __init__(self, ambient: Subspace, sub: Subspace, section: Matrix, elimination: Matrix):
-        self.ambient = ambient
+    def __init__(self, sub: Subspace, section: Matrix, elimination: Matrix):
         self.sub = sub
         self.section = section
         self.elimination = elimination
@@ -593,7 +592,7 @@ def quotient(ambient: Subspace, sub: Subspace) -> QuotientSpace:
     chosen = [p - sub.dim for p in pivots[sub.dim :]]
     section = ambient.basis._col_block(chosen)
     elimination = red._col_block(range(width, width + n))
-    return QuotientSpace(ambient, sub, section, elimination)
+    return QuotientSpace(sub, section, elimination)
 
 
 def annihilator(s: Subspace) -> Subspace:

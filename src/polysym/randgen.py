@@ -14,18 +14,20 @@ from .errors import ContractViolation, ValidationError
 from .exactla import Matrix, Subspace, rank
 from .polycore import VForm
 
+SPAN, ATTEMPTS = 3, 200  # numerators lie in [-SPAN, SPAN]; rejection samplers give up after ATTEMPTS draws
 
-def rand_fraction(rng: random.Random, span: int = 3) -> Fraction:
+
+def rand_fraction(rng: random.Random) -> Fraction:
     den = rng.choice((1, 1, 1, 2, 3))
-    return Fraction(rng.randint(-span, span), den)
+    return Fraction(rng.randint(-SPAN, SPAN), den)
 
 
-def rand_matrix(rng: random.Random, rows: int, cols: int, span: int = 3) -> Matrix:
-    return Matrix([[rand_fraction(rng, span) for _ in range(cols)] for _ in range(rows)])
+def rand_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
+    return Matrix([[rand_fraction(rng) for _ in range(cols)] for _ in range(rows)])
 
 
-def rand_vector(rng: random.Random, n: int, span: int = 3) -> tuple:
-    return tuple(rand_fraction(rng, span) for _ in range(n))
+def rand_vector(rng: random.Random, n: int) -> tuple:
+    return tuple(rand_fraction(rng) for _ in range(n))
 
 
 def rand_subspace(rng: random.Random, n: int, max_dim: int = None) -> Subspace:
@@ -33,18 +35,16 @@ def rand_subspace(rng: random.Random, n: int, max_dim: int = None) -> Subspace:
     return Subspace.from_vectors(n, [rand_vector(rng, n) for _ in range(d)])
 
 
-def rand_skew(rng: random.Random, n: int, span: int = 3) -> Matrix:
-    m = rand_matrix(rng, n, n, span)
+def rand_skew(rng: random.Random, n: int) -> Matrix:
+    m = rand_matrix(rng, n, n)
     return m - m.transpose()
 
 
-def rand_vform(rng: random.Random, n: int, k: int, attempts: int = 200) -> VForm:
-    """A random nondegenerate form; rejection-sampled.
-
-    A single component on an odd-dimensional space is always degenerate, so
-    callers should pass even n when k == 1.
-    """
-    for _ in range(attempts):
+def rand_vform(rng: random.Random, n: int, k: int) -> VForm:
+    """A random nondegenerate form, rejection-sampled. A single component on
+    an odd-dimensional space is always degenerate, so callers pass even n
+    when k == 1."""
+    for _ in range(ATTEMPTS):
         form = VForm(n, tuple(rand_skew(rng, n) for _ in range(k)))
         if form.is_nondegenerate():
             return form
@@ -61,10 +61,10 @@ def rand_dims(rng: random.Random, max_n: int = 8, max_k: int = 4) -> tuple:
     return n, k
 
 
-def rand_surjection(rng: random.Random, rows: int, cols: int, attempts: int = 200) -> Matrix:
+def rand_surjection(rng: random.Random, rows: int, cols: int) -> Matrix:
     if rows > cols:
         raise ContractViolation("a surjection needs rows <= cols")
-    for _ in range(attempts):
+    for _ in range(ATTEMPTS):
         m = rand_matrix(rng, rows, cols)
         if rank(m) == rows:
             return m
@@ -87,7 +87,7 @@ def rand_plane(rng: random.Random, n: int) -> Subspace:
 
 def rand_cochain(rng: random.Random, cx, degree: int, closed: bool = False):
     """A `discgauge.Cochain` of the complex cx with integer coordinates in
-    [-3, 3]: on the cocycle basis of the degree when closed, else on the
+    [-SPAN, SPAN]: on the cocycle basis of the degree when closed, else on the
     simplices. Only this draw loads `discgauge`."""
     from .discgauge import Cochain
 
@@ -95,5 +95,5 @@ def rand_cochain(rng: random.Random, cx, degree: int, closed: bool = False):
         if not (0 <= degree <= cx.dimension):
             raise ValidationError("cohomology degree out of range")
         z = cx.cocycles(degree)
-        return Cochain(cx, degree, z.basis.apply([Fraction(rng.randint(-3, 3)) for _ in range(z.dim)]))
-    return Cochain(cx, degree, [Fraction(rng.randint(-3, 3)) for _ in range(cx.count(degree))])
+        return Cochain(cx, degree, z.basis.apply([Fraction(rng.randint(-SPAN, SPAN)) for _ in range(z.dim)]))
+    return Cochain(cx, degree, [Fraction(rng.randint(-SPAN, SPAN)) for _ in range(cx.count(degree))])

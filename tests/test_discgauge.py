@@ -1,57 +1,27 @@
 import itertools
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from _oracles import oracle_betti
 from polysym import discgauge as dg
-from polysym import randgen
 from polysym.errors import ContractViolation, ValidationError
 from polysym.exactla import Matrix, Subspace, annihilator, contains, kernel
-from polysym.verify import run_suite
+from polysym.randgen import rand_cochain
+from polysym.verify import SUITES, run_suite
 
-
-def rand_cochain(rng, cx, degree, span=3):
-    return dg.Cochain(
-        cx, degree, [F(rng.randint(-span, span)) for _ in range(cx.count(degree))]
-    )
-
-
-def closed_cochain(rng, cx, degree=1):
-    z = dg.cohomology(cx, degree).cocycles
-    coeffs = [F(rng.randint(-3, 3)) for _ in range(z.dim)]
-    return dg.Cochain(cx, degree, z.basis.apply(coeffs))
+sys.path.append(str(Path(__file__).resolve().parents[1]))
+from perfbench.inputs import grid_torus_simplices  # noqa: E402
 
 
 def grid_torus(n: int, dim: int) -> dg.DeltaComplex:
     """Periodic n^dim triangulated grid: same space as the quotient-cube
     torus, but with enough vertices to carry non-constant 0-cochains. Faces
     resolve by vertex-tuple lookup, exercising that construction path."""
-    verts = list(itertools.product(range(n), repeat=dim))
-    vid = {v: i for i, v in enumerate(verts)}
-    offsets = [o for o in itertools.product((0, 1), repeat=dim) if any(o)]
-
-    def disjoint(u, v):
-        return all(not (a and b) for a, b in zip(u, v))
-
-    def chains(p):
-        out = [()]
-        for _ in range(p):
-            out = [c + (u,) for c in out for u in offsets if all(disjoint(u, w) for w in c)]
-        return out
-
-    simplices = {0: [(vid[v],) for v in verts]}
-    for p in range(1, dim + 1):
-        cells = set()
-        for base in verts:
-            for ch in chains(p):
-                pts = [base]
-                for u in ch:
-                    pts.append(tuple(a + b for a, b in zip(pts[-1], u)))
-                cells.add(tuple(vid[tuple(c % n for c in q)] for q in pts))
-        simplices[p] = sorted(cells)
-    return dg.DeltaComplex(simplices, name=f"grid{n}^{dim}")
+    return dg.DeltaComplex(grid_torus_simplices(n, dim), name=f"grid{n}^{dim}")
 
 
 class TestDeltaComplexValidation:
@@ -156,7 +126,7 @@ class TestCup:
         quot = dg.CochainQuotient(t3, 2)
         for _ in range(15):
             gamma = rand_cochain(rng, t3, 0)
-            beta = closed_cochain(rng, t3)
+            beta = rand_cochain(rng, t3, 1, closed=True)
             assert quot.is_coboundary(dg.cup(dg.d(gamma), beta))
 
 
@@ -199,7 +169,7 @@ class TestOmegaDisc:
         t2 = dg.torus_complex(2)
         h2 = dg.cohomology(t2, 2)
         for _ in range(10):
-            alpha = closed_cochain(rng, t2)
+            alpha = rand_cochain(rng, t2, 1, closed=True)
             square = dg.cup(alpha, alpha)
             assert all(x == 0 for x in h2.class_coordinates(square))
 
@@ -215,8 +185,8 @@ class TestOmegaDisc:
         t3 = dg.torus_complex(3)
         quot = dg.CochainQuotient(t3, 2)
         for _ in range(10):
-            alpha = closed_cochain(rng, t3)
-            beta = closed_cochain(rng, t3)
+            alpha = rand_cochain(rng, t3, 1, closed=True)
+            beta = rand_cochain(rng, t3, 1, closed=True)
             total = dg.cup(alpha, beta) + dg.cup(beta, alpha)
             assert quot.is_coboundary(total)
 
@@ -231,7 +201,7 @@ class TestGaugeMoment:
         rng = random.Random(4)
         for name in ("torus2", "torus3", "sphere2"):
             cx = dg.BUILTIN_COMPLEXES[name]()
-            assert dg.gauge_moment(cx, closed_cochain(rng, cx)).is_zero()
+            assert dg.gauge_moment(cx, rand_cochain(rng, cx, 1, closed=True)).is_zero()
 
     def test_constant_test_function_scales_curvature(self):
         rng = random.Random(5)
@@ -325,8 +295,8 @@ class TestReduceGauge:
             red = dg.reduce_gauge(cx)
             h1, h2 = red.carrier, red.target
             for _ in range(10):
-                z1 = closed_cochain(rng, cx)
-                z2 = closed_cochain(rng, cx)
+                z1 = rand_cochain(rng, cx, 1, closed=True)
+                z2 = rand_cochain(rng, cx, 1, closed=True)
                 x1 = h1.class_coordinates(z1)
                 x2 = h1.class_coordinates(z2)
                 direct = h2.class_coordinates(dg.cup(z1, z2))
@@ -344,8 +314,8 @@ class TestReduceGauge:
         for name in ("torus2", "torus3"):
             cx = dg.BUILTIN_COMPLEXES[name]()
             for _ in range(25):
-                alpha = closed_cochain(rng, cx)
-                beta = closed_cochain(rng, cx)
+                alpha = rand_cochain(rng, cx, 1, closed=True)
+                beta = rand_cochain(rng, cx, 1, closed=True)
                 gamma = rand_cochain(rng, cx, 0)
                 shifted = alpha + dg._d_extended(gamma)
                 assert dg.omega_disc(cx, shifted, beta) == dg.omega_disc(cx, alpha, beta)
@@ -499,7 +469,8 @@ class TestCupTableAgainstPairwiseProducts:
         with pytest.raises(ContractViolation, match="not gauge invariant"):
             dg.reduce_gauge(cx)
 
-    def test_lagrangian_suite_rejects_a_corrupted_cup(self, monkeypatch):
+    @pytest.mark.parametrize("trials", [3, SUITES["lagrangian-sphere3"].trials])
+    def test_lagrangian_suite_rejects_a_corrupted_cup(self, monkeypatch, trials):
         # Closed pairs on sphere3 cup to coboundaries; with back faces read as
         # front faces their products leave B^2 and the suite fails.
         build = dg.BUILTIN_COMPLEXES["sphere3"]
@@ -511,9 +482,9 @@ class TestCupTableAgainstPairwiseProducts:
             cx.cup_table = lambda p, q: table if (p, q) == (1, 1) else valid(p, q)
             return cx
 
-        assert run_suite("lagrangian-sphere3", seed=0, trials=3).passed
+        assert run_suite("lagrangian-sphere3", seed=0, trials=trials).passed
         monkeypatch.setitem(dg.BUILTIN_COMPLEXES, "sphere3", corrupted)
-        result = run_suite("lagrangian-sphere3", seed=0, trials=3)
+        result = run_suite("lagrangian-sphere3", seed=0, trials=trials)
         assert [c.passed for c in result.checks] == [True, False]
 
     def test_closed_draws_build_no_cohomology_presentation(self, monkeypatch):
@@ -522,7 +493,7 @@ class TestCupTableAgainstPairwiseProducts:
 
         cx = dg.torus_complex(3)
         monkeypatch.setattr(dg, "quotient", refuse)
-        alpha = randgen.rand_cochain(random.Random(16), cx, 1, closed=True)
+        alpha = rand_cochain(random.Random(16), cx, 1, closed=True)
         assert dg.d(alpha).is_zero()
 
     def test_quotient_built_once_per_complex(self, monkeypatch):
@@ -536,7 +507,7 @@ class TestCupTableAgainstPairwiseProducts:
         monkeypatch.setattr(dg.CochainQuotient, "__init__", counting)
         cx = dg.torus_complex(3)
         rng = random.Random(13)
-        dg.omega_disc(cx, closed_cochain(rng, cx), closed_cochain(rng, cx))
+        dg.omega_disc(cx, rand_cochain(rng, cx, 1, closed=True), rand_cochain(rng, cx, 1, closed=True))
         dg.omega_kernel(cx)
         dg.gauge_moment(cx, rand_cochain(rng, cx, 1))
         dg.moment_zero_set(cx)
@@ -560,7 +531,7 @@ class TestCupTableAgainstPairwiseProducts:
         zero_set = dg.moment_zero_set(cx)
         dg.lagrangian_check(cx)
         rng = random.Random(15)
-        dg.omega_disc(cx, closed_cochain(rng, cx), closed_cochain(rng, cx))
+        dg.omega_disc(cx, rand_cochain(rng, cx, 1, closed=True), rand_cochain(rng, cx, 1, closed=True))
         # Per degree: Z^p (an elimination and its canonical basis), B^p and
         # the H^p quotient; then the C^2/B^2 quotient, the moment kernel (two)
         # and one containment. Every projector comes with its quotient.
@@ -574,7 +545,7 @@ class TestCupTableAgainstPairwiseProducts:
 
         cx = dg.torus_complex(3)
         rng = random.Random(14)
-        dg.omega_disc(cx, closed_cochain(rng, cx), closed_cochain(rng, cx))
+        dg.omega_disc(cx, rand_cochain(rng, cx, 1, closed=True), rand_cochain(rng, cx, 1, closed=True))
         dg.reduce_gauge(cx)
         ref = weakref.ref(cx)
         gc.disable()
@@ -606,8 +577,6 @@ class TestGridTorusCubed:
 
 @pytest.mark.parametrize("name", sorted(dg.BUILTIN_COMPLEXES))
 def test_rand_cochain_draws(name):
-    from polysym.randgen import rand_cochain
-
     cx = dg.BUILTIN_COMPLEXES[name]()
     rng, replay = random.Random(9), random.Random(9)
     closed = rand_cochain(rng, cx, 1, closed=True)
