@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional
 
 from .errors import ContractViolation, ValidationError
-from .exactla import Matrix, QuotientSpace, Subspace, contains, kernel, quotient
+from .exactla import Matrix, QuotientSpace, Subspace, contains, kernel, pivot_coordinates, pivot_rows, quotient
 from .polycore import joint_kernel
 
 MAX_DIMENSION = 3
@@ -33,7 +33,10 @@ class DeltaComplex:
     A complex is never mutated after __init__. Values derived from it (the
     coboundary matrices, the cocycle and coboundary spaces, cup tables,
     cohomology per degree and the C^2/B^2 quotient) are therefore built on
-    first request and cached on it.
+    first request and cached on it. Only the routines that need cup values
+    modulo all of B^2 build the C^2/B^2 quotient (`omega_disc`, the moment
+    functions, `omega_kernel` and `lagrangian_check`); `reduce_gauge` reads
+    its invariance check and its pairing through H^2 instead.
     """
 
     def __init__(
@@ -267,6 +270,26 @@ def _cup_extended(a: Cochain, b: Cochain) -> Cochain:
     return Cochain(a.complex, a.degree + b.degree, tuple(a.values[f] * b.values[k] for f, k in table))
 
 
+def _cup_sums(
+    cx: DeltaComplex, p: int, q: int, left: Matrix, right: Matrix, by_right: bool, proj: Matrix,
+) -> tuple:
+    """(sums, den): the entries of `_cup_matrix` as integers over den, keyed
+    by (row, column); only the entries some product reaches are present, and
+    a sum may be zero."""
+    (lrows, ld), (rrows, rd) = left._scaled_rows(), right._scaled_rows()
+    pcols, pd = proj.transpose()._scaled_rows()
+    k = proj.rows
+    sums = {}
+    for s, (f, b) in enumerate(cx.cup_table(p, q)):
+        for i, x in lrows[f].items():
+            for j, y in rrows[b].items():
+                block, col = (j, i) if by_right else (i, j)
+                for c, z in pcols[s].items():
+                    key = (block * k + c, col)
+                    sums[key] = sums.get(key, 0) + x * y * z
+    return sums, ld * rd * pd
+
+
 def _cup_matrix(
     cx: DeltaComplex, p: int, q: int, left: Matrix, right: Matrix,
     by_right: bool = False, proj: Optional[Matrix] = None,
@@ -274,50 +297,63 @@ def _cup_matrix(
     """Projected cup products of the columns of left (p-cochains) and right
     (q-cochains), read off one pass over the cup table.
 
-    proj defaults to the C^2/B^2 coordinates of the complex's cup quotient.
-    Row i*k + c, column j holds coordinate c of proj(left_i cup right_j), where
-    k = proj.rows; with by_right the roles swap, so row j*k + c, column i. The
-    result is the matrix of a linear map in the coefficients of the column
-    side, stacked over the block side. The sums run on the nonzero integer
-    numerators, each matrix over its common denominator.
+    proj defaults to the C^2/B^2 coordinates of the complex's cup quotient;
+    `reduce_gauge` passes the H^2 projector instead. Row i*k + c, column j
+    holds coordinate c of proj(left_i cup right_j), where k = proj.rows; with
+    by_right the roles swap, so row j*k + c, column i. The result is the
+    matrix of a linear map in the coefficients of the column side, stacked
+    over the block side. The sums run on the nonzero integer numerators,
+    each matrix over its common denominator.
     """
     if proj is None:
         proj = cx.cup_quotient.presentation.projector
-    (lrows, ld), (rrows, rd) = left._scaled_rows(), right._scaled_rows()
-    pcols, pd = proj.transpose()._scaled_rows()
-    k = proj.rows
+    sums, den = _cup_sums(cx, p, q, left, right, by_right, proj)
     blocks, cols = (right.cols, left.cols) if by_right else (left.cols, right.cols)
-    out = [{} for _ in range(blocks * k)]
-    for s, (f, b) in enumerate(cx.cup_table(p, q)):
-        for i, x in lrows[f].items():
-            for j, y in rrows[b].items():
-                block, col = (j, i) if by_right else (i, j)
-                for c, z in pcols[s].items():
-                    row = out[block * k + c]
-                    row[col] = row.get(col, 0) + x * y * z
-    rows = [{j: v for j, v in row.items() if v} for row in out]
-    return Matrix._of_integers(rows, cols, ld * rd * pd)
+    rows = [{} for _ in range(blocks * proj.rows)]
+    for (r, col), v in sums.items():
+        if v:
+            rows[r][col] = v
+    return Matrix._of_integers(rows, cols, den)
 
 
 class CohomologyPresentation(NamedTuple):
-    """Cocycles, coboundaries, and a deterministic harmonic section in one degree."""
+    """Cocycles, coboundaries, and a deterministic harmonic section in one
+    degree, with H^p = Z/B presented in Z's pivot coordinates.
+
+    Z's canonical basis is the identity at its pivot rows, so a cocycle's
+    entries there are its coordinates in Z, and B's rows there are B's
+    coordinates. `presentation` is Q^(dim Z) modulo the latter. Its greedy
+    section picks the basis cocycles that Z/B would pick, and those columns
+    of Z are the harmonic section.
+    """
 
     degree: int
     cocycles: Subspace
     coboundaries: Subspace
-    presentation: QuotientSpace
-
-    @property
-    def harmonic_section(self) -> Matrix:
-        return self.presentation.section
+    pivots: tuple  # Z's pivot rows
+    presentation: QuotientSpace  # Q^(dim Z) modulo B's coordinates
+    harmonic_section: Matrix
 
     @property
     def betti(self) -> int:
         return self.cocycles.dim - self.coboundaries.dim
 
+    @property
+    def projector(self) -> Matrix:
+        """betti x (cochain count): the section coordinates of the class of
+        each cocycle, read off its entries at Z's pivot rows. Off Z it is
+        not a class map; `class_coordinates` checks closedness first."""
+        proj, at = self.presentation.projector, self.pivots
+        rows = tuple(({at[k]: a for k, a in nums.items()}, d) for nums, d in proj._ints)
+        return Matrix._of(proj.rows, self.cocycles.ambient_dim, rows)
+
     def class_coordinates(self, c: Cochain) -> tuple:
-        """Coordinates of the class of a cocycle in the harmonic section."""
-        return self.presentation.project(c.values)
+        """Coordinates of the class of a cocycle in the harmonic section; a
+        cochain that is not closed raises ValidationError."""
+        coords = [c.values[i] for i in self.pivots]
+        if self.cocycles.basis.apply(coords) != c.values:
+            raise ValidationError("the cochain is not closed")
+        return self.presentation.project(coords)
 
 
 def cohomology(cx: DeltaComplex, p: int) -> CohomologyPresentation:
@@ -328,7 +364,10 @@ def cohomology(cx: DeltaComplex, p: int) -> CohomologyPresentation:
 
 def _cohomology(cx: DeltaComplex, p: int) -> CohomologyPresentation:
     z, b = cx.cocycles(p), cx.coboundaries(p)
-    return CohomologyPresentation(degree=p, cocycles=z, coboundaries=b, presentation=quotient(z, b))
+    at, coords = pivot_coordinates(z, b)
+    presentation = quotient(Subspace.full(z.dim), coords)
+    section = z.basis._col_block(pivot_rows(presentation.section))
+    return CohomologyPresentation(p, z, b, at, presentation, section)
 
 
 class CochainQuotient:
@@ -435,13 +474,20 @@ def reduce_gauge(cx: DeltaComplex) -> GaugeReduction:
     b2 = target.betti
     reps = carrier.harmonic_section
 
+    proj = target.projector
+
     # Gauge invariance of the pairing: shifting a representative by a
-    # coboundary moves the product by a coboundary only.
-    if not _cup_matrix(cx, 1, 1, cx.coboundary_matrix(0), reps).is_zero():
+    # coboundary moves the product by a coboundary only. A 2-cochain is a
+    # coboundary iff d^2 sends it to zero and its H^2 coordinates vanish, so
+    # each product df_j cup reps_a is tested against the rows of d^2 and of
+    # the projector; the first nonzero sum fails it.
+    tests = cx.coboundary_matrix(2).vstack(proj)
+    sums, _ = _cup_sums(cx, 1, 1, cx.coboundary_matrix(0), reps, False, tests)
+    if any(sums.values()):
         raise ContractViolation("pairing is not gauge invariant")
 
     # Row a*b2 + c, column b: coordinate c of the class of reps_a cup reps_b.
-    products = _cup_matrix(cx, 1, 1, reps, reps, proj=target.presentation.projector)
+    products = _cup_matrix(cx, 1, 1, reps, reps, proj=proj)
     pairing = tuple(
         products._row_block(range(c, b1 * b2, b2))
         for c in range(b2)

@@ -1,5 +1,6 @@
 """Exact rational linear algebra: matrices, kernels, the subspace lattice,
-quotients with deterministic sections, and annihilators.
+quotients with deterministic sections, coordinates in a canonical basis, and
+annihilators.
 
 Every entry a caller passes in or gets back is a `fractions.Fraction`, so
 every identity in this module is an exact set equality; there are no
@@ -582,17 +583,57 @@ def quotient(ambient: Subspace, sub: Subspace) -> QuotientSpace:
     exactly the ambient basis columns that extend sub in index order: the
     greedy section. sub lies in ambient iff the rank is dim ambient. The
     identity block becomes the E of the row operations, which send
-    [sub | section] to the leading unit vectors.
+    [sub | section] to the leading unit vectors. When ambient is the whole
+    space its basis is I, so the ambient block already becomes E (E I = E):
+    the pass runs over [sub | I] and reads E off the second block.
     """
     _check_same_ambient(ambient, sub)
     n, width = ambient.ambient_dim, sub.dim + ambient.dim
-    red, pivots = rref(sub.basis.hstack(ambient.basis).hstack(Matrix.identity(n)), stop=width)
+    whole = ambient.dim == n
+    frame = sub.basis.hstack(ambient.basis)
+    red, pivots = rref(frame if whole else frame.hstack(Matrix.identity(n)), stop=width)
     if len(pivots) != ambient.dim:
         raise ValidationError("quotient requires sub to be contained in ambient")
     chosen = [p - sub.dim for p in pivots[sub.dim :]]
     section = ambient.basis._col_block(chosen)
-    elimination = red._col_block(range(width, width + n))
+    start = sub.dim if whole else width
+    elimination = red._col_block(range(start, start + n))
     return QuotientSpace(sub, section, elimination)
+
+
+def pivot_rows(m: Matrix) -> tuple:
+    """The first nonzero row of each column of m (none may be zero). For a
+    canonical basis these are its pivot rows, where it is the identity."""
+    first = {}
+    for i, (nums, _) in enumerate(m._ints):
+        for c in nums:
+            first.setdefault(c, i)
+    return tuple(first[c] for c in range(m.cols))
+
+
+def pivot_coordinates(ambient: Subspace, sub: Subspace) -> tuple:
+    """(P, S): the pivot rows P of ambient's canonical basis A, and sub in
+    A's coordinates, as a canonical subspace S of Q^(dim ambient).
+
+    A is the identity at P, so each vector v of ambient is A v[P]; S is
+    spanned by sub's basis rows at P, which are already in canonical form.
+    sub lies in ambient iff A S gives sub's basis back, which is checked
+    row by row on the nonzeros (ValidationError otherwise).
+    """
+    _check_same_ambient(ambient, sub)
+    at = pivot_rows(ambient.basis)
+    coords = sub.basis._row_block(at)
+    for (a, da), row in zip(ambient.basis._ints, sub.basis._ints):
+        terms = [(x, coords._ints[k]) for k, x in a.items()]
+        big = lcm(*(d for _, (_, d) in terms))
+        acc = {}
+        for x, (nums, d) in terms:
+            f = x * (big // d)
+            for c, y in nums.items():
+                acc[c] = acc.get(c, 0) + f * y
+        if _canonical({c: v for c, v in acc.items() if v}, da * big) != row:
+            raise ValidationError("sub is not contained in ambient")
+    return at, Subspace(ambient.dim, coords)
 
 
 def annihilator(s: Subspace) -> Subspace:

@@ -51,7 +51,7 @@ def rand_vform(rng: random.Random, n: int, k: int) -> VForm:
     raise ContractViolation(f"no nondegenerate form found for n={n}, k={k}")
 
 
-def rand_dims(rng: random.Random, max_n: int = 8, max_k: int = 4) -> tuple:
+def rand_dims(rng: random.Random, max_n: int, max_k: int) -> tuple:
     """Dimension pair (n, k) compatible with nondegeneracy (even n when k=1)."""
     k = rng.randint(1, max_k)
     if k == 1:

@@ -22,7 +22,9 @@ generator as exp, the patch's theta and a 3x3 solve (also in 40-digit
 `Decimal` arithmetic, where the float version cancels), the joint kernels (orthogonal,
 centralizer, center, degeneracy kernel) by stacking the blocks one at a time
 before a single `exactla.kernel`, quotient coordinates by one
-`exactla.solve` per vector, and the linear layer one vector or one entry at a
+`exactla.solve` per vector, the quotient as one elimination of three blocks
+(`exactla.rref` of [sub | ambient | I], which the package's shortcuts must
+match), and the linear layer one vector or one entry at a
 time (the contraction of a form at a vector, subspace sums and
 intersections, coefficient maps, the universal embedding, and the bracket
 form's components from the rows of ad), and the JSON rendering of a
@@ -38,7 +40,7 @@ from math import lcm
 import numpy as np
 
 from polysym.errors import ContractViolation, ValidationError
-from polysym.exactla import Matrix, Subspace, kernel, solve
+from polysym.exactla import Matrix, QuotientSpace, Subspace, kernel, rref, solve
 from polysym.liealg import hat, so3_exp, unhat
 from polysym.pointham import DEFAULT_FD_STEP, hamiltonian_field, omega_at, vform_to_numpy
 from polysym.polycore import canonical_model
@@ -581,6 +583,19 @@ def greedy_section(ambient, sub):
             kept.append(col)
             chosen.append(col)
     return chosen
+
+
+def three_block_quotient(ambient, sub):
+    """`exactla.quotient` as it was before its shortcuts: one elimination of
+    [sub | ambient | I] whatever the ambient, E read off the third block.
+    The whole-space quotient and the cohomology presentation in Z's pivot
+    coordinates are both held to it."""
+    n, width = ambient.ambient_dim, sub.dim + ambient.dim
+    red, pivots = rref(sub.basis.hstack(ambient.basis).hstack(Matrix.identity(n)), stop=width)
+    if len(pivots) != ambient.dim:
+        raise ValidationError("quotient requires sub to be contained in ambient")
+    section = ambient.basis._col_block([p - sub.dim for p in pivots[sub.dim :]])
+    return QuotientSpace(sub, section, red._col_block(range(width, width + n)))
 
 
 def _column_rank(columns):

@@ -157,6 +157,20 @@ class TestCohomology:
         with pytest.raises(ValidationError):
             dg.cohomology(dg.torus_complex(2), 3)
 
+    @pytest.mark.parametrize("name", sorted(dg.BUILTIN_COMPLEXES))
+    def test_class_coordinates_reject_a_cochain_that_is_not_closed(self, name):
+        cx = dg.BUILTIN_COMPLEXES[name]()
+        rejected = 0
+        for p in range(cx.dimension):
+            h = dg.cohomology(cx, p)
+            for i in range(cx.count(p)):
+                c = dg.Cochain.basis(cx, p, i)
+                if not dg.d(c).is_zero():
+                    with pytest.raises(ValidationError, match="not closed"):
+                        h.class_coordinates(c)
+                    rejected += 1
+        assert rejected > 0
+
 
 class TestOmegaDisc:
     def test_zero_argument(self):
@@ -469,6 +483,18 @@ class TestCupTableAgainstPairwiseProducts:
         with pytest.raises(ContractViolation, match="not gauge invariant"):
             dg.reduce_gauge(cx)
 
+    def test_invariance_check_rejects_a_product_that_is_not_closed(self, monkeypatch):
+        # With every class coordinate read as zero, only the rows of d^2 can
+        # notice that the corrupted products leave Z^2.
+        cx = grid_torus(2, 3)
+        valid = cx.cup_table
+        corrupted = tuple((f, f) for f, _ in valid(1, 1))
+        monkeypatch.setattr(cx, "cup_table", lambda p, q: corrupted if (p, q) == (1, 1) else valid(p, q))
+        blind = property(lambda self: Matrix.zeros(self.betti, self.cocycles.ambient_dim))
+        monkeypatch.setattr(dg.CohomologyPresentation, "projector", blind)
+        with pytest.raises(ContractViolation, match="not gauge invariant"):
+            dg.reduce_gauge(cx)
+
     @pytest.mark.parametrize("trials", [3, SUITES["lagrangian-sphere3"].trials])
     def test_lagrangian_suite_rejects_a_corrupted_cup(self, monkeypatch, trials):
         # Closed pairs on sphere3 cup to coboundaries; with back faces read as
@@ -554,6 +580,42 @@ class TestCupTableAgainstPairwiseProducts:
             assert ref() is None
         finally:
             gc.enable()
+
+
+# The cohomology presentations, the whole-space C^2/B^2 quotient and the
+# gauge reduction against one elimination of [sub | ambient | I] per quotient
+# (tests/_oracles.py), with the invariance check read through C^2/B^2.
+
+ORACLE_COMPLEXES = sorted(dg.BUILTIN_COMPLEXES) + ["grid2^3", "grid3^3", "grid4^3"]
+
+
+@pytest.mark.parametrize("name", ORACLE_COMPLEXES)
+def test_gauge_layer_matches_the_three_block_quotients(name):
+    from _oracles import three_block_quotient
+
+    cx = grid_torus(int(name[4]), 3) if name.startswith("grid") else dg.BUILTIN_COMPLEXES[name]()
+    oracles = []
+    for p in range(cx.dimension + 1):
+        h = dg.cohomology(cx, p)
+        oracle = three_block_quotient(h.cocycles, h.coboundaries)
+        assert h.harmonic_section == oracle.section
+        assert h.betti == oracle.dim
+        assert h.projector @ h.cocycles.basis == oracle.projector @ h.cocycles.basis
+        oracles.append(oracle)
+    cup = three_block_quotient(Subspace.full(cx.count(2)), cx.coboundaries(2))
+    assert (cx.cup_quotient.presentation.section, cx.cup_quotient.presentation.elimination) == (
+        cup.section, cup.elimination)
+    reps = dg.cohomology(cx, 1).harmonic_section
+    assert dg._cup_matrix(cx, 1, 1, cx.coboundary_matrix(0), reps, proj=cup.projector).is_zero()
+    pairing = dg.reduce_gauge(cx).pairing
+    if cx.dimension < 2:
+        assert pairing == ()
+        return
+    b1, b2 = reps.cols, oracles[2].dim
+    products = dg._cup_matrix(cx, 1, 1, reps, reps, proj=oracles[2].projector)
+    assert pairing == tuple(products._row_block(range(c, b1 * b2, b2)) for c in range(b2))
+    if name.startswith("grid"):
+        assert [o.dim for o in oracles] == [1, 3, 3, 1]
 
 
 class TestGridTorusCubed:

@@ -14,6 +14,8 @@ from polysym.exactla import (
     intersect,
     inverse,
     kernel,
+    pivot_coordinates,
+    pivot_rows,
     quotient,
     rank,
     rref,
@@ -612,6 +614,34 @@ def test_quotient_matches_the_solved_projection(args):
                 q.project(v)
         else:
             assert q.project(v) == want
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_quotient_inputs())
+def test_shortcuts_match_the_three_block_quotient(args):
+    # quotient over the whole space eliminates [sub | I]; the presentation in
+    # ambient's pivot coordinates eliminates Q^(dim ambient) modulo sub's
+    # rows there. Both are held to one elimination of [sub | ambient | I].
+    from _oracles import three_block_quotient
+
+    ambient, sub, inside, others = args
+    oracle = three_block_quotient(ambient, sub)
+    q = quotient(ambient, sub)
+    assert (q.section, q.elimination) == (oracle.section, oracle.elimination)
+    at, coords = pivot_coordinates(ambient, sub)
+    assert ambient.basis @ coords.basis == sub.basis
+    assert Subspace.from_matrix_columns(coords.basis) == coords
+    inner = quotient(Subspace.full(ambient.dim), coords)
+    assert ambient.basis._col_block(pivot_rows(inner.section)) == oracle.section
+    assert inner.projector == oracle.projector @ ambient.basis
+    for v in inside:
+        assert inner.project([v[i] for i in at]) == oracle.project(v)
+    outside = Subspace.from_vectors(ambient.ambient_dim, others)
+    if contains(ambient, outside):
+        pivot_coordinates(ambient, outside)
+    else:
+        with pytest.raises(ValidationError, match="not contained"):
+            pivot_coordinates(ambient, outside)
 
 
 def test_quotient_eliminates_once_and_projects_without_eliminating(monkeypatch):
