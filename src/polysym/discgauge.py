@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional
 
 from .errors import ContractViolation, ValidationError
-from .exactla import Matrix, QuotientSpace, Subspace, contains, kernel, pivot_coordinates, pivot_rows, quotient
+from .exactla import Matrix, QuotientSpace, Subspace, contains, kernel, quotient
 from .polycore import joint_kernel
 
 MAX_DIMENSION = 3
@@ -33,10 +33,12 @@ class DeltaComplex:
     A complex is never mutated after __init__. Values derived from it (the
     coboundary matrices, the cocycle and coboundary spaces, cup tables,
     cohomology per degree and the C^2/B^2 quotient) are therefore built on
-    first request and cached on it. Only the routines that need cup values
-    modulo all of B^2 build the C^2/B^2 quotient (`omega_disc`, the moment
-    functions, `omega_kernel` and `lagrangian_check`); `reduce_gauge` reads
-    its invariance check and its pairing through H^2 instead.
+    first request and cached on it. Both kinds of quotient are `quotient`:
+    H^p of Z^p by B^p, and C^2/B^2 of the whole space by B^2. Only the
+    routines that need cup values modulo all of B^2 build the latter
+    (`omega_disc`, the moment functions, `omega_kernel` and
+    `lagrangian_check`); `reduce_gauge` reads its invariance check and its
+    pairing through H^2 instead.
     """
 
     def __init__(
@@ -318,42 +320,37 @@ def _cup_matrix(
 
 class CohomologyPresentation(NamedTuple):
     """Cocycles, coboundaries, and a deterministic harmonic section in one
-    degree, with H^p = Z/B presented in Z's pivot coordinates.
-
-    Z's canonical basis is the identity at its pivot rows, so a cocycle's
-    entries there are its coordinates in Z, and B's rows there are B's
-    coordinates. `presentation` is Q^(dim Z) modulo the latter. Its greedy
-    section picks the basis cocycles that Z/B would pick, and those columns
-    of Z are the harmonic section.
-    """
+    degree: H^p = Z/B as `quotient(Z, B)`, which presents it in Z's pivot
+    coordinates, so its section is the harmonic section and its projector
+    reads a cocycle's class off the cocycle's entries at Z's pivot rows."""
 
     degree: int
     cocycles: Subspace
     coboundaries: Subspace
-    pivots: tuple  # Z's pivot rows
-    presentation: QuotientSpace  # Q^(dim Z) modulo B's coordinates
-    harmonic_section: Matrix
+    presentation: QuotientSpace  # Z modulo B
 
     @property
     def betti(self) -> int:
-        return self.cocycles.dim - self.coboundaries.dim
+        return self.presentation.dim
+
+    @property
+    def harmonic_section(self) -> Matrix:
+        return self.presentation.section
 
     @property
     def projector(self) -> Matrix:
         """betti x (cochain count): the section coordinates of the class of
-        each cocycle, read off its entries at Z's pivot rows. Off Z it is
-        not a class map; `class_coordinates` checks closedness first."""
-        proj, at = self.presentation.projector, self.pivots
-        rows = tuple(({at[k]: a for k, a in nums.items()}, d) for nums, d in proj._ints)
-        return Matrix._of(proj.rows, self.cocycles.ambient_dim, rows)
+        each cocycle. Off Z it is not a class map; `class_coordinates`
+        checks closedness."""
+        return self.presentation.projector
 
     def class_coordinates(self, c: Cochain) -> tuple:
         """Coordinates of the class of a cocycle in the harmonic section; a
         cochain that is not closed raises ValidationError."""
-        coords = [c.values[i] for i in self.pivots]
-        if self.cocycles.basis.apply(coords) != c.values:
-            raise ValidationError("the cochain is not closed")
-        return self.presentation.project(coords)
+        try:
+            return self.presentation.project(c.values)
+        except ValidationError:
+            raise ValidationError("the cochain is not closed") from None
 
 
 def cohomology(cx: DeltaComplex, p: int) -> CohomologyPresentation:
@@ -364,10 +361,7 @@ def cohomology(cx: DeltaComplex, p: int) -> CohomologyPresentation:
 
 def _cohomology(cx: DeltaComplex, p: int) -> CohomologyPresentation:
     z, b = cx.cocycles(p), cx.coboundaries(p)
-    at, coords = pivot_coordinates(z, b)
-    presentation = quotient(Subspace.full(z.dim), coords)
-    section = z.basis._col_block(pivot_rows(presentation.section))
-    return CohomologyPresentation(p, z, b, at, presentation, section)
+    return CohomologyPresentation(p, z, b, quotient(z, b))
 
 
 class CochainQuotient:

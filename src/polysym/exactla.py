@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ValidationError
 
@@ -333,34 +333,28 @@ def _clear(row: dict, prow: dict, c: int) -> dict:
     return _primitive(out)
 
 
-def rref(m: Matrix, stop: Optional[int] = None) -> tuple:
+def rref(m: Matrix) -> tuple:
     """Reduced row echelon form of m. Returns (R, pivot_columns).
 
     Fraction-free, one row at a time: each row, as its nonzero numerators,
     is cleared at the pivot columns found so far where it is nonzero. The
     pivot rows are zero at one another's pivots, so a clear changes no other
     pivot column, and the cleared row is the primitive integer row of its
-    direction whatever the order of the clears. If a leading column is still
-    nonzero, the first such column becomes a pivot and the pivot rows are
-    cleared there, so they stay reduced against one another; at the end each
-    is put over its pivot. The RREF is unique, so the pivots and R are those
-    of rational Gauss-Jordan. Once every column has a pivot, the rows left
-    are dependent and are not read. With `stop`, only the first `stop`
-    columns lead, and only they are unique; the rows left without a pivot
-    are zero there, and come back below the pivot rows, in their order, as
-    primitive integer rows.
+    direction whatever the order of the clears. If it is not zero, its first
+    column becomes a pivot and the pivot rows are cleared there, so they
+    stay reduced against one another; at the end each is put over its pivot.
+    The RREF is unique, so the pivots and R are those of rational
+    Gauss-Jordan. Once every column has a pivot, the rows left are dependent
+    and are not read.
     """
     cols = m.cols
-    lead = cols if stop is None else stop
     basis = {}  # pivot column -> pivot row
-    rest = []
     for row, _ in m._ints:
         for c in [c for c in row if c in basis]:
             row = _clear(row, basis[c], c)
-        c = min(row, default=lead)
-        if c >= lead:
-            rest.append(_primitive(row))
+        if not row:
             continue
+        c = min(row)
         row = _primitive(row)
         for pc, prow in basis.items():
             if c in prow:
@@ -370,7 +364,6 @@ def rref(m: Matrix, stop: Optional[int] = None) -> tuple:
             break
     pivots = sorted(basis)
     out = [_canonical(basis[c], basis[c][c]) for c in pivots]
-    out += [(row, 1) for row in rest]
     out += [_ZERO_ROW] * (m.rows - len(out))
     return Matrix._of(m.rows, cols, tuple(out)), tuple(pivots)
 
@@ -534,17 +527,21 @@ def _check_same_ambient(a: Subspace, b: Subspace):
 
 
 class QuotientSpace:
-    """ambient/sub presented by an explicit section of coset representatives.
+    """ambient/sub presented by an explicit section of coset representatives,
+    in ambient's pivot coordinates (`pivot_coordinates`): Q^m modulo S, with
+    m = dim ambient, P ambient's pivot rows and S sub's rows there.
 
-    The section columns are chosen greedily from the ambient canonical basis
-    in index order, so identical inputs always produce the identical section.
-    `elimination` is an invertible n x n E with E [sub | section] = [I; 0]:
-    its rows below dim ambient vanish exactly on ambient.
+    The section columns are chosen greedily from ambient's canonical basis in
+    index order, so identical inputs always produce the identical section.
+    `elimination` is an invertible m x m E with E [S | section at P] = I; its
+    rows from dim sub on are the section coordinates.
     """
 
-    # No __slots__: the cached properties below live in the instance dict.
-    def __init__(self, sub: Subspace, section: Matrix, elimination: Matrix):
+    # No __slots__: the cached projector lives in the instance dict.
+    def __init__(self, ambient: Subspace, sub: Subspace, pivots: tuple, section: Matrix, elimination: Matrix):
+        self.ambient = ambient
         self.sub = sub
+        self.pivots = pivots
         self.section = section
         self.elimination = elimination
 
@@ -553,62 +550,43 @@ class QuotientSpace:
         return self.section.cols
 
     @cached_property
-    def _beyond_sub(self) -> Matrix:
-        """The rows of E from dim sub on: the section rows, then the rows
-        that vanish exactly on ambient. No caller reads the sub rows."""
-        return self.elimination._row_block(range(self.sub.dim, self.elimination.rows))
-
-    @cached_property
     def projector(self) -> Matrix:
         """dim x n matrix sending each vector of ambient to its section
-        coordinates: the section rows of E."""
-        return self._beyond_sub._row_block(range(self.dim))
+        coordinates: the section rows of E, spread from P onto Q^n. Off
+        ambient it is not a coset map; `project` checks membership."""
+        at = self.pivots
+        rows = tuple(({at[k]: a for k, a in nums.items()}, d) for nums, d in self.elimination._ints[self.sub.dim :])
+        return Matrix._of(self.dim, self.ambient.ambient_dim, rows)
 
     def project(self, v: Sequence) -> tuple:
-        """Section coordinates of the coset of v (v must lie in ambient)."""
-        coords = self._beyond_sub.apply(v)
-        if any(coords[self.dim :]):
+        """Section coordinates of the coset of v. A vector of the wrong length
+        or outside ambient raises ValidationError: v must be A v[P], which
+        needs one product unless ambient is the whole space."""
+        coords = self.projector.apply(v)
+        a = self.ambient
+        if a.dim < a.ambient_dim and a.basis.apply([v[i] for i in self.pivots]) != tuple(v):
             raise ValidationError("vector outside the ambient subspace")
-        return coords[: self.dim]
+        return coords
 
     def lift(self, coords: Sequence) -> tuple:
         return self.section.apply(coords)
 
 
 def quotient(ambient: Subspace, sub: Subspace) -> QuotientSpace:
-    """Quotient of ambient by sub (requires sub to be contained in ambient).
+    """Quotient of ambient by sub (ValidationError unless sub lies in ambient).
 
-    One echelon pass over [sub | ambient | I], eliminating the first two
-    blocks, gives everything. Pivot columns landing in the ambient block are
-    exactly the ambient basis columns that extend sub in index order: the
-    greedy section. sub lies in ambient iff the rank is dim ambient. The
-    identity block becomes the E of the row operations, which send
-    [sub | section] to the leading unit vectors. When ambient is the whole
-    space its basis is I, so the ambient block already becomes E (E I = E):
-    the pass runs over [sub | I] and reads E off the second block.
+    `pivot_coordinates` checks the containment and gives P and S, and one
+    elimination of [S | I_m] gives the rest. S has full column rank, so its
+    columns are the first pivots; the pivots in the identity block are the
+    unit vectors that extend S in index order, which are the ambient basis
+    columns of the greedy section. The identity block becomes the E of the
+    row operations, which send [S | section at P] to I.
     """
-    _check_same_ambient(ambient, sub)
-    n, width = ambient.ambient_dim, sub.dim + ambient.dim
-    whole = ambient.dim == n
-    frame = sub.basis.hstack(ambient.basis)
-    red, pivots = rref(frame if whole else frame.hstack(Matrix.identity(n)), stop=width)
-    if len(pivots) != ambient.dim:
-        raise ValidationError("quotient requires sub to be contained in ambient")
-    chosen = [p - sub.dim for p in pivots[sub.dim :]]
-    section = ambient.basis._col_block(chosen)
-    start = sub.dim if whole else width
-    elimination = red._col_block(range(start, start + n))
-    return QuotientSpace(sub, section, elimination)
-
-
-def pivot_rows(m: Matrix) -> tuple:
-    """The first nonzero row of each column of m (none may be zero). For a
-    canonical basis these are its pivot rows, where it is the identity."""
-    first = {}
-    for i, (nums, _) in enumerate(m._ints):
-        for c in nums:
-            first.setdefault(c, i)
-    return tuple(first[c] for c in range(m.cols))
+    at, coords = pivot_coordinates(ambient, sub)
+    s, m = sub.dim, ambient.dim
+    red, pivots = rref(coords.basis.hstack(Matrix.identity(m)))
+    section = ambient.basis._col_block([p - s for p in pivots[s:]])
+    return QuotientSpace(ambient, sub, at, section, red._col_block(range(s, s + m)))
 
 
 def pivot_coordinates(ambient: Subspace, sub: Subspace) -> tuple:
@@ -621,7 +599,11 @@ def pivot_coordinates(ambient: Subspace, sub: Subspace) -> tuple:
     row by row on the nonzeros (ValidationError otherwise).
     """
     _check_same_ambient(ambient, sub)
-    at = pivot_rows(ambient.basis)
+    first = {}  # column -> its first nonzero row
+    for i, (nums, _) in enumerate(ambient.basis._ints):
+        for c in nums:
+            first.setdefault(c, i)
+    at = tuple(first[c] for c in range(ambient.dim))
     coords = sub.basis._row_block(at)
     for (a, da), row in zip(ambient.basis._ints, sub.basis._ints):
         terms = [(x, coords._ints[k]) for k, x in a.items()]

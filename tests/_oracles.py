@@ -4,9 +4,9 @@ The oracles deliberately avoid the package's echelon/quotient machinery:
 ranks use fraction-free integer elimination (Bareiss style), bilinear-form
 facts are checked straight from definitions, and the scalar kernels of
 `exactla` (`rref`, matrix products, sums, scaling, transposes, stacking and
-the skew test) have plain `Fraction` reference versions here; `rref` with a
-`stop` also has its earlier dense integer version, for the rows it leaves
-below the pivots.
+the skew test) have plain `Fraction` reference versions here; `rref` also
+has its earlier dense integer version, which can stop after the leading
+columns and fixes the rows it leaves below the pivots.
 
 The reference loops compute what a package routine computes, the plain way,
 and the tests require the routine to match them exactly: the numeric
@@ -22,9 +22,9 @@ generator as exp, the patch's theta and a 3x3 solve (also in 40-digit
 `Decimal` arithmetic, where the float version cancels), the joint kernels (orthogonal,
 centralizer, center, degeneracy kernel) by stacking the blocks one at a time
 before a single `exactla.kernel`, quotient coordinates by one
-`exactla.solve` per vector, the quotient as one elimination of three blocks
-(`exactla.rref` of [sub | ambient | I], which the package's shortcuts must
-match), and the linear layer one vector or one entry at a
+`exactla.solve` per vector, the quotient as one dense elimination of three
+blocks ([sub | ambient | I], which the package's quotient in ambient's pivot
+coordinates must match), and the linear layer one vector or one entry at a
 time (the contraction of a form at a vector, subspace sums and
 intersections, coefficient maps, the universal embedding, and the bracket
 form's components from the rows of ad), and the JSON rendering of a
@@ -36,11 +36,12 @@ import json
 import math
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 
 from polysym.errors import ContractViolation, ValidationError
-from polysym.exactla import Matrix, QuotientSpace, Subspace, kernel, rref, solve
+from polysym.exactla import Matrix, Subspace, kernel, solve
 from polysym.liealg import hat, so3_exp, unhat
 from polysym.pointham import DEFAULT_FD_STEP, hamiltonian_field, omega_at, vform_to_numpy
 from polysym.polycore import canonical_model
@@ -167,14 +168,17 @@ def _cleared(row, prow, c):
 def dense_rows_rref(rows, cols, stop=None):
     """The fraction-free, one-row-at-a-time elimination of `exactla.rref`, on
     dense lists of integers, as it ran before matrix rows were stored as their
-    nonzeros. It fixes the rows a `stop` leaves below the pivots (primitive
-    integer rows, with their signs), which no Gauss-Jordan reference does.
-    Returns (all rows as Fraction tuples, pivot columns)."""
+    nonzeros. With a `stop`, only the first `stop` columns lead, as in the
+    three-block quotient below; it fixes the rows left below the pivots
+    (primitive integer rows, with their signs), which no Gauss-Jordan
+    reference does. Takes rows of ints and Fractions; returns (all rows as
+    Fraction tuples, pivot columns)."""
     lead = cols if stop is None else stop
     basis, rest = {}, []
+    zero = Fraction(0)
     for row in rows:
-        d = lcm(*(Fraction(x).denominator for x in row))
-        row = [int(Fraction(x) * d) for x in row]
+        d = lcm(*(x.denominator for x in row))
+        row = [x.numerator * (d // x.denominator) for x in row]
         for c, prow in basis.items():
             if row[c]:
                 row = _cleared(row, prow, c)
@@ -190,9 +194,9 @@ def dense_rows_rref(rows, cols, stop=None):
         if len(basis) == cols:
             break
     pivots = sorted(basis)
-    out = [tuple(Fraction(a, basis[c][c]) for a in basis[c]) for c in pivots]
-    out += [tuple(Fraction(a) for a in row) for row in rest]
-    out += [(Fraction(0),) * cols] * (len(rows) - len(out))
+    out = [tuple(Fraction(a, basis[c][c]) if a else zero for a in basis[c]) for c in pivots]
+    out += [tuple(Fraction(a) if a else zero for a in row) for row in rest]
+    out += [(zero,) * cols] * (len(rows) - len(out))
     return tuple(out), tuple(pivots)
 
 
@@ -585,17 +589,27 @@ def greedy_section(ambient, sub):
     return chosen
 
 
+class ThreeBlockQuotient(NamedTuple):
+    section: Matrix  # n x (dim ambient - dim sub)
+    elimination: Matrix  # n x n
+    projector: Matrix  # the section rows of elimination
+
+
 def three_block_quotient(ambient, sub):
-    """`exactla.quotient` as it was before its shortcuts: one elimination of
-    [sub | ambient | I] whatever the ambient, E read off the third block.
-    The whole-space quotient and the cohomology presentation in Z's pivot
-    coordinates are both held to it."""
+    """The quotient as `exactla.quotient` computed it before it eliminated in
+    ambient's pivot coordinates: one dense elimination of [sub | ambient | I]
+    on its first two blocks. The pivots in the ambient block are the greedy
+    section, and the identity block becomes an invertible n x n E with
+    E [sub | section] = [I; 0], whose rows below dim ambient vanish exactly
+    on ambient."""
     n, width = ambient.ambient_dim, sub.dim + ambient.dim
-    red, pivots = rref(sub.basis.hstack(ambient.basis).hstack(Matrix.identity(n)), stop=width)
+    rows = [sub.basis.row(i) + ambient.basis.row(i) + tuple(int(i == j) for j in range(n)) for i in range(n)]
+    red, pivots = dense_rows_rref(rows, width + n, stop=width)
     if len(pivots) != ambient.dim:
         raise ValidationError("quotient requires sub to be contained in ambient")
     section = ambient.basis._col_block([p - sub.dim for p in pivots[sub.dim :]])
-    return QuotientSpace(sub, section, red._col_block(range(width, width + n)))
+    elimination = Matrix([row[width:] for row in red])
+    return ThreeBlockQuotient(section, elimination, elimination._row_block(range(sub.dim, ambient.dim)))
 
 
 def _column_rank(columns):

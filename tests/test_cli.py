@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -948,6 +949,14 @@ def test_every_exact_suite_has_a_golden_report():
     `test_exact_modules_import_no_numpy` also replays without numpy."""
     pinned = {case["argv"][2] for case in GOLDEN if case["argv"][:2] == ["verify", "--suite"]}
     assert set(SUITES) - NUMERIC_SUITES <= pinned
+
+
+def test_readme_states_the_package_line_count():
+    """README's "`src/polysym` is N lines." is the net line count that the
+    design aim tracks; it counts the lines of every module, as `wc -l` does."""
+    stated = re.search(r"`src/polysym` is ([\d,]+) lines\.", (REPO_ROOT / "README.md").read_text())
+    counted = sum(path.read_bytes().count(b"\n") for path in (REPO_ROOT / "src" / "polysym").glob("*.py"))
+    assert stated and int(stated[1].replace(",", "")) == counted
 
 
 # The benchmark's correctness gate: its cli-builtins workload compares the exit

@@ -583,7 +583,7 @@ class TestCupTableAgainstPairwiseProducts:
 
 
 # The cohomology presentations, the whole-space C^2/B^2 quotient and the
-# gauge reduction against one elimination of [sub | ambient | I] per quotient
+# gauge reduction against one dense elimination of [sub | ambient | I] per quotient
 # (tests/_oracles.py), with the invariance check read through C^2/B^2.
 
 ORACLE_COMPLEXES = sorted(dg.BUILTIN_COMPLEXES) + ["grid2^3", "grid3^3", "grid4^3"]
@@ -599,7 +599,7 @@ def test_gauge_layer_matches_the_three_block_quotients(name):
         h = dg.cohomology(cx, p)
         oracle = three_block_quotient(h.cocycles, h.coboundaries)
         assert h.harmonic_section == oracle.section
-        assert h.betti == oracle.dim
+        assert h.betti == oracle.section.cols
         assert h.projector @ h.cocycles.basis == oracle.projector @ h.cocycles.basis
         oracles.append(oracle)
     cup = three_block_quotient(Subspace.full(cx.count(2)), cx.coboundaries(2))
@@ -611,11 +611,11 @@ def test_gauge_layer_matches_the_three_block_quotients(name):
     if cx.dimension < 2:
         assert pairing == ()
         return
-    b1, b2 = reps.cols, oracles[2].dim
+    b1, b2 = reps.cols, oracles[2].section.cols
     products = dg._cup_matrix(cx, 1, 1, reps, reps, proj=oracles[2].projector)
     assert pairing == tuple(products._row_block(range(c, b1 * b2, b2)) for c in range(b2))
     if name.startswith("grid"):
-        assert [o.dim for o in oracles] == [1, 3, 3, 1]
+        assert [o.section.cols for o in oracles] == [1, 3, 3, 1]
 
 
 class TestGridTorusCubed:

@@ -15,7 +15,6 @@ from polysym.exactla import (
     inverse,
     kernel,
     pivot_coordinates,
-    pivot_rows,
     quotient,
     rank,
     rref,
@@ -126,9 +125,13 @@ class TestQuotient:
         assert span(3, (1, 1, 0)).contains_vector(diff)
 
     def test_projection_rejects_outside_vectors(self):
-        q = quotient(span(3, (1, 0, 0), (0, 1, 0)), span(3, (1, 0, 0)))
-        with pytest.raises(ValidationError):
-            q.project((0, 0, 1))
+        # Outside the ambient, or of the wrong length: ValidationError, never
+        # IndexError, over a partial and over the whole ambient.
+        for ambient in (span(3, (1, 0, 0), (0, 1, 0)), Subspace.full(3)):
+            q = quotient(ambient, span(3, (1, 0, 0)))
+            for v in [(0, 0, 1)] * (ambient.dim < 3) + [(), (1, 0), (1, 0, 0, 0)]:
+                with pytest.raises(ValidationError):
+                    q.project(v)
 
 
 class TestAnnihilator:
@@ -323,22 +326,6 @@ def test_rref_negative_pivots_and_large_denominators():
     assert pivots == (0, 2, 3)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.tuples(_dims, _dims).flatmap(lambda rc: st.tuples(st.just(rc[1]), _grids(*rc), st.integers(0, rc[1]))))
-def test_rref_with_stop_reduces_the_leading_columns_only(args):
-    from _oracles import fraction_rref
-
-    cols, grid, stop = args
-    red, pivots = rref(_matrix(grid, cols), stop=stop)
-    lead_rows, lead_pivots = fraction_rref([row[:stop] for row in grid], stop)
-    assert pivots == lead_pivots
-    assert tuple(row[:stop] for row in red.entries) == lead_rows and _all_fractions(red.entries)
-    # R = E m with E invertible: R and m span the same rows.
-    full_rank = len(fraction_rref(grid, cols)[1])
-    assert len(fraction_rref(list(red.entries), cols)[1]) == full_rank
-    assert len(fraction_rref(list(red.entries) + grid, cols)[1]) == full_rank
-
-
 # The stored form: canonical integer rows. Every operation that runs on them
 # equals its entrywise Fraction reference (tests/_oracles.py), leaves every
 # row canonical, and equal matrices compare and hash equal whatever built them.
@@ -500,18 +487,15 @@ def test_sparse_rref_matches_both_references(args, beside_identity):
     width = cols
     if beside_identity:
         grid, width = _with_identity(grid), cols + len(grid)
-    m = _matrix(grid, width)
-    for stop in (None, cols, cols // 2):
-        red, pivots = rref(m, stop=stop)
-        _assert_canonical(red)
-        # Pivots and leading columns against Gauss-Jordan; every row,
-        # including those left below the pivots, against the dense elimination.
-        lead = width if stop is None else stop
-        lead_rows, lead_pivots = fraction_rref([row[:lead] for row in grid], lead)
-        assert pivots == lead_pivots
-        assert tuple(row[:lead] for row in red.entries) == lead_rows
-        assert (red.entries, pivots) == dense_rows_rref(grid, width, stop)
-    assert rref(m)[0].entries == fraction_rref(grid, width)[0]
+    red, pivots = rref(_matrix(grid, width))
+    _assert_canonical(red)
+    assert (red.entries, pivots) == fraction_rref(grid, width) == dense_rows_rref(grid, width)
+    # The dense elimination stopped after the leading columns, as the
+    # three-block quotient oracle runs it: those columns and their pivots
+    # against Gauss-Jordan.
+    for stop in (cols, cols // 2):
+        rows, pivots = dense_rows_rref(grid, width, stop)
+        assert (tuple(row[:stop] for row in rows), pivots) == fraction_rref([row[:stop] for row in grid], stop)
 
 
 @settings(max_examples=80, deadline=None)
@@ -558,10 +542,10 @@ def test_sparse_rows_build_and_slice_like_the_fraction_references(args, data):
         assert [m.col(j) for j in range(m.cols)] == [tuple(row[j] for row in ref) for j in range(m.cols)]
 
 
-# Quotients: one echelon pass over [sub | ambient | I] gives the section, the
-# membership test and the coordinates. The references are the greedy section
-# by Bareiss ranks and one `solve` of [section | sub] x = v per vector
-# (tests/_oracles.py).
+# Quotients: in ambient's pivot coordinates, one elimination of [S | I]
+# gives the section and the coordinates. The references are the greedy
+# section by Bareiss ranks, one `solve` of [section | sub] x = v per vector,
+# and one dense elimination of [sub | ambient | I] (tests/_oracles.py).
 
 
 @st.composite
@@ -593,19 +577,21 @@ def test_quotient_matches_the_solved_projection(args):
     from _oracles import fraction_matmul, fraction_rref, greedy_section, solved_project
 
     ambient, sub, inside, others = args
-    n = ambient.ambient_dim
+    m = ambient.dim
     q = quotient(ambient, sub)
     assert q.section.columns() == greedy_section(ambient, sub)
-    assert q.dim == ambient.dim - sub.dim
-    # E is invertible and E [sub | section] = [I; 0].
+    assert q.dim == m - sub.dim
+    # E is invertible and E [S | section at P] = I, S being sub at P.
+    at, coords = pivot_coordinates(ambient, sub)
     e = q.elimination
-    assert e.shape == (n, n) and fraction_rref(e.entries, n)[1] == tuple(range(n))
-    frame = sub.basis.hstack(q.section)
-    assert fraction_matmul(e.entries, frame.entries, ambient.dim) == tuple(
-        tuple(F(int(i == j)) for j in range(ambient.dim)) for i in range(n)
-    )
+    assert e.shape == (m, m) and fraction_rref(e.entries, m)[1] == tuple(range(m))
+    frame = coords.basis.hstack(q.section._row_block(at))
+    assert fraction_matmul(e.entries, frame.entries, m) == tuple(tuple(F(int(i == j)) for j in range(m)) for i in range(m))
     for v in inside:
         assert q.project(v) == solved_project(q, v) == q.projector.apply(v)
+        for wrong in [v + (F(0),)] + ([v[:-1]] if v else []):
+            with pytest.raises(ValidationError, match="length"):
+                q.project(wrong)
     for v in others:
         try:
             want = solved_project(q, v)
@@ -619,29 +605,36 @@ def test_quotient_matches_the_solved_projection(args):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_quotient_inputs())
 def test_shortcuts_match_the_three_block_quotient(args):
-    # quotient over the whole space eliminates [sub | I]; the presentation in
-    # ambient's pivot coordinates eliminates Q^(dim ambient) modulo sub's
-    # rows there. Both are held to one elimination of [sub | ambient | I].
+    # The quotient in ambient's pivot coordinates against one dense
+    # elimination of [sub | ambient | I], for whole and partial ambients:
+    # the same section, the same projector on ambient, the same coordinates
+    # inside ambient, and rejection exactly where the oracle's rows below
+    # dim ambient, which vanish exactly on ambient, do not vanish.
     from _oracles import three_block_quotient
 
     ambient, sub, inside, others = args
     oracle = three_block_quotient(ambient, sub)
     q = quotient(ambient, sub)
-    assert (q.section, q.elimination) == (oracle.section, oracle.elimination)
+    assert q.section == oracle.section
+    assert q.projector @ ambient.basis == oracle.projector @ ambient.basis
+    for v in inside:
+        assert q.project(v) == oracle.projector.apply(v)
+    beyond = oracle.elimination._row_block(range(ambient.dim, ambient.ambient_dim))
+    for v in others:
+        if any(beyond.apply(v)):
+            with pytest.raises(ValidationError, match="outside the ambient"):
+                q.project(v)
+        else:
+            assert q.project(v) == oracle.projector.apply(v)
     at, coords = pivot_coordinates(ambient, sub)
     assert ambient.basis @ coords.basis == sub.basis
     assert Subspace.from_matrix_columns(coords.basis) == coords
-    inner = quotient(Subspace.full(ambient.dim), coords)
-    assert ambient.basis._col_block(pivot_rows(inner.section)) == oracle.section
-    assert inner.projector == oracle.projector @ ambient.basis
-    for v in inside:
-        assert inner.project([v[i] for i in at]) == oracle.project(v)
     outside = Subspace.from_vectors(ambient.ambient_dim, others)
     if contains(ambient, outside):
         pivot_coordinates(ambient, outside)
     else:
         with pytest.raises(ValidationError, match="not contained"):
-            pivot_coordinates(ambient, outside)
+            quotient(ambient, outside)
 
 
 def test_quotient_eliminates_once_and_projects_without_eliminating(monkeypatch):
@@ -667,8 +660,11 @@ def test_quotient_eliminates_once_and_projects_without_eliminating(monkeypatch):
         assert q.projector.rows == q.dim
         applied.clear()
         q.project(ambient.basis.col(0))
-        assert applied == [ambient.ambient_dim - sub.dim]  # the sub rows of E are never applied
-        if ambient.dim < 4:
+        # The section rows, and one product by the ambient basis unless the
+        # ambient is the whole space.
+        partial = ambient.dim < ambient.ambient_dim
+        assert applied == [q.dim] + [ambient.ambient_dim] * partial
+        if partial:
             with pytest.raises(ValidationError):
                 q.project((0, 0, 1) if ambient.ambient_dim == 3 else (0, 0, 1, -1))
         assert calls == []
