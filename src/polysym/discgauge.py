@@ -331,7 +331,7 @@ class CohomologyPresentation(NamedTuple):
 
     @property
     def betti(self) -> int:
-        return self.presentation.dim
+        return self.cocycles.dim - self.coboundaries.dim
 
     @property
     def harmonic_section(self) -> Matrix:
