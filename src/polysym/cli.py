@@ -78,7 +78,7 @@ def _fmt_matrix(m: Matrix) -> str:
 def _fmt_subspace(s: Subspace) -> str:
     if s.dim == 0:
         return f"0 (in dim {s.ambient_dim})"
-    return " ".join(_fmt_vector(s.basis.col(j)) for j in range(s.dim))
+    return " ".join(_fmt_vector(s.echelon.row(i)) for i in range(s.dim))
 
 
 def _fmt_float(x: float) -> str:

@@ -361,7 +361,10 @@ def cohomology(cx: DeltaComplex, p: int) -> CohomologyPresentation:
 
 def _cohomology(cx: DeltaComplex, p: int) -> CohomologyPresentation:
     z, b = cx.cocycles(p), cx.coboundaries(p)
-    return CohomologyPresentation(p, z, b, quotient(z, b))
+    try:
+        return CohomologyPresentation(p, z, b, quotient(z, b))
+    except ValidationError:
+        raise ContractViolation(f"the coboundaries are not contained in the cocycles in degree {p}") from None
 
 
 class CochainQuotient:

@@ -14,9 +14,10 @@ integer nonzeros, so its cost follows the nonzeros, not the shape: a
 coboundary matrix has p + 2 of them per row. Products densify each left row
 once. `rref` eliminates fraction-free (Bareiss 1968), one row at a time,
 touching only the union of two rows' supports, and leaves each pivot row
-over its pivot. Subspaces are kept in a canonical form (reduced column
-echelon, pivots normalized to 1, pivot rows strictly increasing) so that
-equality of subspaces is equality of their stored bases.
+over its pivot. A subspace is kept as its canonical rows (reduced row
+echelon, pivots normalized to 1, pivot columns strictly increasing), so
+equality of subspaces is equality of their stored rows, and sums,
+intersections, containment and kernels eliminate those rows as they stand.
 """
 
 from __future__ import annotations
@@ -57,6 +58,15 @@ def _primitive(row: dict) -> dict:
 def _nonzeros(nums) -> dict:
     """A dense integer row as its column -> nonzero numerator dict."""
     return {j: a for j, a in enumerate(nums) if a}
+
+
+def _combine(coeffs: dict, rows: Sequence[dict]) -> dict:
+    """The integer row sum of coeffs[k] * rows[k], without its zeros."""
+    acc = {}
+    for k, x in coeffs.items():
+        for c, y in rows[k].items():
+            acc[c] = acc.get(c, 0) + x * y
+    return {c: v for c, v in acc.items() if v}
 
 
 def _ratio(num: int, den: int) -> Fraction:
@@ -409,7 +419,7 @@ def kernel(m: Matrix) -> "Subspace":
     free columns. With the columns put back in order and f taken in
     descending order, the vectors have increasing leading entries, each 1
     and zero in every other vector: they are the kernel's reduced echelon
-    basis as they stand.
+    rows as they stand.
     """
     n = m.cols
     last = n - 1
@@ -428,32 +438,41 @@ def kernel(m: Matrix) -> "Subspace":
         for a, d, p in terms:
             v[last - p] = -a * (big // d)
         vectors.append(_canonical(v, big))
-    return Subspace(n, Matrix._of(len(vectors), n, tuple(vectors)).transpose())
+    return Subspace(n, Matrix._of(len(vectors), n, tuple(vectors)))
 
 
 class Subspace:
-    """A linear subspace of Q^n in canonical reduced-column-echelon form.
+    """A linear subspace of Q^n, stored as its canonical rows.
 
-    The basis matrix is n x d; its columns have strictly increasing pivot
-    rows, each pivot entry is 1, and the pivot row of each column is zero in
-    all other columns. Two subspaces are equal iff their fields are equal.
+    `echelon` is d x n in reduced row echelon form: its rows have strictly
+    increasing pivot columns, each pivot entry is 1, and each pivot column
+    is zero in all other rows. Two subspaces are equal iff their fields are
+    equal. `basis` is its n x d transpose, the canonical reduced column
+    echelon basis, built on first use for readers of columns.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "echelon", "_basis")
 
-    def __init__(self, ambient_dim: int, basis: Matrix):
-        if basis.rows != ambient_dim:
-            raise ValidationError("basis rows must equal the ambient dimension")
+    def __init__(self, ambient_dim: int, echelon: Matrix):
+        if echelon.cols != ambient_dim:
+            raise ValidationError("echelon columns must equal the ambient dimension")
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.echelon = echelon
+        self._basis = None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.ambient_dim, self.basis) == (other.ambient_dim, other.basis)
+        return (self.ambient_dim, self.echelon) == (other.ambient_dim, other.echelon)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.echelon))
+
+    @property
+    def basis(self) -> Matrix:
+        if self._basis is None:
+            self._basis = self.echelon.transpose()
+        return self._basis
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -471,7 +490,7 @@ class Subspace:
 
     @staticmethod
     def zero(n: int) -> "Subspace":
-        return Subspace(n, Matrix.zeros(n, 0))
+        return Subspace(n, Matrix.zeros(0, n))
 
     @staticmethod
     def full(n: int) -> "Subspace":
@@ -479,7 +498,7 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return self.echelon.rows
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -489,34 +508,44 @@ class Subspace:
 
 
 def _span(n: int, m: Matrix) -> Subspace:
-    """Canonical subspace of Q^n spanned by the rows of m: the transpose of
-    its nonzero RREF rows."""
-    if not m.rows:
-        return Subspace.zero(n)
+    """Canonical subspace of Q^n spanned by the rows of m: its nonzero RREF
+    rows."""
     red, pivots = rref(m)
-    return Subspace(n, red._row_block(range(len(pivots))).transpose())
+    return Subspace(n, red._row_block(range(len(pivots))))
 
 
 def sum_(a: Subspace, b: Subspace) -> Subspace:
-    """Subspace sum A + B."""
+    """Subspace sum A + B: the span of both row blocks."""
     _check_same_ambient(a, b)
-    return Subspace.from_matrix_columns(a.basis.hstack(b.basis))
+    return _span(a.ambient_dim, a.echelon.vstack(b.echelon))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Subspace intersection: A x for the x of each kernel vector (x, y) of
-    [A | B], since A x = -B y lies in both."""
+    """Subspace intersection by Zassenhaus on the smaller side's rows: each
+    row b of B becomes [b - b[P] A | b] (up to scale), cleared at the pivot
+    columns P of the other side's rows A. A combination (y R, y B) has
+    y R = 0 iff y B lies in A, so after one elimination the rows pivoting
+    in the right half hold the canonical rows of A meet B there."""
     _check_same_ambient(a, b)
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim)
-    combos = kernel(a.basis.hstack(b.basis)).basis
-    return Subspace.from_matrix_columns(a.basis @ combos._row_block(range(a.dim)))
+    if a.dim < b.dim:
+        a, b = b, a
+    n = a.ambient_dim
+    basis = {min(nums): nums for nums, _ in a.echelon._ints}
+    rows = []
+    for nums, _ in b.echelon._ints:
+        row = {**nums, **{c + n: x for c, x in nums.items()}}
+        for c in [c for c in nums if c in basis]:
+            row = _clear(row, basis[c], c)
+        rows.append((row, 1))
+    red, pivots = rref(Matrix._of(len(rows), 2 * n, tuple(rows)))
+    meet = tuple(({c - n: x for c, x in nums.items()}, d) for (nums, d), p in zip(red._ints, pivots) if p >= n)
+    return Subspace(n, Matrix._of(len(meet), n, meet))
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
-    """True iff b is a subspace of a: appending b's basis to a's adds no rank."""
+    """True iff b is a subspace of a: stacking b's rows under a's adds no rank."""
     _check_same_ambient(a, b)
-    return rank(a.basis.hstack(b.basis)) == a.dim
+    return rank(a.echelon.vstack(b.echelon)) == a.dim
 
 
 def _check_same_ambient(a: Subspace, b: Subspace):
@@ -529,12 +558,12 @@ def _check_same_ambient(a: Subspace, b: Subspace):
 class QuotientSpace:
     """ambient/sub presented by an explicit section of coset representatives,
     in ambient's pivot coordinates (`pivot_coordinates`): Q^m modulo S, with
-    m = dim ambient, P ambient's pivot rows and S sub's rows there.
+    m = dim ambient, P the pivot columns of ambient's rows and S sub at P.
 
-    The section columns are chosen greedily from ambient's canonical basis in
+    The section columns are chosen greedily from ambient's canonical rows in
     index order, so identical inputs always produce the identical section.
-    `elimination` is an invertible m x m E with E [S | section at P] = I; its
-    rows from dim sub on are the section coordinates.
+    `elimination` is an invertible m x m E with E [S basis | section at P] =
+    I; its rows from dim sub on are the section coordinates.
     """
 
     # No __slots__: the cached projector lives in the instance dict.
@@ -560,8 +589,9 @@ class QuotientSpace:
 
     def project(self, v: Sequence) -> tuple:
         """Section coordinates of the coset of v. A vector of the wrong length
-        or outside ambient raises ValidationError: v must be A v[P], which
-        needs one product unless ambient is the whole space."""
+        or outside ambient raises ValidationError: v must be v[P] A, A
+        ambient's rows, which needs one product by ambient's basis unless
+        ambient is the whole space."""
         coords = self.projector.apply(v)
         a = self.ambient
         if a.dim < a.ambient_dim and a.basis.apply([v[i] for i in self.pivots]) != tuple(v):
@@ -576,50 +606,40 @@ def quotient(ambient: Subspace, sub: Subspace) -> QuotientSpace:
     """Quotient of ambient by sub (ValidationError unless sub lies in ambient).
 
     `pivot_coordinates` checks the containment and gives P and S, and one
-    elimination of [S | I_m] gives the rest. S has full column rank, so its
-    columns are the first pivots; the pivots in the identity block are the
-    unit vectors that extend S in index order, which are the ambient basis
-    columns of the greedy section. The identity block becomes the E of the
-    row operations, which send [S | section at P] to I.
+    elimination of [S basis | I_m] gives the rest. S's basis has full column
+    rank, so its columns are the first pivots; the pivots in the identity
+    block are the unit vectors that extend S in index order, which pick the
+    ambient rows of the greedy section. The identity block becomes the E of
+    the row operations, which send [S basis | section at P] to I.
     """
     at, coords = pivot_coordinates(ambient, sub)
     s, m = sub.dim, ambient.dim
     red, pivots = rref(coords.basis.hstack(Matrix.identity(m)))
-    section = ambient.basis._col_block([p - s for p in pivots[s:]])
+    section = ambient.echelon._row_block([p - s for p in pivots[s:]]).transpose()
     return QuotientSpace(ambient, sub, at, section, red._col_block(range(s, s + m)))
 
 
 def pivot_coordinates(ambient: Subspace, sub: Subspace) -> tuple:
-    """(P, S): the pivot rows P of ambient's canonical basis A, and sub in
+    """(P, S): the pivot columns P of ambient's canonical rows A, and sub in
     A's coordinates, as a canonical subspace S of Q^(dim ambient).
 
-    A is the identity at P, so each vector v of ambient is A v[P]; S is
-    spanned by sub's basis rows at P, which are already in canonical form.
-    sub lies in ambient iff A S gives sub's basis back, which is checked
-    row by row on the nonzeros (ValidationError otherwise).
+    A is the identity at P, so each vector v of ambient is v[P] A; S's rows
+    are sub's rows at P, which are already in canonical form. sub lies in
+    ambient iff S A gives sub's rows back, which is checked row by row on
+    the nonzeros (ValidationError otherwise).
     """
     _check_same_ambient(ambient, sub)
-    first = {}  # column -> its first nonzero row
-    for i, (nums, _) in enumerate(ambient.basis._ints):
-        for c in nums:
-            first.setdefault(c, i)
-    at = tuple(first[c] for c in range(ambient.dim))
-    coords = sub.basis._row_block(at)
-    for (a, da), row in zip(ambient.basis._ints, sub.basis._ints):
-        terms = [(x, coords._ints[k]) for k, x in a.items()]
-        big = lcm(*(d for _, (_, d) in terms))
-        acc = {}
-        for x, (nums, d) in terms:
-            f = x * (big // d)
-            for c, y in nums.items():
-                acc[c] = acc.get(c, 0) + f * y
-        if _canonical({c: v for c, v in acc.items() if v}, da * big) != row:
+    rows, big = ambient.echelon._scaled_rows()
+    at = tuple(min(nums) for nums in rows)
+    coords = []
+    for nums, d in sub.echelon._ints:
+        s = {k: nums[p] for k, p in enumerate(at) if p in nums}
+        if _canonical(_combine(s, rows), d * big) != (nums, d):
             raise ValidationError("sub is not contained in ambient")
-    return at, Subspace(ambient.dim, coords)
+        coords.append(_canonical(s, d))
+    return at, Subspace(len(at), Matrix._of(len(coords), len(at), tuple(coords)))
 
 
 def annihilator(s: Subspace) -> Subspace:
     """{phi : phi(s) = 0} in the dual, identified with Q^n via the dual basis."""
-    if s.dim == 0:
-        return Subspace.full(s.ambient_dim)
-    return kernel(s.basis.transpose())
+    return kernel(s.echelon)

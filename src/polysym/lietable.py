@@ -121,7 +121,7 @@ def centralizer(g: LieAlgebra, a: Subspace) -> Subspace:
     """{x : [a, x] = 0}; computed from ad, so it works with any center."""
     if a.ambient_dim != g.dim:
         raise ValidationError("subspace ambient dimension does not match the algebra")
-    return joint_kernel(g.dim, [g.ad(a.basis.col(j)) for j in range(a.dim)])
+    return joint_kernel(g.dim, [g.ad(a.echelon.row(i)) for i in range(a.dim)])
 
 
 def lie_reduce(g: LieAlgebra, a: Subspace) -> LinearReduction:

@@ -18,6 +18,7 @@ from .exactla import (
     Matrix,
     QuotientSpace,
     Subspace,
+    _combine,
     intersect,
     kernel,
     quotient,
@@ -34,7 +35,7 @@ class VForm:
     not an invariant.
     """
 
-    # No __slots__: the cached property _wide lives in the instance dict.
+    # No __slots__: the cached property _stacked_rows lives in the instance dict.
     def __init__(self, dim_u: int, components):
         comps = tuple(components)
         if len(comps) < 1:
@@ -71,9 +72,10 @@ class VForm:
         return self.degeneracy_kernel().is_zero()
 
     @cached_property
-    def _wide(self) -> Matrix:
-        """[W_1 | ... | W_k], the components side by side."""
-        return reduce(Matrix.hstack, self.components)
+    def _stacked_rows(self) -> list:
+        """The rows of W_1, ..., W_k in turn as nonzero integer numerators,
+        all scaled by the components' common denominator."""
+        return reduce(Matrix.vstack, self.components)._scaled_rows()[0]
 
     def restrict(self, section: Matrix) -> "VForm":
         """Form induced on the column span of section, in section coordinates."""
@@ -102,13 +104,16 @@ def direct_sum(forms: Sequence[VForm]) -> VForm:
 
 
 def orthogonal(omega: VForm, a: Subspace) -> Subspace:
-    """{v : omega(a, v) = 0 for all a in A}, canonical: the joint kernel of
-    the blocks A^T W_c = -(W_c A)^T, split off the one product A^T [W_1 | ... | W_k]."""
+    """{v : omega(a, v) = 0 for all a in A}, canonical: the kernel of the
+    rows a^T W_c over each row a of A and each component c. Each is taken
+    as the combination of W_c's integer rows by a's numerators, a positive
+    multiple of the row that the kernel does not see, so A's rows and the
+    form's cached rows are read as they stand and nothing is rescaled."""
     if a.ambient_dim != omega.dim_u:
         raise ValidationError("subspace ambient dimension does not match the form")
-    n = omega.dim_u
-    product = a.basis.transpose() @ omega._wide
-    return joint_kernel(n, [product._col_block(range(c * n, (c + 1) * n)) for c in range(omega.dim_v)])
+    n, wrows = omega.dim_u, omega._stacked_rows
+    rows = [(_combine(nums, wrows[c * n : (c + 1) * n]), 1) for c in range(omega.dim_v) for nums, _ in a.echelon._ints]
+    return kernel(Matrix._of(len(rows), n, tuple(rows)))
 
 
 class SubspaceClass(NamedTuple):
@@ -152,7 +157,10 @@ def linear_reduce(omega: VForm, a: Subspace) -> LinearReduction:
         raise ValidationError("subspace ambient dimension does not match the form")
     orth = orthogonal(omega, a)
     core = intersect(a, orth)
-    carrier = quotient(orth, core)
+    try:
+        carrier = quotient(orth, core)
+    except ValidationError:
+        raise ContractViolation("the meet of A and its orthogonal is not contained in the orthogonal") from None
     section = carrier.section
 
     # Well-definedness: the form must not see the quotiented directions.

@@ -15,10 +15,11 @@ from .exactla import Matrix, Subspace, rank
 from .polycore import VForm
 
 SPAN, ATTEMPTS = 3, 200  # numerators lie in [-SPAN, SPAN]; rejection samplers give up after ATTEMPTS draws
+DENOMINATORS = (1, 1, 1, 2, 3)  # each divides 6
 
 
 def rand_fraction(rng: random.Random) -> Fraction:
-    den = rng.choice((1, 1, 1, 2, 3))
+    den = rng.choice(DENOMINATORS)
     return Fraction(rng.randint(-SPAN, SPAN), den)
 
 
@@ -36,8 +37,15 @@ def rand_subspace(rng: random.Random, n: int, max_dim: int = None) -> Subspace:
 
 
 def rand_skew(rng: random.Random, n: int) -> Matrix:
-    m = rand_matrix(rng, n, n)
-    return m - m.transpose()
+    """m - m^T for the m that `rand_matrix` draws, from the same draws in the
+    same order, built as integer rows over 6."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            den = rng.choice(DENOMINATORS)
+            m[i][j] = rng.randint(-SPAN, SPAN) * (6 // den)
+    rows = [{j: m[i][j] - m[j][i] for j in range(n) if m[i][j] != m[j][i]} for i in range(n)]
+    return Matrix._of_integers(rows, n, 6)
 
 
 def rand_vform(rng: random.Random, n: int, k: int) -> VForm:

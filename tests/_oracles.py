@@ -27,8 +27,11 @@ blocks ([sub | ambient | I], which the package's quotient in ambient's pivot
 coordinates must match), and the linear layer one vector or one entry at a
 time (the contraction of a form at a vector, subspace sums and
 intersections, coefficient maps, the universal embedding, and the bracket
-form's components from the rows of ad), and the JSON rendering of a
-problem document that the round-trip tests parse back.
+form's components from the rows of ad), the subspace lattice as it was
+computed on canonical column bases (sums, intersections, containment and
+the orthogonal by transposes and products), the skew random draw as
+m - m^T of a drawn `Fraction` matrix, and the JSON rendering of a problem
+document that the round-trip tests parse back.
 """
 
 import decimal
@@ -41,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from polysym.errors import ContractViolation, ValidationError
-from polysym.exactla import Matrix, Subspace, kernel, solve
+from polysym.exactla import Matrix, Subspace, kernel, rank, rref, solve
 from polysym.liealg import hat, so3_exp, unhat
 from polysym.pointham import DEFAULT_FD_STEP, hamiltonian_field, omega_at, vform_to_numpy
 from polysym.polycore import canonical_model
@@ -635,6 +638,63 @@ def looped_intersect(a, b):
         return Subspace.zero(a.ambient_dim)
     combos = kernel(a.basis.hstack(b.basis.scale(-1)))
     return Subspace.from_vectors(a.ambient_dim, [a.basis.apply(v[: a.dim]) for v in combos.basis.columns()])
+
+
+# The subspace lattice on canonical column bases: each returns the n x d
+# basis (reduced column echelon) that the routine returned before subspaces
+# were kept as their echelon rows.
+
+def fraction_column_basis(n, vectors):
+    """The canonical column basis of the span of vectors, by `fraction_rref`:
+    the transpose of the nonzero RREF rows."""
+    rows, pivots = fraction_rref([tuple(Fraction(x) for x in v) for v in vectors], n)
+    return Matrix([[rows[r][i] for r in range(len(pivots))] for i in range(n)]) if n else Matrix.zeros(0, len(pivots))
+
+
+def _column_span(m):
+    """The canonical column basis of the row span of m."""
+    red, pivots = rref(m)
+    return red._row_block(range(len(pivots))).transpose()
+
+
+def column_sum(a, b):
+    return _column_span(a.basis.hstack(b.basis).transpose())
+
+
+def column_intersect(a, b):
+    """A x for the x of each kernel vector (x, y) of [A | B], re-spanned."""
+    if a.dim == 0 or b.dim == 0:
+        return Matrix.zeros(a.ambient_dim, 0)
+    combos = kernel(a.basis.hstack(b.basis)).basis
+    return _column_span((a.basis @ combos._row_block(range(a.dim))).transpose())
+
+
+def column_contains(a, b):
+    return rank(a.basis.hstack(b.basis)) == a.dim
+
+
+def column_orthogonal(omega, a):
+    """The joint kernel of the blocks of A^T [W_1 | ... | W_k], one product
+    split into its k blocks."""
+    n = omega.dim_u
+    if a.dim == 0:
+        return Matrix.identity(n)
+    wide = omega.components[0]
+    for m in omega.components[1:]:
+        wide = wide.hstack(m)
+    product = a.basis.transpose() @ wide
+    stacked = product._col_block(range(n))
+    for c in range(1, omega.dim_v):
+        stacked = stacked.vstack(product._col_block(range(c * n, (c + 1) * n)))
+    return kernel(stacked).basis
+
+
+def drawn_skew(rng, n):
+    """m - m^T for an n x n `randgen.rand_matrix` draw m."""
+    from polysym.randgen import rand_matrix
+
+    m = rand_matrix(rng, n, n)
+    return m - m.transpose()
 
 
 def entrywise_coefficient_components(f, omega):

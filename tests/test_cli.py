@@ -362,6 +362,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "contract violation: descent to the quotient failed\n"
 
+    def test_defect_in_the_reduction_quotient(self, monkeypatch, capsys):
+        # With intersections taken as sums, A + its orthogonal leaves the
+        # orthogonal, and linear_reduce's quotient refuses it.
+        from polysym import exactla, polycore
+
+        monkeypatch.setattr(polycore, "intersect", exactla.sum_)
+        assert run(["verify", "--suite", "reduction-kernel"]) == 1
+        err = capsys.readouterr().err
+        assert err == "contract violation: the meet of A and its orthogonal is not contained in the orthogonal\n"
+
     def test_defect_in_the_gauge_invariance_check(self, monkeypatch, tmp_path, capsys):
         # A grid torus has the non-constant 0-cochains the check shifts by; its
         # edges' back faces read as front faces make the pairing gauge dependent.

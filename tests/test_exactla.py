@@ -670,32 +670,81 @@ def test_quotient_eliminates_once_and_projects_without_eliminating(monkeypatch):
         assert calls == []
 
 
-# Sums and intersections against the per-vector references (tests/_oracles.py):
-# A and B share a drawn span, so the meet is often neither zero nor all of
-# either; zero and full spaces are drawn too.
+# Sums, intersections, containment and pivot coordinates against the
+# per-vector references and the column-basis paths they replaced
+# (tests/_oracles.py): A and B share a drawn span, so the meet is often
+# neither zero nor all of either; zero, full, equal and nested pairs are
+# drawn too.
 
 
 @st.composite
 def _subspace_pairs(draw):
-    n = draw(st.integers(0, 6))
+    """((A, its generators), (B, its generators)) in Q^n, n <= 8."""
+    n = draw(st.integers(0, 8))
 
     def side(shared):
         kind = draw(st.sampled_from(["zero", "full", "drawn", "drawn"]))
         if kind == "zero":
-            return Subspace.zero(n)
-        if kind == "full":
-            return Subspace.full(n)
-        return Subspace.from_vectors(n, shared + draw(_grids(draw(st.integers(0, n)), n)))
+            vectors = []
+        elif kind == "full":
+            vectors = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        else:
+            vectors = shared + draw(_grids(draw(st.integers(0, n)), n))
+        return Subspace.from_vectors(n, vectors), vectors
 
     shared = draw(_grids(draw(st.integers(0, n)), n))
-    return side(shared), side(shared)
+    a, va = side(shared)
+    kind = draw(st.sampled_from(["other", "equal", "nested"]))
+    if kind == "other":
+        b, vb = side(shared)
+    elif kind == "equal":
+        b, vb = a, va
+    else:
+        vb = [a.basis.apply(c) for c in draw(_grids(draw(st.integers(0, a.dim)), a.dim))]
+        b = Subspace.from_vectors(n, vb)
+    return ((a, va), (b, vb)) if draw(st.booleans()) else ((b, vb), (a, va))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_subspace_pairs())
 def test_sum_and_intersect_match_the_per_vector_loops(pair):
-    from _oracles import looped_intersect, looped_sum
+    from _oracles import (
+        column_contains,
+        column_intersect,
+        column_sum,
+        fraction_column_basis,
+        looped_intersect,
+        looped_sum,
+    )
 
-    a, b = pair
-    assert sum_(a, b) == looped_sum(a, b)
-    assert intersect(a, b) == looped_intersect(a, b)
+    (a, va), (b, vb) = pair
+    n = a.ambient_dim
+    assert a.basis == fraction_column_basis(n, va) and b.basis == fraction_column_basis(n, vb)
+    meet, total = intersect(a, b), sum_(a, b)
+    assert meet == looped_intersect(a, b) and meet.basis == column_intersect(a, b)
+    assert total == looped_sum(a, b) and total.basis == column_sum(a, b)
+    for s in (meet, total):
+        _assert_canonical(s.echelon)
+        assert s.basis is s.basis and s.basis == s.echelon.transpose()
+    for x, y in ((a, b), (b, a), (total, meet), (meet, a)):
+        assert contains(x, y) == column_contains(x, y)
+        if contains(x, y):
+            at, coords = pivot_coordinates(x, y)
+            assert x.basis @ coords.basis == y.basis
+        else:
+            with pytest.raises(ValidationError, match="not contained"):
+                pivot_coordinates(x, y)
+
+
+def test_intersect_eliminates_once(monkeypatch):
+    import polysym.exactla as ea
+
+    calls = []
+    original = ea.rref
+    monkeypatch.setattr(ea, "rref", lambda m: calls.append(m.shape) or original(m))
+    a, b = span(4, (1, 1, 0, 0), (0, 0, 1, 0)), span(4, (1, 1, 1, 0), (0, 0, 0, 1))
+    for x, y in ((a, b), (b, a), (a, a), (a, Subspace.zero(4)), (Subspace.full(4), b)):
+        calls.clear()
+        intersect(x, y)
+        assert len(calls) == 1
+    assert intersect(a, b) == span(4, (1, 1, 1, 0))

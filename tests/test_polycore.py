@@ -134,6 +134,18 @@ class TestJointKernelMatchesStackedLoops:
         assert len(kernels) > 1  # both degenerate and nondegenerate forms were drawn
 
 
+def test_rand_skew_is_the_drawn_matrix_minus_its_transpose():
+    # The same draws in the same order as m - m^T of a `rand_matrix` draw:
+    # equal matrices, and the generator left in the same state.
+    from _oracles import drawn_skew
+
+    for seed in range(6):
+        for n in range(9):
+            rng, replay = random.Random(seed), random.Random(seed)
+            assert rand_skew(rng, n) == drawn_skew(replay, n)
+            assert rng.getstate() == replay.getstate()
+
+
 class TestClassify:
     def test_cross_lines_lagrangian(self):
         rng = random.Random(7)
@@ -338,8 +350,8 @@ _entries = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 1, 2, 3, 7)))
 
 
 @st.composite
-def _forms(draw):
-    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+def _forms(draw, max_n=6):
+    n, k = draw(st.integers(1, max_n)), draw(st.integers(1, 3))
     comps = []
     for _ in range(k):
         upper = [[draw(_entries) if i < j else F(0) for j in range(n)] for i in range(n)]
@@ -368,9 +380,40 @@ def _coefficient_maps(draw, k):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.data())
 def test_orthogonal_is_the_stacked_per_vector_contraction(data):
-    form = data.draw(_forms())
-    a = data.draw(_subspaces(form.dim_u))
-    assert orthogonal(form, a) == stacked_orthogonal(form, a)
+    # Against the product A^T [W_1 | ... | W_k] on column bases too, for A
+    # and a B equal to or nested in A, whose orthogonal must contain A's.
+    from _oracles import column_orthogonal
+
+    form = data.draw(_forms(max_n=8))
+    n = form.dim_u
+    a = data.draw(_subspaces(n))
+    if data.draw(st.booleans()):
+        b = a
+    else:
+        combos = data.draw(st.lists(st.lists(_entries, min_size=a.dim, max_size=a.dim), max_size=a.dim))
+        b = Subspace.from_vectors(n, [a.basis.apply(c) for c in combos])
+    oa, ob = orthogonal(form, a), orthogonal(form, b)
+    assert oa == stacked_orthogonal(form, a) and oa.basis == column_orthogonal(form, a)
+    assert ob == stacked_orthogonal(form, b) and ob.basis == column_orthogonal(form, b)
+    assert contains(ob, oa)
+
+
+def test_orthogonal_multiplies_and_transposes_nothing(monkeypatch):
+    cases = [
+        (cross_form(), span(3, (1, 0, 0))),
+        (cross_form(), Subspace.full(3)),
+        (canonical_model(2, 2), span(6, (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 1, 0))),
+        (VForm(0, (Matrix.zeros(0, 0),)), Subspace.zero(0)),
+    ]
+    calls = []
+    for name in ("__matmul__", "transpose"):
+        original = getattr(Matrix, name)
+        monkeypatch.setattr(Matrix, name, lambda self, *a, _f=original, _n=name: calls.append(_n) or _f(self, *a))
+    for form, a in cases:
+        assert orthogonal(form, a).ambient_dim == form.dim_u
+    assert calls == []
+    monkeypatch.undo()
+    assert [orthogonal(form, a) for form, a in cases] == [stacked_orthogonal(form, a) for form, a in cases]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
