@@ -45,6 +45,16 @@ MAX_LIE_CONSTANTS = 1920
 # cells) and 15 s on the 6^3 grid (5,616); `gauge reduce` takes 1.0 s on 5^3.
 MAX_COMPLEX_CELLS = 3250
 
+# Most cells (k * n^2, entries of all components) a form document may list:
+# every n up to 128 at k = 1. Elimination cost follows n much more than k. On
+# a shared 2-vCPU Xeon, in-process, with random entries in [-9, 9]: at
+# n = 128, k = 1, `orth --subspace full` and `embed` take 1.2 s and `reduce`
+# 1.8 s on the span of e_i + e_(i+64); on a dense random 64-dim subspace,
+# `classify` takes 4.3 s and `reduce` 5.8 s, the slowest found. Past the
+# cap, `reduce` takes 5.0 s at n = 160, k = 1 on the first subspace, and
+# 7.4 s at n = 200, k = 3 (120,000 cells) on e1.
+MAX_FORM_CELLS = 2**14
+
 
 class ProblemDocument:
     """A parsed or builtin document. `built` holds the form, algebra or
@@ -164,6 +174,9 @@ def _build_form(doc: ProblemDocument) -> VForm:
     comps = doc.payload.get("form")
     if not isinstance(comps, list) or not comps:
         raise ValidationError("form documents need a non-empty 'form' list of matrices")
+    cells = sum(len(row) for m in comps if isinstance(m, list) for row in m if isinstance(row, list))
+    if cells > MAX_FORM_CELLS:
+        raise ValidationError(f"form document has {cells} cells; at most {MAX_FORM_CELLS} are supported")
     matrices = [_parse_matrix(m, "form component") for m in comps]
     return VForm(matrices[0].rows, tuple(matrices))
 

@@ -11,13 +11,15 @@ have equal rows. Parsing builds those rows, and reading an entry, a row or a
 column fills in the zeros and builds the `Fraction`s. Everything between
 (elimination, sums, stacking, slicing, transposes, comparisons) runs on the
 integer nonzeros, so its cost follows the nonzeros, not the shape: a
-coboundary matrix has p + 2 of them per row. Products densify each left row
-once. `rref` eliminates fraction-free (Bareiss 1968), one row at a time,
-touching only the union of two rows' supports, and leaves each pivot row
-over its pivot. A subspace is kept as its canonical rows (reduced row
-echelon, pivots normalized to 1, pivot columns strictly increasing), so
-equality of subspaces is equality of their stored rows, and sums,
-intersections, containment and kernels eliminate those rows as they stand.
+coboundary matrix has p + 2 of them per row. Products, sums and coefficient
+maps are one sparse row combination, `_combine` (Gustavson 1978): a result
+row sums the operand rows that one row's nonzeros select. `rref` eliminates
+fraction-free (Bareiss 1968), one row at a time, touching only the union of
+two rows' supports, and leaves each pivot row over its pivot. A subspace is
+kept as its canonical rows (reduced row echelon, pivots normalized to 1,
+pivot columns strictly increasing), so equality of subspaces is equality of
+their stored rows, and sums, intersections, containment and kernels
+eliminate those rows as they stand.
 """
 
 from __future__ import annotations
@@ -100,15 +102,13 @@ class Matrix:
     column to nonzero integer numerator, over one positive denominator d, in
     lowest terms (see `_canonical`), so `==` and `hash` are exact. Stored
     dicts are never mutated, so matrices share them freely. The dense
-    readers (`entries`, `row`, `col`, indexing, `apply`) fill in the zeros;
-    the dense integer columns over one common denominator are cached for
-    products on first use.
+    readers (`entries`, `row`, `col`, indexing, `apply`) fill in the zeros.
 
     Zero-row and zero-column shapes are legal; they show up constantly as
     bases of trivial subspaces.
     """
 
-    __slots__ = ("rows", "cols", "_ints", "_cols")
+    __slots__ = ("rows", "cols", "_ints")
 
     def __init__(self, entries: Sequence[Sequence]):
         dense = [_parse_row(row) for row in entries]
@@ -119,7 +119,6 @@ class Matrix:
         self.rows = len(dense)
         self.cols = cols
         self._ints = tuple((_nonzeros(nums), d) for nums, d in dense)
-        self._cols = None
 
     @classmethod
     def _of(cls, rows: int, cols: int, ints: tuple) -> "Matrix":
@@ -127,7 +126,6 @@ class Matrix:
         m = object.__new__(cls)
         m.rows, m.cols = rows, cols
         m._ints = ints
-        m._cols = None
         return m
 
     @classmethod
@@ -182,18 +180,6 @@ class Matrix:
         big = lcm(*(d for _, d in self._ints))
         return [nums if d == big else {c: a * (big // d) for c, a in nums.items()} for nums, d in self._ints], big
 
-    def _columns(self) -> tuple:
-        """(dense integer columns, D) with column j = columns[j] / D,
-        computed once per matrix."""
-        if self._cols is None:
-            rows, big = self._scaled_rows()
-            cols = [[0] * self.rows for _ in range(self.cols)]
-            for i, nums in enumerate(rows):
-                for c, a in nums.items():
-                    cols[c][i] = a
-            self._cols = cols, big
-        return self._cols
-
     def _row_block(self, indices: Iterable[int]) -> "Matrix":
         """The rows at indices, in that order."""
         ints = tuple(self._ints[i] for i in indices)
@@ -208,16 +194,6 @@ class Matrix:
             tuple(_canonical({at[c]: a for c, a in nums.items() if c in at}, d) for nums, d in self._ints),
         )
 
-    def _reshape(self, rows: int, cols: int) -> "Matrix":
-        """The same entries read row by row into a rows x cols matrix."""
-        scaled, big = self._scaled_rows()
-        out = [{} for _ in range(rows)]
-        for i, nums in enumerate(scaled):
-            for c, a in nums.items():
-                k = i * self.cols + c
-                out[k // cols][k % cols] = a
-        return Matrix._of_integers(out, cols, big)
-
     def transpose(self) -> "Matrix":
         big = lcm(*(d for _, d in self._ints))
         out = [{} for _ in range(self.cols)]
@@ -228,19 +204,13 @@ class Matrix:
         return Matrix._of_integers(out, self.rows, big)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Each row of the product combines other's rows, scaled to one
+        denominator, by the row's nonzeros."""
         if self.cols != other.rows:
             raise ValidationError(f"shape mismatch: {self.shape} @ {other.shape}")
-        cols, big = other._columns()
-        out = []
-        for nums, d in self._ints:
-            if not nums:
-                out.append(_ZERO_ROW)
-                continue
-            dense = [0] * self.cols
-            for c, a in nums.items():
-                dense[c] = a
-            out.append(_canonical(_nonzeros([sum(map(mul, dense, col)) for col in cols]), d * big))
-        return Matrix._of(self.rows, other.cols, tuple(out))
+        rows, big = other._scaled_rows()
+        out = tuple(_canonical(_combine(nums, rows), d * big) for nums, d in self._ints)
+        return Matrix._of(self.rows, other.cols, out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
@@ -248,15 +218,7 @@ class Matrix:
         out = []
         for (a, da), (b, db) in zip(self._ints, other._ints):
             big = lcm(da, db)
-            fa, fb = big // da, big // db
-            row = {c: x * fa for c, x in a.items()}
-            for c, y in b.items():
-                v = row.get(c, 0) + y * fb
-                if v:
-                    row[c] = v
-                else:
-                    del row[c]
-            out.append(_canonical(row, big))
+            out.append(_canonical(_combine({0: big // da, 1: big // db}, (a, b)), big))
         return Matrix._of(self.rows, self.cols, tuple(out))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -624,20 +586,18 @@ def pivot_coordinates(ambient: Subspace, sub: Subspace) -> tuple:
     A's coordinates, as a canonical subspace S of Q^(dim ambient).
 
     A is the identity at P, so each vector v of ambient is v[P] A; S's rows
-    are sub's rows at P, which are already in canonical form. sub lies in
-    ambient iff S A gives sub's rows back, which is checked row by row on
-    the nonzeros (ValidationError otherwise).
+    are sub's rows at P, each read at its own nonzeros, and are already in
+    canonical form. sub lies in ambient iff S A gives sub's rows back, which
+    is checked row by row (ValidationError otherwise).
     """
     _check_same_ambient(ambient, sub)
     rows, big = ambient.echelon._scaled_rows()
     at = tuple(min(nums) for nums in rows)
-    coords = []
-    for nums, d in sub.echelon._ints:
-        s = {k: nums[p] for k, p in enumerate(at) if p in nums}
-        if _canonical(_combine(s, rows), d * big) != (nums, d):
+    coords = sub.echelon._col_block(at)
+    for (s, ds), row in zip(coords._ints, sub.echelon._ints):
+        if _canonical(_combine(s, rows), ds * big) != row:
             raise ValidationError("sub is not contained in ambient")
-        coords.append(_canonical(s, d))
-    return at, Subspace(len(at), Matrix._of(len(coords), len(at), tuple(coords)))
+    return at, Subspace(len(at), coords)
 
 
 def annihilator(s: Subspace) -> Subspace:

@@ -18,6 +18,7 @@ from .exactla import (
     Matrix,
     QuotientSpace,
     Subspace,
+    _canonical,
     _combine,
     intersect,
     kernel,
@@ -72,10 +73,10 @@ class VForm:
         return self.degeneracy_kernel().is_zero()
 
     @cached_property
-    def _stacked_rows(self) -> list:
-        """The rows of W_1, ..., W_k in turn as nonzero integer numerators,
-        all scaled by the components' common denominator."""
-        return reduce(Matrix.vstack, self.components)._scaled_rows()[0]
+    def _stacked_rows(self) -> tuple:
+        """(rows, D): the rows of W_1, ..., W_k in turn as nonzero integer
+        numerators over the components' common denominator D."""
+        return reduce(Matrix.vstack, self.components)._scaled_rows()
 
     def restrict(self, section: Matrix) -> "VForm":
         """Form induced on the column span of section, in section coordinates."""
@@ -111,7 +112,7 @@ def orthogonal(omega: VForm, a: Subspace) -> Subspace:
     form's cached rows are read as they stand and nothing is rescaled."""
     if a.ambient_dim != omega.dim_u:
         raise ValidationError("subspace ambient dimension does not match the form")
-    n, wrows = omega.dim_u, omega._stacked_rows
+    n, (wrows, _) = omega.dim_u, omega._stacked_rows
     rows = [(_combine(nums, wrows[c * n : (c + 1) * n]), 1) for c in range(omega.dim_v) for nums, _ in a.echelon._ints]
     return kernel(Matrix._of(len(rows), n, tuple(rows)))
 
@@ -243,11 +244,12 @@ def apply_coefficient_map(f: Matrix, omega: VForm) -> tuple:
         raise ValidationError("coefficient map source does not match the form")
     if f.rows < 1:
         raise ValidationError("coefficient map target must be at least 1-dimensional")
-    # One product F @ W, where row j of W holds component j's entries row by row.
-    n = omega.dim_u
-    flat = reduce(Matrix.vstack, [m._reshape(1, n * n) for m in omega.components])
-    product = f @ flat
-    comps = (product._row_block([c])._reshape(n, n) for c in range(product.rows))
+    # Row i of image component j combines row i of each W_c by row j of f.
+    n, (wrows, big) = omega.dim_u, omega._stacked_rows
+    comps = (
+        Matrix._of(n, n, tuple(_canonical(_combine(nums, wrows[i::n]), d * big) for i in range(n)))
+        for nums, d in f._ints
+    )
     candidate = VForm(n, tuple(comps))
     return candidate, candidate.degeneracy_kernel()
 

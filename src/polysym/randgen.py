@@ -31,8 +31,8 @@ def rand_vector(rng: random.Random, n: int) -> tuple:
     return tuple(rand_fraction(rng) for _ in range(n))
 
 
-def rand_subspace(rng: random.Random, n: int, max_dim: int = None) -> Subspace:
-    d = rng.randint(0, n if max_dim is None else min(n, max_dim))
+def rand_subspace(rng: random.Random, n: int) -> Subspace:
+    d = rng.randint(0, n)
     return Subspace.from_vectors(n, [rand_vector(rng, n) for _ in range(d)])
 
 

@@ -676,6 +676,27 @@ def test_complex_cells_past_the_cap_exit_2_with_one_error_line(tmp_path, capsys)
     assert capsys.readouterr() == ("", f"error: complex document has {cap + 1} cells; at most {cap} are supported\n")
 
 
+def _zero_form_text(n: int, k: int) -> str:
+    return json.dumps({"kind": "form", "form": [[[0] * n for _ in range(n)] for _ in range(k)]})
+
+
+def test_form_cells_past_the_cap_exit_2_before_any_entry_is_read(tmp_path, capsys, monkeypatch):
+    cap = docio.MAX_FORM_CELLS
+    for n, k in ((128, 1), (64, 4)):
+        form = docio.form_to_vform(docio.parse_document(_zero_form_text(n, k)))
+        assert form.dim_v * form.dim_u**2 == cap
+
+    def refuse(x):
+        raise AssertionError("an entry was parsed before the cap")
+
+    monkeypatch.setattr(docio, "parse_scalar", refuse)
+    path = tmp_path / "form.json"
+    for n, k in ((129, 1), (74, 3)):
+        path.write_text(_zero_form_text(n, k))
+        assert run(["orth", "--file", str(path), "--subspace", "e1"]) == 2
+        assert capsys.readouterr() == ("", f"error: form document has {k * n * n} cells; at most {cap} are supported\n")
+
+
 def test_the_grid_torus_at_the_cell_cap_runs(tmp_path, capsys, monkeypatch):
     monkeypatch.syspath_prepend(str(REPO_ROOT))
     from perfbench.inputs import grid_torus_simplices
@@ -1000,8 +1021,9 @@ def test_benchmark_exact_argvs_match_their_golden_output(monkeypatch, line):
 # Every run must end in exit 0, 1 or 2 with at most one stderr line (numpy
 # warnings count as lines) and no uncaught exception; that includes options
 # argparse rejects. Integers drawn into documents stay small so that indices
-# often land in range; sizes are not what this test probes (the Lie caps,
-# docio.MAX_LIE_DIM and docio.MAX_LIE_CONSTANTS, have tests of their own).
+# often land in range; sizes are not what this test probes (the document
+# caps, docio.MAX_LIE_DIM, MAX_LIE_CONSTANTS, MAX_COMPLEX_CELLS and
+# MAX_FORM_CELLS, have tests of their own).
 
 FUZZ_DOCUMENT_VERBS = {
     "cross": [["orth"], ["classify"], ["reduce"], ["embed"]],

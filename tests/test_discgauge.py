@@ -650,3 +650,22 @@ def test_rand_cochain_draws(name):
     plain = rand_cochain(rng, cx, 0)
     assert plain.values == tuple(F(replay.randint(-3, 3)) for _ in range(cx.count(0)))
     assert rng.getstate() == replay.getstate()
+
+
+@pytest.mark.parametrize("name", ["torus3", "sphere3", "grid3^2"])
+def test_the_gauge_layer_multiplies_no_matrices(monkeypatch, name):
+    """Cohomology, the cup form's kernels, the moment map and the gauge
+    reduction all work on rows: none of them calls `Matrix @`."""
+    cx = differential_complex(name)
+    calls = []
+    original = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda self, other: calls.append(other.shape) or original(self, other))
+    for p in range(cx.dimension + 1):
+        dg.cohomology(cx, p)
+    dg.reduce_gauge(cx)
+    dg.omega_kernel(cx)
+    dg.moment_zero_set(cx)
+    assert dg.check_gauge_moment_identity(cx)
+    dg.gauge_moment(cx, dg.Cochain.basis(cx, 1, 0))
+    dg.lagrangian_check(cx)
+    assert calls == []

@@ -384,14 +384,15 @@ def test_is_skew_matches_the_fraction_reference(args):
     )
 )
 def test_products_read_the_columns_of_the_right_operand_itself(args):
-    """A matrix caches its columns for products; one derived from it by
-    negation, scaling, sums or transposes must not reuse them."""
+    """A product reads the right operand's own stored rows. Matrices derived
+    from b by negation, scaling, sums or transposes share or rebuild those
+    rows, and each product must see the derived matrix, not b."""
     from _oracles import fraction_add, fraction_matmul, fraction_scale, fraction_transpose
 
     cols, left, right, c = args
     inner = len(right)
     a, b = _matrix(left, inner), _matrix(right, cols)
-    assert (a @ b).entries == fraction_matmul(left, right, cols)  # caches b's columns
+    assert (a @ b).entries == fraction_matmul(left, right, cols)
     derived = [
         (-b, fraction_scale(right, -1)),
         (b.scale(c), fraction_scale(right, c)),

@@ -1,7 +1,7 @@
 """Named mutants of the product code, and the verify suites that must notice
 each one: the rows of the kill matrix in ROADMAP.md that reach the cup
-form, the coboundary, and the orthogonals, intersections and quotients
-under every reduction.
+form, the coboundary, the matrix product, and the orthogonals,
+intersections and quotients under every reduction.
 
 A mutant is a `monkeypatch` of one routine, rebound in every package module
 that imported it by name. Each runs only against the suites it targets, at
@@ -63,6 +63,18 @@ def unsigned_coboundary(monkeypatch):
     monkeypatch.setattr(dg.DeltaComplex, "_build_coboundary", build)
 
 
+def product_drops_right_denominator(monkeypatch):
+    """Each row of a product is put over the left row's denominator only, as
+    if the right operand's common denominator were 1."""
+
+    def matmul(self, other):
+        rows, _ = other._scaled_rows()
+        out = tuple(ea._canonical(ea._combine(nums, rows), d) for nums, d in self._ints)
+        return Matrix._of(self.rows, other.cols, out)
+
+    monkeypatch.setattr(Matrix, "__matmul__", matmul)
+
+
 def orthogonal_drops_last_component(monkeypatch):
     """The orthogonal is taken for the form without its last component; a
     form of one component leaves none, whose orthogonal is the whole space."""
@@ -109,6 +121,7 @@ KILLS = {
         "gauge-invariance": None,
         "gauge-h1": (ContractViolation, "not contained", "d d is not zero, so B^1 leaves Z^1 and the H^1 quotient refuses it"),
     },
+    product_drops_right_denominator: {"embedding": None},
     orthogonal_drops_last_component: {
         "cross-table": None,
         "lemma-subspaces": None,
