@@ -31,14 +31,14 @@ class DeltaComplex:
     i-th face (the vertex-i deletion) of simplex s in degree p-1.
 
     A complex is never mutated after __init__. Values derived from it (the
-    coboundary matrices, the cocycle and coboundary spaces, cup tables,
-    cohomology per degree and the C^2/B^2 quotient) are therefore built on
-    first request and cached on it. Both kinds of quotient are `quotient`:
-    H^p of Z^p by B^p, and C^2/B^2 of the whole space by B^2. Only the
-    routines that need cup values modulo all of B^2 build the latter
-    (`omega_disc`, the moment functions, `omega_kernel` and
-    `lagrangian_check`); `reduce_gauge` reads its invariance check and its
-    pairing through H^2 instead.
+    coboundary matrices, the cocycle spaces, cup tables, cohomology per
+    degree and the C^2/B^2 quotient) are therefore built on first request
+    and cached on it. Both kinds of quotient are `quotient` by d's own rows
+    (`_coboundary_rows`): H^p is Z^p modulo them, read only at Z^p's pivots,
+    and C^2/B^2 the whole space modulo them. Only the routines that need cup
+    values modulo all of B^2 build the latter (`omega_disc`, the moment
+    functions, `omega_kernel` and `lagrangian_check`); `reduce_gauge` reads
+    its invariance check and its pairing through H^2 instead.
     """
 
     def __init__(
@@ -163,14 +163,6 @@ class DeltaComplex:
     def cocycles(self, p: int) -> Subspace:
         """Z^p, the kernel of d on C^p."""
         return self._memo(("cocycles", p), lambda: kernel(self.coboundary_matrix(p)))
-
-    def coboundaries(self, p: int) -> Subspace:
-        """B^p, the image of d in C^p; the zero space in degree 0."""
-        if p == 0:
-            return Subspace.zero(self.count(0))
-        return self._memo(
-            ("coboundaries", p), lambda: Subspace.from_matrix_columns(self.coboundary_matrix(p - 1))
-        )
 
     def front_face(self, degree: int, index: int, p: int) -> int:
         """Index of the front p-face (iterated last-vertex deletion)."""
@@ -319,19 +311,18 @@ def _cup_matrix(
 
 
 class CohomologyPresentation(NamedTuple):
-    """Cocycles, coboundaries, and a deterministic harmonic section in one
-    degree: H^p = Z/B as `quotient(Z, B)`, which presents it in Z's pivot
+    """Cocycles and a deterministic harmonic section in one degree: H^p = Z/B
+    as the quotient of Z by d's rows, which presents it in Z's pivot
     coordinates, so its section is the harmonic section and its projector
     reads a cocycle's class off the cocycle's entries at Z's pivot rows."""
 
     degree: int
     cocycles: Subspace
-    coboundaries: Subspace
     presentation: QuotientSpace  # Z modulo B
 
     @property
     def betti(self) -> int:
-        return self.cocycles.dim - self.coboundaries.dim
+        return self.presentation.dim
 
     @property
     def harmonic_section(self) -> Matrix:
@@ -359,10 +350,19 @@ def cohomology(cx: DeltaComplex, p: int) -> CohomologyPresentation:
     return cx._memo(("cohomology", p), lambda: _cohomology(cx, p))
 
 
+def _coboundary_rows(cx: DeltaComplex, p: int) -> Matrix:
+    """A basis of B^p as rows, none in degree 0: d of the basis (p-1)-cochains
+    off Z^(p-1)'s pivots P, as d x = d(x - x[P] Z) and a cocycle 0 at P is 0."""
+    if p == 0:
+        return Matrix.zeros(0, cx.count(0))
+    pivots = {min(row) for row, _ in cx.cocycles(p - 1).echelon._ints}
+    return cx.coboundary_matrix(p - 1).transpose()._row_block(i for i in range(cx.count(p - 1)) if i not in pivots)
+
+
 def _cohomology(cx: DeltaComplex, p: int) -> CohomologyPresentation:
-    z, b = cx.cocycles(p), cx.coboundaries(p)
+    z = cx.cocycles(p)
     try:
-        return CohomologyPresentation(p, z, b, quotient(z, b))
+        return CohomologyPresentation(p, z, quotient(z, _coboundary_rows(cx, p)))
     except ValidationError:
         raise ContractViolation(f"the coboundaries are not contained in the cocycles in degree {p}") from None
 
@@ -378,8 +378,7 @@ class CochainQuotient:
 
     def __init__(self, cx: DeltaComplex, degree: int = 2):
         self.degree = degree
-        self.coboundaries = cx.coboundaries(degree)
-        self.presentation = quotient(Subspace.full(cx.count(degree)), self.coboundaries)
+        self.presentation = quotient(Subspace.full(cx.count(degree)), _coboundary_rows(cx, degree))
 
     @property
     def dim(self) -> int:

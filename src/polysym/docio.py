@@ -39,10 +39,11 @@ MAX_LIE_DIM = 64
 MAX_LIE_CONSTANTS = 1920
 
 # Most cells (simplices of every degree) a complex document may list: those of
-# the 5^3 grid torus (125 + 875 + 1500 + 750). Its slowest command, `gauge
-# omega` (the cup form's kernel pairs every edge with every edge), takes 4.6 s
-# in-process on a shared 2-vCPU Xeon, against 1.3 s on the 4^3 grid (1,664
-# cells) and 15 s on the 6^3 grid (5,616); `gauge reduce` takes 1.0 s on 5^3.
+# the 5^3 grid torus (125 + 875 + 1500 + 750). Per process on a shared 2-vCPU
+# Xeon, `gauge omega` (the cup form's kernel pairs every edge with every edge)
+# takes 1.7 s on it and 0.5-0.75 s on the 4^3 grid (1,664 cells), and `gauge
+# betti` and `gauge reduce` 0.16-0.45 s on either; in-process, `gauge omega`
+# takes 5.8 s on the 6^3 grid (5,616 cells).
 MAX_COMPLEX_CELLS = 3250
 
 # Most cells (k * n^2, entries of all components) a form document may list:

@@ -447,10 +447,6 @@ class Subspace:
         return _span(ambient_dim, Matrix._of(len(ints), ambient_dim, ints))
 
     @staticmethod
-    def from_matrix_columns(m: Matrix) -> "Subspace":
-        return _span(m.rows, m.transpose())
-
-    @staticmethod
     def zero(n: int) -> "Subspace":
         return Subspace(n, Matrix.zeros(0, n))
 
@@ -519,19 +515,19 @@ def _check_same_ambient(a: Subspace, b: Subspace):
 
 class QuotientSpace:
     """ambient/sub presented by an explicit section of coset representatives,
-    in ambient's pivot coordinates (`pivot_coordinates`): Q^m modulo S, with
-    m = dim ambient, P the pivot columns of ambient's rows and S sub at P.
+    in ambient's pivot coordinates (`pivot_coordinates`): Q^m modulo S =
+    `coords`, m = dim ambient, P the pivot columns of ambient's rows.
 
     The section columns are chosen greedily from ambient's canonical rows in
     index order, so identical inputs always produce the identical section.
     `elimination` is an invertible m x m E with E [S basis | section at P] =
-    I; its rows from dim sub on are the section coordinates.
+    I; its rows from dim S on are the section coordinates.
     """
 
     # No __slots__: the cached projector lives in the instance dict.
-    def __init__(self, ambient: Subspace, sub: Subspace, pivots: tuple, section: Matrix, elimination: Matrix):
+    def __init__(self, ambient: Subspace, coords: Subspace, pivots: tuple, section: Matrix, elimination: Matrix):
         self.ambient = ambient
-        self.sub = sub
+        self.coords = coords
         self.pivots = pivots
         self.section = section
         self.elimination = elimination
@@ -546,7 +542,7 @@ class QuotientSpace:
         coordinates: the section rows of E, spread from P onto Q^n. Off
         ambient it is not a coset map; `project` checks membership."""
         at = self.pivots
-        rows = tuple(({at[k]: a for k, a in nums.items()}, d) for nums, d in self.elimination._ints[self.sub.dim :])
+        rows = tuple(({at[k]: a for k, a in nums.items()}, d) for nums, d in self.elimination._ints[self.coords.dim :])
         return Matrix._of(self.dim, self.ambient.ambient_dim, rows)
 
     def project(self, v: Sequence) -> tuple:
@@ -564,8 +560,9 @@ class QuotientSpace:
         return self.section.apply(coords)
 
 
-def quotient(ambient: Subspace, sub: Subspace) -> QuotientSpace:
-    """Quotient of ambient by sub (ValidationError unless sub lies in ambient).
+def quotient(ambient: Subspace, sub) -> QuotientSpace:
+    """Quotient of ambient by sub, a `Subspace` or a `Matrix` of rows that
+    span it (ValidationError unless they lie in ambient).
 
     `pivot_coordinates` checks the containment and gives P and S, and one
     elimination of [S basis | I_m] gives the rest. S's basis has full column
@@ -574,30 +571,31 @@ def quotient(ambient: Subspace, sub: Subspace) -> QuotientSpace:
     ambient rows of the greedy section. The identity block becomes the E of
     the row operations, which send [S basis | section at P] to I.
     """
-    at, coords = pivot_coordinates(ambient, sub)
-    s, m = sub.dim, ambient.dim
+    at, coords = pivot_coordinates(ambient, sub.echelon if isinstance(sub, Subspace) else sub)
+    s, m = coords.dim, ambient.dim
     red, pivots = rref(coords.basis.hstack(Matrix.identity(m)))
     section = ambient.echelon._row_block([p - s for p in pivots[s:]]).transpose()
-    return QuotientSpace(ambient, sub, at, section, red._col_block(range(s, s + m)))
+    return QuotientSpace(ambient, coords, at, section, red._col_block(range(s, s + m)))
 
 
-def pivot_coordinates(ambient: Subspace, sub: Subspace) -> tuple:
-    """(P, S): the pivot columns P of ambient's canonical rows A, and sub in
-    A's coordinates, as a canonical subspace S of Q^(dim ambient).
+def pivot_coordinates(ambient: Subspace, rows: Matrix) -> tuple:
+    """(P, S): the pivot columns P of ambient's canonical rows A, and the span
+    of rows in A's coordinates, as a canonical subspace S of Q^(dim ambient).
 
-    A is the identity at P, so each vector v of ambient is v[P] A; S's rows
-    are sub's rows at P, each read at its own nonzeros, and are already in
-    canonical form. sub lies in ambient iff S A gives sub's rows back, which
-    is checked row by row (ValidationError otherwise).
+    A is the identity at P, so each vector v of ambient is v[P] A: each row,
+    read at P on its own nonzeros, must give itself back as row[P] A
+    (ValidationError otherwise). v -> v[P] is one to one on ambient, so S,
+    the span of the rows at P, is the same for any rows spanning one sub.
     """
-    _check_same_ambient(ambient, sub)
-    rows, big = ambient.echelon._scaled_rows()
-    at = tuple(min(nums) for nums in rows)
-    coords = sub.echelon._col_block(at)
-    for (s, ds), row in zip(coords._ints, sub.echelon._ints):
-        if _canonical(_combine(s, rows), ds * big) != row:
+    if rows.cols != ambient.ambient_dim:
+        raise ValidationError(f"ambient dimension mismatch: {ambient.ambient_dim} vs {rows.cols}")
+    arows, big = ambient.echelon._scaled_rows()
+    at = tuple(min(nums) for nums in arows)
+    coords = rows._col_block(at)
+    for (s, ds), row in zip(coords._ints, rows._ints):
+        if _canonical(_combine(s, arows), ds * big) != row:
             raise ValidationError("sub is not contained in ambient")
-    return at, Subspace(len(at), coords)
+    return at, _span(len(at), coords)
 
 
 def annihilator(s: Subspace) -> Subspace:

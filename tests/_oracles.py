@@ -24,8 +24,9 @@ centralizer, center, degeneracy kernel) by stacking the blocks one at a time
 before a single `exactla.kernel`, quotient coordinates by one
 `exactla.solve` per vector, the quotient as one dense elimination of three
 blocks ([sub | ambient | I], which the package's quotient in ambient's pivot
-coordinates must match), and the linear layer one vector or one entry at a
-time (the contraction of a form at a vector, subspace sums and
+coordinates must match), the coboundary space B^p of a complex in the whole
+cochain space (the span of d's columns), and the linear layer one vector or
+one entry at a time (the contraction of a form at a vector, subspace sums and
 intersections, coefficient maps, the universal embedding, and the bracket
 form's components from the rows of ad), the subspace lattice as it was
 computed on canonical column bases (sums, intersections, containment and
@@ -247,6 +248,14 @@ def oracle_betti(cx, p):
     rank_d = bareiss_rank(cob_rows(p))
     rank_prev = bareiss_rank(cob_rows(p - 1)) if p >= 1 else 0
     return cx.count(p) - rank_d - rank_prev
+
+
+def coboundary_space(cx, p):
+    """B^p in the whole cochain space C^p: the span of the columns of
+    d^(p-1), the zero space in degree 0."""
+    if p == 0:
+        return Subspace.zero(cx.count(0))
+    return Subspace.from_vectors(cx.count(p), cx.coboundary_matrix(p - 1).columns())
 
 
 def in_orthogonal(form, subspace, v):
@@ -572,8 +581,9 @@ def stacked_center(g):
 # Quotients.
 
 def solved_project(q, v):
-    """Section coordinates of the coset of v, solved from [section | sub] x = v."""
-    sol = solve(q.section.hstack(q.sub.basis), v)
+    """Section coordinates of the coset of v, solved from [section | sub] x = v,
+    with sub's basis spread back from the pivot coordinates as A^T S^T."""
+    sol = solve(q.section.hstack(q.ambient.basis @ q.coords.basis), v)
     if sol is None:
         raise ValidationError("vector outside the ambient subspace")
     return tuple(sol[: q.dim])

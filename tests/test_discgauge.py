@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from _oracles import oracle_betti
+from _oracles import coboundary_space, oracle_betti
 from polysym import discgauge as dg
 from polysym.errors import ContractViolation, ValidationError
-from polysym.exactla import Matrix, Subspace, annihilator, contains, kernel
+from polysym.exactla import Matrix, Subspace, annihilator, contains, kernel, pivot_coordinates
 from polysym.randgen import rand_cochain
 from polysym.verify import SUITES, run_suite
 
@@ -150,8 +150,9 @@ class TestCohomology:
     def test_presentation_decomposes_cocycles(self):
         t3 = dg.torus_complex(3)
         pres = dg.cohomology(t3, 1)
-        assert contains(pres.cocycles, pres.coboundaries)
-        assert pres.harmonic_section.cols == pres.betti
+        b1 = coboundary_space(t3, 1)
+        assert contains(pres.cocycles, b1)
+        assert pres.harmonic_section.cols == pres.betti == pres.cocycles.dim - b1.dim
 
     def test_degree_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -552,18 +553,29 @@ class TestCupTableAgainstPairwiseProducts:
         original = ea.rref
         monkeypatch.setattr(ea, "rref", lambda *a, **k: calls.append(a[0].shape) or original(*a, **k))
         for p in range(cx.dimension + 1):
-            dg.cohomology(cx, p)
+            start = len(calls)
+            z = dg.cohomology(cx, p).cocycles
+            # Below the top, Z^p is smaller than C^p, and H^p reads d^(p-1)'s
+            # rows only at Z^p's pivots: the one elimination as wide as C^p
+            # is d^p's, whose kernel is Z^p, and none has the whole-space
+            # shape of d^(p-1) transposed. At the top Z^p = C^p, so the span
+            # is taken in C^p; degree 0 has no rows to span.
+            if 0 < p < cx.dimension:
+                assert z.dim < cx.count(p)
+                assert [s for s in calls[start:] if s[1] == cx.count(p)] == [(cx.count(p + 1), cx.count(p))]
         dg.reduce_gauge(cx)
         zero_set = dg.moment_zero_set(cx)
         dg.lagrangian_check(cx)
         rng = random.Random(15)
         dg.omega_disc(cx, rand_cochain(rng, cx, 1, closed=True), rand_cochain(rng, cx, 1, closed=True))
-        # Per degree: Z^p (an elimination and its canonical basis), B^p and
-        # the H^p quotient; then the C^2/B^2 quotient, the moment kernel (two)
-        # and one containment. Every projector comes with its quotient.
-        assert len(calls) <= 19
+        # Per degree: the kernel Z^p, the span of d^(p-1)'s rows at Z^p's
+        # pivots, and the H^p quotient's [S | I]: 3 x 4 = 12. Then the C^2/B^2
+        # quotient, whose span is B^2 in the whole space, and its [S | I]: 2.
+        # Then the moment kernel and one containment: 2. 12 + 2 + 2 = 16;
+        # every projector comes with its quotient.
+        assert len(calls) <= 16
         assert zero_set.cocycles is cx.cocycles(1) is dg.cohomology(cx, 1).cocycles
-        assert cx.cup_quotient.coboundaries is cx.coboundaries(2) is dg.cohomology(cx, 2).coboundaries
+        assert cx.cup_quotient.presentation.coords.dim == dg.cohomology(cx, 2).presentation.coords.dim
 
     def test_dropped_complex_is_freed_without_the_cycle_collector(self):
         import gc
@@ -584,7 +596,10 @@ class TestCupTableAgainstPairwiseProducts:
 
 # The cohomology presentations, the whole-space C^2/B^2 quotient and the
 # gauge reduction against one dense elimination of [sub | ambient | I] per quotient
-# (tests/_oracles.py), with the invariance check read through C^2/B^2.
+# (tests/_oracles.py), with the invariance check read through C^2/B^2. The
+# sub is B^p in the whole cochain space, the oracle span of d's columns, and
+# each degree's S, taken from d's own rows, must be that B^p read at Z^p's
+# pivot columns.
 
 ORACLE_COMPLEXES = sorted(dg.BUILTIN_COMPLEXES) + ["grid2^3", "grid3^3", "grid4^3"]
 
@@ -596,13 +611,16 @@ def test_gauge_layer_matches_the_three_block_quotients(name):
     cx = grid_torus(int(name[4]), 3) if name.startswith("grid") else dg.BUILTIN_COMPLEXES[name]()
     oracles = []
     for p in range(cx.dimension + 1):
-        h = dg.cohomology(cx, p)
-        oracle = three_block_quotient(h.cocycles, h.coboundaries)
+        h, b = dg.cohomology(cx, p), coboundary_space(cx, p)
+        rows = dg._coboundary_rows(cx, p)
+        assert rows.rows == b.dim and Subspace.from_vectors(cx.count(p), rows.entries) == b
+        oracle = three_block_quotient(h.cocycles, b)
+        assert h.presentation.coords == pivot_coordinates(h.cocycles, b.echelon)[1]
         assert h.harmonic_section == oracle.section
         assert h.betti == oracle.section.cols
         assert h.projector @ h.cocycles.basis == oracle.projector @ h.cocycles.basis
         oracles.append(oracle)
-    cup = three_block_quotient(Subspace.full(cx.count(2)), cx.coboundaries(2))
+    cup = three_block_quotient(Subspace.full(cx.count(2)), coboundary_space(cx, 2))
     assert (cx.cup_quotient.presentation.section, cx.cup_quotient.presentation.elimination) == (
         cup.section, cup.elimination)
     reps = dg.cohomology(cx, 1).harmonic_section
@@ -628,7 +646,7 @@ class TestGridTorusCubed:
         assert 0 < ker.dim < cx.count(1)
         # Membership in B^2, checked independently of the quotient: a
         # coboundary is annihilated by every cycle, i.e. by ker(d1^T).
-        cycles = annihilator(Subspace.from_matrix_columns(cx.coboundary_matrix(1))).basis.columns()
+        cycles = annihilator(coboundary_space(cx, 2)).basis.columns()
         for j in range(ker.dim):
             k = dg.Cochain(cx, 1, ker.basis.col(j))
             for b in range(cx.count(1)):

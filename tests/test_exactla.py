@@ -196,7 +196,7 @@ def test_quotient_decomposition(args):
     sub = Subspace.from_vectors(n, va)
     ambient = sum_(sub, Subspace.from_vectors(n, vb))
     q = quotient(ambient, sub)
-    sec = Subspace.from_matrix_columns(q.section)
+    sec = Subspace.from_vectors(n, q.section.columns())
     assert sec.dim == ambient.dim - sub.dim
     assert intersect(sec, sub).is_zero()
     assert sum_(sec, sub) == ambient
@@ -551,8 +551,11 @@ def test_sparse_rows_build_and_slice_like_the_fraction_references(args, data):
 
 @st.composite
 def _quotient_inputs(draw):
-    """(ambient, sub, vectors of ambient, other vectors of Q^n): a full or a
-    partial ambient, and a zero, a partial or the whole sub."""
+    """(ambient, sub, vectors of ambient, other vectors of Q^n, rows spanning
+    sub): a full or a partial ambient, and a zero, a partial or the whole
+    sub. The spanning rows are sub's rows, each scaled by a nonzero scalar,
+    and up to two combinations of them, shuffled: redundant and not in
+    echelon form."""
     n = draw(st.integers(0, 6))
     if draw(st.booleans()):
         ambient = Subspace.full(n)
@@ -569,7 +572,12 @@ def _quotient_inputs(draw):
     coeffs = st.lists(_scalars, min_size=ambient.dim, max_size=ambient.dim)
     inside = [ambient.basis.apply(c) for c in draw(st.lists(coeffs, min_size=1, max_size=3))]
     others = draw(st.lists(st.lists(_scalars, min_size=n, max_size=n).map(tuple), max_size=3))
-    return ambient, sub, inside, others
+    scales = draw(st.lists(_scalars.filter(bool), min_size=sub.dim, max_size=sub.dim))
+    rows = [tuple(c * x for x in row) for c, row in zip(scales, sub.echelon.entries)]
+    rows += [sub.basis.apply(c) for c in draw(st.lists(st.lists(_scalars, min_size=sub.dim, max_size=sub.dim), max_size=2))]
+    rows = draw(st.permutations(rows))
+    spanning = Matrix(rows) if rows else Matrix.zeros(0, n)
+    return ambient, sub, inside, others, spanning
 
 
 @settings(max_examples=80, deadline=None)
@@ -577,13 +585,14 @@ def _quotient_inputs(draw):
 def test_quotient_matches_the_solved_projection(args):
     from _oracles import fraction_matmul, fraction_rref, greedy_section, solved_project
 
-    ambient, sub, inside, others = args
+    ambient, sub, inside, others, _ = args
     m = ambient.dim
     q = quotient(ambient, sub)
     assert q.section.columns() == greedy_section(ambient, sub)
     assert q.dim == m - sub.dim
     # E is invertible and E [S | section at P] = I, S being sub at P.
-    at, coords = pivot_coordinates(ambient, sub)
+    at, coords = pivot_coordinates(ambient, sub.echelon)
+    assert (at, coords) == (q.pivots, q.coords)
     e = q.elimination
     assert e.shape == (m, m) and fraction_rref(e.entries, m)[1] == tuple(range(m))
     frame = coords.basis.hstack(q.section._row_block(at))
@@ -610,10 +619,12 @@ def test_shortcuts_match_the_three_block_quotient(args):
     # elimination of [sub | ambient | I], for whole and partial ambients:
     # the same section, the same projector on ambient, the same coordinates
     # inside ambient, and rejection exactly where the oracle's rows below
-    # dim ambient, which vanish exactly on ambient, do not vanish.
+    # dim ambient, which vanish exactly on ambient, do not vanish. Rows that
+    # span sub, redundant and out of order, give the same quotient, and a
+    # row outside ambient among them is refused.
     from _oracles import three_block_quotient
 
-    ambient, sub, inside, others = args
+    ambient, sub, inside, others, spanning = args
     oracle = three_block_quotient(ambient, sub)
     q = quotient(ambient, sub)
     assert q.section == oracle.section
@@ -621,18 +632,23 @@ def test_shortcuts_match_the_three_block_quotient(args):
     for v in inside:
         assert q.project(v) == oracle.projector.apply(v)
     beyond = oracle.elimination._row_block(range(ambient.dim, ambient.ambient_dim))
+    spanned = quotient(ambient, spanning)
+    fields = ("pivots", "coords", "section", "elimination")
+    assert [getattr(spanned, f) for f in fields] == [getattr(q, f) for f in fields]
     for v in others:
         if any(beyond.apply(v)):
             with pytest.raises(ValidationError, match="outside the ambient"):
                 q.project(v)
+            with pytest.raises(ValidationError, match="not contained"):
+                quotient(ambient, spanning.vstack(Matrix([v])))
         else:
             assert q.project(v) == oracle.projector.apply(v)
-    at, coords = pivot_coordinates(ambient, sub)
+    at, coords = pivot_coordinates(ambient, sub.echelon)
     assert ambient.basis @ coords.basis == sub.basis
-    assert Subspace.from_matrix_columns(coords.basis) == coords
+    assert Subspace.from_vectors(coords.ambient_dim, coords.basis.columns()) == coords
     outside = Subspace.from_vectors(ambient.ambient_dim, others)
     if contains(ambient, outside):
-        pivot_coordinates(ambient, outside)
+        pivot_coordinates(ambient, outside.echelon)
     else:
         with pytest.raises(ValidationError, match="not contained"):
             quotient(ambient, outside)
@@ -649,14 +665,17 @@ def test_quotient_eliminates_once_and_projects_without_eliminating(monkeypatch):
     calls = []
     for name in ("rref", "solve"):
         original = getattr(ea, name)
-        monkeypatch.setattr(ea, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+        monkeypatch.setattr(ea, name, lambda *a, _f=original, _n=name, **k: calls.append((_n, a[0].shape)) or _f(*a, **k))
     applied = []
     apply = ea.Matrix.apply
     monkeypatch.setattr(ea.Matrix, "apply", lambda self, v: applied.append(self.rows) or apply(self, v))
     for ambient, sub in cases:
         calls.clear()
         q = quotient(ambient, sub)
-        assert calls == ["rref"]
+        # The span of sub's rows read at P (dim sub x m), then the one
+        # elimination of [S basis | I_m] (m x (dim sub + m)).
+        s, m = sub.dim, ambient.dim
+        assert calls == [("rref", (s, m)), ("rref", (m, s + m))]
         calls.clear()
         assert q.projector.rows == q.dim
         applied.clear()
@@ -730,11 +749,11 @@ def test_sum_and_intersect_match_the_per_vector_loops(pair):
     for x, y in ((a, b), (b, a), (total, meet), (meet, a)):
         assert contains(x, y) == column_contains(x, y)
         if contains(x, y):
-            at, coords = pivot_coordinates(x, y)
+            at, coords = pivot_coordinates(x, y.echelon)
             assert x.basis @ coords.basis == y.basis
         else:
             with pytest.raises(ValidationError, match="not contained"):
-                pivot_coordinates(x, y)
+                pivot_coordinates(x, y.echelon)
 
 
 def test_intersect_eliminates_once(monkeypatch):

@@ -99,11 +99,11 @@ def section_one_pivot_late(monkeypatch):
     ambient basis columns, but not the greedy one."""
 
     def quotient(ambient, sub):
-        at, coords = ea.pivot_coordinates(ambient, sub)
-        s, m = sub.dim, ambient.dim
+        at, coords = ea.pivot_coordinates(ambient, sub.echelon if isinstance(sub, ea.Subspace) else sub)
+        s, m = coords.dim, ambient.dim
         red, pivots = ea.rref(coords.basis.hstack(Matrix.identity(m)))
         section = ambient.basis._col_block([(p - s + 1) % m for p in pivots[s:]])
-        return ea.QuotientSpace(ambient, sub, at, section, red._col_block(range(s, s + m)))
+        return ea.QuotientSpace(ambient, coords, at, section, red._col_block(range(s, s + m)))
 
     _rebind(monkeypatch, ea.quotient, quotient)
 
