@@ -97,6 +97,9 @@ class TestLattice:
     def test_ambient_mismatch(self):
         with pytest.raises(ValidationError):
             sum_(span(2, (1, 0)), span(3, (1, 0, 0)))
+        for sub in (span(3, (1, 0, 0)), Matrix([[1, 0, 0]])):
+            with pytest.raises(ValidationError, match="mismatch"):
+                quotient(Subspace.full(2), sub)
 
 
 class TestQuotient:
