@@ -312,9 +312,10 @@ def _cup_matrix(
 
 class CohomologyPresentation(NamedTuple):
     """Cocycles and a deterministic harmonic section in one degree: H^p = Z/B
-    as the quotient of Z by d's rows, which presents it in Z's pivot
-    coordinates, so its section is the harmonic section and its projector
-    reads a cocycle's class off the cocycle's entries at Z's pivot rows."""
+    as the quotient of Z by d's rows. Its projector is the kernel of those
+    rows read at Z's pivot rows, so it reads a cocycle's class off the
+    cocycle's entries there, and the harmonic section is the rows of Z at
+    that kernel's leading columns."""
 
     degree: int
     cocycles: Subspace

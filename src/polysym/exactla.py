@@ -25,7 +25,6 @@ eliminate those rows as they stand.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -514,45 +513,34 @@ def _check_same_ambient(a: Subspace, b: Subspace):
 
 
 class QuotientSpace:
-    """ambient/sub presented by an explicit section of coset representatives,
-    in ambient's pivot coordinates (`pivot_coordinates`): Q^m modulo S =
-    `coords`, m = dim ambient, P the pivot columns of ambient's rows.
+    """ambient/sub presented by an explicit section of coset representatives.
 
-    The section columns are chosen greedily from ambient's canonical rows in
-    index order, so identical inputs always produce the identical section.
-    `elimination` is an invertible m x m E with E [S basis | section at P] =
-    I; its rows from dim S on are the section coordinates.
+    `projector` (dim x n) sends each vector of ambient to its section
+    coordinates: it is the annihilator of the sub read at ambient's pivot
+    columns P, spread from P onto Q^n. The section columns are the ambient
+    rows at its rows' leading columns, chosen greedily in index order
+    (`quotient`), so identical inputs always produce the identical section.
     """
 
-    # No __slots__: the cached projector lives in the instance dict.
-    def __init__(self, ambient: Subspace, coords: Subspace, pivots: tuple, section: Matrix, elimination: Matrix):
+    __slots__ = ("ambient", "pivots", "section", "projector")
+
+    def __init__(self, ambient: Subspace, pivots: tuple, section: Matrix, projector: Matrix):
         self.ambient = ambient
-        self.coords = coords
         self.pivots = pivots
         self.section = section
-        self.elimination = elimination
+        self.projector = projector
 
     @property
     def dim(self) -> int:
         return self.section.cols
 
-    @cached_property
-    def projector(self) -> Matrix:
-        """dim x n matrix sending each vector of ambient to its section
-        coordinates: the section rows of E, spread from P onto Q^n. Off
-        ambient it is not a coset map; `project` checks membership."""
-        at = self.pivots
-        rows = tuple(({at[k]: a for k, a in nums.items()}, d) for nums, d in self.elimination._ints[self.coords.dim :])
-        return Matrix._of(self.dim, self.ambient.ambient_dim, rows)
-
     def project(self, v: Sequence) -> tuple:
         """Section coordinates of the coset of v. A vector of the wrong length
-        or outside ambient raises ValidationError: v must be v[P] A, A
-        ambient's rows, which needs one product by ambient's basis unless
-        ambient is the whole space."""
+        or outside ambient raises ValidationError: unless ambient is the
+        whole space, v must be v[P] A, A ambient's rows (`_at_pivots`)."""
         coords = self.projector.apply(v)
         a = self.ambient
-        if a.dim < a.ambient_dim and a.basis.apply([v[i] for i in self.pivots]) != tuple(v):
+        if a.dim < a.ambient_dim and _at_pivots(a, Matrix([v])) is None:
             raise ValidationError("vector outside the ambient subspace")
         return coords
 
@@ -562,40 +550,46 @@ class QuotientSpace:
 
 def quotient(ambient: Subspace, sub) -> QuotientSpace:
     """Quotient of ambient by sub, a `Subspace` or a `Matrix` of rows that
-    span it (ValidationError unless they lie in ambient).
+    span it (ValidationError unless they lie in ambient): one `kernel` of the
+    rows read at ambient's pivot columns P (`pivot_coordinates`).
 
-    `pivot_coordinates` checks the containment and gives P and S, and one
-    elimination of [S basis | I_m] gives the rest. S's basis has full column
-    rank, so its columns are the first pivots; the pivots in the identity
-    block are the unit vectors that extend S in index order, which pick the
-    ambient rows of the greedy section. The identity block becomes the E of
-    the row operations, which send [S basis | section at P] to I.
+    With r_i the RREF rows of S, the sub at P, taken with the columns
+    reversed, and l_i the last nonzero of r_i, the kernel row led at j is
+    e_j - sum_i r_i[j] e_(l_i). Applied to v it reads at j the vector
+    v - sum_i v[l_i] r_i of v + S, which is zero at every l_i: the kernel is
+    the projector. Its leading columns, where no vector of S ends, are the
+    unit vectors that extend S in index order: the greedy section.
     """
-    at, coords = pivot_coordinates(ambient, sub.echelon if isinstance(sub, Subspace) else sub)
-    s, m = coords.dim, ambient.dim
-    red, pivots = rref(coords.basis.hstack(Matrix.identity(m)))
-    section = ambient.echelon._row_block([p - s for p in pivots[s:]]).transpose()
-    return QuotientSpace(ambient, coords, at, section, red._col_block(range(s, s + m)))
+    at, rows = pivot_coordinates(ambient, sub.echelon if isinstance(sub, Subspace) else sub)
+    ann = kernel(rows).echelon
+    section = ambient.echelon._row_block([min(nums) for nums, _ in ann._ints]).transpose()
+    spread = tuple(({at[k]: a for k, a in nums.items()}, d) for nums, d in ann._ints)
+    return QuotientSpace(ambient, at, section, Matrix._of(ann.rows, ambient.ambient_dim, spread))
 
 
 def pivot_coordinates(ambient: Subspace, rows: Matrix) -> tuple:
-    """(P, S): the pivot columns P of ambient's canonical rows A, and the span
-    of rows in A's coordinates, as a canonical subspace S of Q^(dim ambient).
-
-    A is the identity at P, so each vector v of ambient is v[P] A: each row,
-    read at P on its own nonzeros, must give itself back as row[P] A
-    (ValidationError otherwise). v -> v[P] is one to one on ambient, so S,
-    the span of the rows at P, is the same for any rows spanning one sub.
-    """
+    """(P, R): the pivot columns P of ambient's canonical rows, and rows read
+    at P (ValidationError unless they lie in ambient). v -> v[P] is one to
+    one on ambient, so R spans the sub at P, and any rows spanning one sub
+    have the same kernel there."""
     if rows.cols != ambient.ambient_dim:
         raise ValidationError(f"ambient dimension mismatch: {ambient.ambient_dim} vs {rows.cols}")
+    read = _at_pivots(ambient, rows)
+    if read is None:
+        raise ValidationError("sub is not contained in ambient")
+    return tuple(min(nums) for nums, _ in ambient.echelon._ints), read
+
+
+def _at_pivots(ambient: Subspace, rows: Matrix):
+    """rows read at the pivot columns P of ambient's canonical rows A, or
+    None if one lies outside ambient. A is the identity at P, so each vector
+    v of ambient is v[P] A: each row must give itself back as row[P] A."""
     arows, big = ambient.echelon._scaled_rows()
-    at = tuple(min(nums) for nums in arows)
-    coords = rows._col_block(at)
-    for (s, ds), row in zip(coords._ints, rows._ints):
+    read = rows._col_block([min(nums) for nums in arows])
+    for (s, ds), row in zip(read._ints, rows._ints):
         if _canonical(_combine(s, arows), ds * big) != row:
-            raise ValidationError("sub is not contained in ambient")
-    return at, _span(len(at), coords)
+            return None
+    return read
 
 
 def annihilator(s: Subspace) -> Subspace:

@@ -24,7 +24,8 @@ centralizer, center, degeneracy kernel) by stacking the blocks one at a time
 before a single `exactla.kernel`, quotient coordinates by one
 `exactla.solve` per vector, the quotient as one dense elimination of three
 blocks ([sub | ambient | I], which the package's quotient in ambient's pivot
-coordinates must match), the coboundary space B^p of a complex in the whole
+coordinates must match) and as the conditions that define the greedy
+quotient, checked on nonzeros, the coboundary space B^p of a complex in the whole
 cochain space (the span of d's columns), and the linear layer one vector or
 one entry at a time (the contraction of a form at a vector, subspace sums and
 intersections, coefficient maps, the universal embedding, and the bracket
@@ -205,30 +206,29 @@ def dense_rows_rref(rows, cols, stop=None):
 
 
 def bareiss_rank(rows):
-    """Rank of an integer matrix by fraction-free elimination."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
-        piv = next((r for r in range(rank, n_rows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for r in range(n_rows):
-            if r == rank:
-                continue
-            for c in range(n_cols):
-                if c == col:
-                    continue
-                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
-            m[r][col] = 0
-        prev = m[rank][col]
+    """Rank of an integer matrix by fraction-free (Bareiss) forward
+    elimination on each row's nonzeros. The pivot is the first remaining row
+    holding the leftmost remaining nonzero column; every row below becomes
+    (p * row - a * pivot row) / previous pivot, a division that is exact
+    because each entry is a minor of the matrix."""
+    rows = [{c: a for c, a in enumerate(r) if a} for r in rows]
+    rows = [r for r in rows if r]
+    rank, prev = 0, 1
+    while rows:
+        col = min(min(r) for r in rows)
+        prow = rows.pop(next(i for i, r in enumerate(rows) if col in r))
+        p = prow[col]
+        out = []
+        for r in rows:
+            new = {c: p * x for c, x in r.items()}
+            a = r.get(col, 0)
+            for c, y in prow.items() if a else ():
+                new[c] = new.get(c, 0) - a * y
+            new = {c: v // prev for c, v in new.items() if v}
+            if new:
+                out.append(new)
+        rows, prev = out, p
         rank += 1
-        if rank == n_rows:
-            break
     return rank
 
 
@@ -580,10 +580,9 @@ def stacked_center(g):
 
 # Quotients.
 
-def solved_project(q, v):
-    """Section coordinates of the coset of v, solved from [section | sub] x = v,
-    with sub's basis spread back from the pivot coordinates as A^T S^T."""
-    sol = solve(q.section.hstack(q.ambient.basis @ q.coords.basis), v)
+def solved_project(q, sub, v):
+    """Section coordinates of the coset of v, solved from [section | sub] x = v."""
+    sol = solve(q.section.hstack(sub.basis), v)
     if sol is None:
         raise ValidationError("vector outside the ambient subspace")
     return tuple(sol[: q.dim])
@@ -628,6 +627,55 @@ def three_block_quotient(ambient, sub):
 def _column_rank(columns):
     d = lcm(*(x.denominator for col in columns for x in col))
     return bareiss_rank([[x.numerator * (d // x.denominator) for x in col] for col in columns])
+
+
+def check_greedy_quotient(q, rows):
+    """The conditions that make q the quotient of its ambient by the span of
+    rows (a Matrix) with the greedy section, in plain Fraction arithmetic on
+    nonzeros, with no elimination but the Bareiss rank. Returns the names of
+    those that fail, so [] accepts.
+
+    With m = dim ambient, P its pivot columns and c_1 < c_2 < ... the
+    section indices: the projector must be the identity on the section and
+    kill the rows, and dim q = m - rank(rows), so its kernel on ambient is
+    exactly their span. A skipped ambient row j must project onto the
+    section rows before it, so e_j lies in span(rows, e_0 ... e_(j-1)) at P,
+    while the chosen rows are independent modulo the span: the greedy
+    choice."""
+    def nonzeros(row):
+        return {j: x for j, x in enumerate(row) if x}
+
+    arows = [nonzeros(row) for row in q.ambient.echelon.entries]
+    at = [min(row) for row in arows]
+    index = {c: i for i, c in enumerate(at)}
+    section = [nonzeros(col) for col in q.section.columns()]
+    chosen = [index.get(min(col, default=None)) for col in section]
+    by_col = {}
+    for k, row in enumerate(q.projector.entries):
+        for j, x in nonzeros(row).items():
+            by_col.setdefault(j, {})[k] = x
+
+    def project(v):
+        out = {}
+        for j, x in v.items():
+            for k, y in by_col.get(j, {}).items():
+                out[k] = out.get(k, 0) + x * y
+        return {k: y for k, y in out.items() if y}
+
+    failed = []
+    if None in chosen or chosen != sorted(set(chosen)) or any(arows[i] != col for i, col in zip(chosen, section)):
+        failed.append("section is ambient rows at increasing indices")
+        chosen = []
+    if [project(col) for col in section] != [{k: 1} for k in range(len(section))]:
+        failed.append("projector . section = I")
+    if any(project(nonzeros(row)) for row in rows.entries):
+        failed.append("projector kills the rows")
+    skipped = sorted(set(range(len(at))) - set(chosen))
+    if any(k >= len(chosen) or chosen[k] > j for j in skipped for k in by_col.get(at[j], {})):
+        failed.append("skipped rows project onto earlier section rows")
+    if q.dim != len(at) - _column_rank(rows.entries):
+        failed.append("dim = m - rank")
+    return failed
 
 
 # The linear layer one vector or one entry at a time.

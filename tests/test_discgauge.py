@@ -558,8 +558,8 @@ class TestCupTableAgainstPairwiseProducts:
             # Below the top, Z^p is smaller than C^p, and H^p reads d^(p-1)'s
             # rows only at Z^p's pivots: the one elimination as wide as C^p
             # is d^p's, whose kernel is Z^p, and none has the whole-space
-            # shape of d^(p-1) transposed. At the top Z^p = C^p, so the span
-            # is taken in C^p; degree 0 has no rows to span.
+            # shape of d^(p-1) transposed. At the top Z^p = C^p, so the
+            # rows' kernel is taken in C^p; degree 0 has no rows.
             if 0 < p < cx.dimension:
                 assert z.dim < cx.count(p)
                 assert [s for s in calls[start:] if s[1] == cx.count(p)] == [(cx.count(p + 1), cx.count(p))]
@@ -568,14 +568,17 @@ class TestCupTableAgainstPairwiseProducts:
         dg.lagrangian_check(cx)
         rng = random.Random(15)
         dg.omega_disc(cx, rand_cochain(rng, cx, 1, closed=True), rand_cochain(rng, cx, 1, closed=True))
-        # Per degree: the kernel Z^p, the span of d^(p-1)'s rows at Z^p's
-        # pivots, and the H^p quotient's [S | I]: 3 x 4 = 12. Then the C^2/B^2
-        # quotient, whose span is B^2 in the whole space, and its [S | I]: 2.
-        # Then the moment kernel and one containment: 2. 12 + 2 + 2 = 16;
-        # every projector comes with its quotient.
-        assert len(calls) <= 16
+        # Per degree: the kernel Z^p, and the H^p quotient's kernel of
+        # d^(p-1)'s rows at Z^p's pivots: 2 x 4 = 8. Then the C^2/B^2
+        # quotient's kernel of d^1's rows in the whole space: 1. Then the
+        # moment kernel and one containment: 2. 8 + 1 + 2 = 11; every
+        # projector comes with its quotient, and no elimination is wider
+        # than the largest cochain count.
+        assert len(calls) <= 11
+        assert max(cols for _, cols in calls) <= max(cx.counts)
         assert zero_set.cocycles is cx.cocycles(1) is dg.cohomology(cx, 1).cocycles
-        assert cx.cup_quotient.presentation.coords.dim == dg.cohomology(cx, 2).presentation.coords.dim
+        # Both quotients are by the same rows, so they have the same codimension.
+        assert cx.count(2) - cx.cup_quotient.dim == cx.cocycles(2).dim - dg.cohomology(cx, 2).betti
 
     def test_dropped_complex_is_freed_without_the_cycle_collector(self):
         import gc
@@ -597,16 +600,16 @@ class TestCupTableAgainstPairwiseProducts:
 # The cohomology presentations, the whole-space C^2/B^2 quotient and the
 # gauge reduction against one dense elimination of [sub | ambient | I] per quotient
 # (tests/_oracles.py), with the invariance check read through C^2/B^2. The
-# sub is B^p in the whole cochain space, the oracle span of d's columns, and
-# each degree's S, taken from d's own rows, must be that B^p read at Z^p's
-# pivot columns.
+# sub is B^p in the whole cochain space, the oracle span of d's columns; d's
+# own rows, read at Z^p's pivot columns, must span that B^p read there, and
+# every quotient must meet the conditions that define the greedy quotient.
 
 ORACLE_COMPLEXES = sorted(dg.BUILTIN_COMPLEXES) + ["grid2^3", "grid3^3", "grid4^3"]
 
 
 @pytest.mark.parametrize("name", ORACLE_COMPLEXES)
 def test_gauge_layer_matches_the_three_block_quotients(name):
-    from _oracles import three_block_quotient
+    from _oracles import check_greedy_quotient, three_block_quotient
 
     cx = grid_torus(int(name[4]), 3) if name.startswith("grid") else dg.BUILTIN_COMPLEXES[name]()
     oracles = []
@@ -615,14 +618,17 @@ def test_gauge_layer_matches_the_three_block_quotients(name):
         rows = dg._coboundary_rows(cx, p)
         assert rows.rows == b.dim and Subspace.from_vectors(cx.count(p), rows.entries) == b
         oracle = three_block_quotient(h.cocycles, b)
-        assert h.presentation.coords == pivot_coordinates(h.cocycles, b.echelon)[1]
+        assert check_greedy_quotient(h.presentation, rows) == []
+        at_rows, at_b = (pivot_coordinates(h.cocycles, m)[1] for m in (rows, b.echelon))
+        assert Subspace.from_vectors(h.cocycles.dim, at_rows.entries) == Subspace.from_vectors(h.cocycles.dim, at_b.entries)
         assert h.harmonic_section == oracle.section
         assert h.betti == oracle.section.cols
         assert h.projector @ h.cocycles.basis == oracle.projector @ h.cocycles.basis
         oracles.append(oracle)
     cup = three_block_quotient(Subspace.full(cx.count(2)), coboundary_space(cx, 2))
-    assert (cx.cup_quotient.presentation.section, cx.cup_quotient.presentation.elimination) == (
-        cup.section, cup.elimination)
+    assert (cx.cup_quotient.presentation.section, cx.cup_quotient.presentation.projector) == (
+        cup.section, cup.projector)
+    assert check_greedy_quotient(cx.cup_quotient.presentation, dg._coboundary_rows(cx, 2)) == []
     reps = dg.cohomology(cx, 1).harmonic_section
     assert dg._cup_matrix(cx, 1, 1, cx.coboundary_matrix(0), reps, proj=cup.projector).is_zero()
     pairing = dg.reduce_gauge(cx).pairing

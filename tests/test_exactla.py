@@ -454,7 +454,7 @@ def _integer_rows(grid, cols):
 # Sparse rows: a stored row is its nonzeros, and every routine that builds,
 # eliminates or slices rows equals its Fraction reference on dense random
 # inputs and on coboundary-shaped ones: +-1 entries (now and then +-2), at most
-# three per row, with an identity block beside them as in a quotient.
+# three per row, with an identity block beside them as in `inverse`.
 
 
 @st.composite
@@ -469,7 +469,8 @@ def _coboundary_grids(draw, rows, cols):
 
 
 def _with_identity(grid):
-    """[grid | I], the shape of every quotient's elimination."""
+    """[grid | I], the shape of `inverse`'s elimination and of the three-block
+    quotient oracle's."""
     return [list(row) + [F(int(i == j)) for j in range(len(grid))] for i, row in enumerate(grid)]
 
 
@@ -546,10 +547,11 @@ def test_sparse_rows_build_and_slice_like_the_fraction_references(args, data):
         assert [m.col(j) for j in range(m.cols)] == [tuple(row[j] for row in ref) for j in range(m.cols)]
 
 
-# Quotients: in ambient's pivot coordinates, one elimination of [S | I]
-# gives the section and the coordinates. The references are the greedy
-# section by Bareiss ranks, one `solve` of [section | sub] x = v per vector,
-# and one dense elimination of [sub | ambient | I] (tests/_oracles.py).
+# Quotients: in ambient's pivot coordinates, one kernel of the spanning rows
+# gives the projector, and its leading columns the section. The references
+# are the greedy section by Bareiss ranks, the conditions that define the
+# greedy quotient, one `solve` of [section | sub] x = v per vector, and one
+# dense elimination of [sub | ambient | I] (tests/_oracles.py).
 
 
 @st.composite
@@ -586,28 +588,21 @@ def _quotient_inputs(draw):
 @settings(max_examples=80, deadline=None)
 @given(_quotient_inputs())
 def test_quotient_matches_the_solved_projection(args):
-    from _oracles import fraction_matmul, fraction_rref, greedy_section, solved_project
+    from _oracles import check_greedy_quotient, greedy_section, solved_project
 
-    ambient, sub, inside, others, _ = args
-    m = ambient.dim
+    ambient, sub, inside, others, spanning = args
     q = quotient(ambient, sub)
     assert q.section.columns() == greedy_section(ambient, sub)
-    assert q.dim == m - sub.dim
-    # E is invertible and E [S | section at P] = I, S being sub at P.
-    at, coords = pivot_coordinates(ambient, sub.echelon)
-    assert (at, coords) == (q.pivots, q.coords)
-    e = q.elimination
-    assert e.shape == (m, m) and fraction_rref(e.entries, m)[1] == tuple(range(m))
-    frame = coords.basis.hstack(q.section._row_block(at))
-    assert fraction_matmul(e.entries, frame.entries, m) == tuple(tuple(F(int(i == j)) for j in range(m)) for i in range(m))
+    assert q.dim == ambient.dim - sub.dim
+    assert check_greedy_quotient(q, sub.echelon) == check_greedy_quotient(q, spanning) == []
     for v in inside:
-        assert q.project(v) == solved_project(q, v) == q.projector.apply(v)
+        assert q.project(v) == solved_project(q, sub, v) == q.projector.apply(v)
         for wrong in [v + (F(0),)] + ([v[:-1]] if v else []):
             with pytest.raises(ValidationError, match="length"):
                 q.project(wrong)
     for v in others:
         try:
-            want = solved_project(q, v)
+            want = solved_project(q, sub, v)
         except ValidationError:
             with pytest.raises(ValidationError, match="outside the ambient"):
                 q.project(v)
@@ -636,7 +631,7 @@ def test_shortcuts_match_the_three_block_quotient(args):
         assert q.project(v) == oracle.projector.apply(v)
     beyond = oracle.elimination._row_block(range(ambient.dim, ambient.ambient_dim))
     spanned = quotient(ambient, spanning)
-    fields = ("pivots", "coords", "section", "elimination")
+    fields = ("pivots", "section", "projector")
     assert [getattr(spanned, f) for f in fields] == [getattr(q, f) for f in fields]
     for v in others:
         if any(beyond.apply(v)):
@@ -646,9 +641,10 @@ def test_shortcuts_match_the_three_block_quotient(args):
                 quotient(ambient, spanning.vstack(Matrix([v])))
         else:
             assert q.project(v) == oracle.projector.apply(v)
-    at, coords = pivot_coordinates(ambient, sub.echelon)
-    assert ambient.basis @ coords.basis == sub.basis
-    assert Subspace.from_vectors(coords.ambient_dim, coords.basis.columns()) == coords
+    # Each row read at P, combined by ambient's rows, gives itself back.
+    at, rows = pivot_coordinates(ambient, sub.echelon)
+    assert at == q.pivots and rows @ ambient.echelon == sub.echelon
+    assert pivot_coordinates(ambient, spanning)[1] @ ambient.echelon == spanning
     outside = Subspace.from_vectors(ambient.ambient_dim, others)
     if contains(ambient, outside):
         pivot_coordinates(ambient, outside.echelon)
@@ -662,6 +658,7 @@ def test_quotient_eliminates_once_and_projects_without_eliminating(monkeypatch):
 
     cases = [
         (Subspace.full(4), span(4, (1, 1, 0, 0))),
+        (Subspace.full(4), Matrix([[0, 0, 1, 1], [1, 1, 0, 0], [2, 2, 3, 3]])),
         (span(4, (1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 0, 1)), span(4, (1, 0, 0, 0))),
         (span(3, (1, 2, 3)), Subspace.zero(3)),
     ]
@@ -675,20 +672,18 @@ def test_quotient_eliminates_once_and_projects_without_eliminating(monkeypatch):
     for ambient, sub in cases:
         calls.clear()
         q = quotient(ambient, sub)
-        # The span of sub's rows read at P (dim sub x m), then the one
-        # elimination of [S basis | I_m] (m x (dim sub + m)).
-        s, m = sub.dim, ambient.dim
-        assert calls == [("rref", (s, m)), ("rref", (m, s + m))]
+        # The kernel of the spanning rows read at P, and nothing else.
+        rows = sub.dim if isinstance(sub, Subspace) else sub.rows
+        assert calls == [("rref", (rows, ambient.dim))]
         calls.clear()
         assert q.projector.rows == q.dim
         applied.clear()
         q.project(ambient.basis.col(0))
-        # The section rows, and one product by the ambient basis unless the
-        # ambient is the whole space.
-        partial = ambient.dim < ambient.ambient_dim
-        assert applied == [q.dim] + [ambient.ambient_dim] * partial
-        if partial:
-            with pytest.raises(ValidationError):
+        # The projector's rows; membership reads the vector at P and combines
+        # the ambient rows by that reading, with no product.
+        assert applied == [q.dim]
+        if ambient.dim < ambient.ambient_dim:
+            with pytest.raises(ValidationError, match="outside the ambient"):
                 q.project((0, 0, 1) if ambient.ambient_dim == 3 else (0, 0, 1, -1))
         assert calls == []
 
@@ -752,8 +747,8 @@ def test_sum_and_intersect_match_the_per_vector_loops(pair):
     for x, y in ((a, b), (b, a), (total, meet), (meet, a)):
         assert contains(x, y) == column_contains(x, y)
         if contains(x, y):
-            at, coords = pivot_coordinates(x, y.echelon)
-            assert x.basis @ coords.basis == y.basis
+            at, rows = pivot_coordinates(x, y.echelon)
+            assert x.basis @ Subspace.from_vectors(x.dim, rows.entries).basis == y.basis
         else:
             with pytest.raises(ValidationError, match="not contained"):
                 pivot_coordinates(x, y.echelon)

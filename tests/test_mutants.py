@@ -94,16 +94,17 @@ def intersect_is_sum(monkeypatch):
 
 
 def section_one_pivot_late(monkeypatch):
-    """The quotient's section takes, for each identity-block pivot, the
-    ambient basis column after it (cyclically), so it is still a set of
-    ambient basis columns, but not the greedy one."""
+    """The quotient's section takes, for each leading column of the kernel
+    rows, the ambient row after it (cyclically), so it is still a set of
+    ambient rows, but not the greedy one."""
 
     def quotient(ambient, sub):
-        at, coords = ea.pivot_coordinates(ambient, sub.echelon if isinstance(sub, ea.Subspace) else sub)
-        s, m = coords.dim, ambient.dim
-        red, pivots = ea.rref(coords.basis.hstack(Matrix.identity(m)))
-        section = ambient.basis._col_block([(p - s + 1) % m for p in pivots[s:]])
-        return ea.QuotientSpace(ambient, coords, at, section, red._col_block(range(s, s + m)))
+        at, rows = ea.pivot_coordinates(ambient, sub.echelon if isinstance(sub, ea.Subspace) else sub)
+        ann = ea.kernel(rows).echelon
+        m = ambient.dim
+        section = ambient.echelon._row_block([(min(nums) + 1) % m for nums, _ in ann._ints]).transpose()
+        spread = tuple(({at[k]: a for k, a in nums.items()}, d) for nums, d in ann._ints)
+        return ea.QuotientSpace(ambient, at, section, Matrix._of(ann.rows, ambient.ambient_dim, spread))
 
     _rebind(monkeypatch, ea.quotient, quotient)
 
@@ -156,3 +157,18 @@ def test_suite_notices_the_mutant(monkeypatch, mutant, suite, error):
     else:
         with pytest.raises(error[0], match=error[1]):
             run_suite(suite)
+
+
+def test_greedy_check_rejects_the_late_section(monkeypatch):
+    """The conditions that define the greedy quotient (tests/_oracles.py)
+    refuse the shifted section in every degree where it moves an index,
+    and in C^2/B^2."""
+    from _oracles import check_greedy_quotient
+
+    section_one_pivot_late(monkeypatch)
+    cx = dg.torus_complex(3)
+    quotients = [(dg.cohomology(cx, p).presentation, dg._coboundary_rows(cx, p)) for p in (1, 2, 3)]
+    quotients.append((cx.cup_quotient.presentation, dg._coboundary_rows(cx, 2)))
+    for q, rows in quotients:
+        failed = check_greedy_quotient(q, rows)
+        assert "projector . section = I" in failed and "skipped rows project onto earlier section rows" in failed
