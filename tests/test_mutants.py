@@ -14,6 +14,9 @@ reason instead: under the mutant the suite stops with that error before any
 of its checks can fail, so it does not yet notice the mutant. The test
 requires the error, so a suite that starts reporting the failure must leave
 the list.
+
+The last test holds the quotient mutant against the tier-1 greedy-quotient
+check of tests/_oracles.py, which refuses its section wherever it moves one.
 """
 
 import pytest
