@@ -91,7 +91,7 @@ def _fmt_float_matrix(m: np.ndarray) -> str:
 
 
 def parse_subspace_arg(text: str, ambient_dim: int) -> Subspace:
-    from .docio import parse_scalar
+    from .docio import check_subspace_entries, parse_scalar
     from .exactla import Subspace
 
     text = text.strip()
@@ -100,6 +100,7 @@ def parse_subspace_arg(text: str, ambient_dim: int) -> Subspace:
     if text == "full":
         return Subspace.full(ambient_dim)
     if all(tok.strip().startswith("e") for tok in text.split(",")):
+        check_subspace_entries(text.count(",") + 1, ambient_dim)
         vectors = []
         for tok in text.split(","):
             tok = tok.strip()
@@ -112,6 +113,7 @@ def parse_subspace_arg(text: str, ambient_dim: int) -> Subspace:
             v[idx - 1] = Fraction(1)
             vectors.append(v)
         return Subspace.from_vectors(ambient_dim, vectors)
+    check_subspace_entries(text.count(";") + 1, ambient_dim)
     vectors = []
     for part in text.split(";"):
         entries = [e.strip() for e in part.split(",")]

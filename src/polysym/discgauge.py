@@ -35,10 +35,10 @@ class DeltaComplex:
     degree and the C^2/B^2 quotient) are therefore built on first request
     and cached on it. Both kinds of quotient are `quotient` by d's own rows
     (`_coboundary_rows`): H^p is Z^p modulo them, read only at Z^p's pivots,
-    and C^2/B^2 the whole space modulo them. Only the routines that need cup
-    values modulo all of B^2 build the latter (`omega_disc`, the moment
-    functions, `omega_kernel` and `lagrangian_check`); `reduce_gauge` reads
-    its invariance check and its pairing through H^2 instead.
+    and C^2/B^2 the whole space modulo them. `omega_disc` projects one
+    product onto C^2/B^2; the moment functions, `omega_kernel` and
+    `lagrangian_check` read theirs off one table (`_cup_rows`) of only the
+    rows some product reaches, and `reduce_gauge` projects its table onto H^2.
     """
 
     def __init__(
@@ -264,12 +264,23 @@ def _cup_extended(a: Cochain, b: Cochain) -> Cochain:
     return Cochain(a.complex, a.degree + b.degree, tuple(a.values[f] * b.values[k] for f, k in table))
 
 
-def _cup_sums(
-    cx: DeltaComplex, p: int, q: int, left: Matrix, right: Matrix, by_right: bool, proj: Matrix,
+def _cup_rows(
+    cx: DeltaComplex, p: int, q: int, left: Matrix, right: Matrix,
+    by_right: bool = False, proj: Optional[Matrix] = None,
 ) -> tuple:
-    """(sums, den): the entries of `_cup_matrix` as integers over den, keyed
-    by (row, column); only the entries some product reaches are present, and
-    a sum may be zero."""
+    """(rows, den): projected cup products of the columns of left
+    (p-cochains) and right (q-cochains), read off one pass over the cup
+    table, as integer rows over den.
+
+    proj defaults to the C^2/B^2 coordinates of the complex's cup quotient;
+    `reduce_gauge` passes H^2 coordinates instead. Row i*k + c, column j
+    holds coordinate c of proj(left_i cup right_j), where k = proj.rows;
+    with by_right the roles swap, so row j*k + c, column i: a linear map in
+    the coefficients of the column side, stacked over the block side. Only
+    the nonzero rows are keyed, each without its zero sums, so a row that
+    no product reaches is never made.
+    """
+    proj = cx.cup_quotient.presentation.projector if proj is None else proj
     (lrows, ld), (rrows, rd) = left._scaled_rows(), right._scaled_rows()
     pcols, pd = proj.transpose()._scaled_rows()
     k = proj.rows
@@ -279,35 +290,10 @@ def _cup_sums(
             for j, y in rrows[b].items():
                 block, col = (j, i) if by_right else (i, j)
                 for c, z in pcols[s].items():
-                    key = (block * k + c, col)
-                    sums[key] = sums.get(key, 0) + x * y * z
-    return sums, ld * rd * pd
-
-
-def _cup_matrix(
-    cx: DeltaComplex, p: int, q: int, left: Matrix, right: Matrix,
-    by_right: bool = False, proj: Optional[Matrix] = None,
-) -> Matrix:
-    """Projected cup products of the columns of left (p-cochains) and right
-    (q-cochains), read off one pass over the cup table.
-
-    proj defaults to the C^2/B^2 coordinates of the complex's cup quotient;
-    `reduce_gauge` passes the H^2 projector instead. Row i*k + c, column j
-    holds coordinate c of proj(left_i cup right_j), where k = proj.rows; with
-    by_right the roles swap, so row j*k + c, column i. The result is the
-    matrix of a linear map in the coefficients of the column side, stacked
-    over the block side. The sums run on the nonzero integer numerators,
-    each matrix over its common denominator.
-    """
-    if proj is None:
-        proj = cx.cup_quotient.presentation.projector
-    sums, den = _cup_sums(cx, p, q, left, right, by_right, proj)
-    blocks, cols = (right.cols, left.cols) if by_right else (left.cols, right.cols)
-    rows = [{} for _ in range(blocks * proj.rows)]
-    for (r, col), v in sums.items():
-        if v:
-            rows[r][col] = v
-    return Matrix._of_integers(rows, cols, den)
+                    row = sums.setdefault(block * k + c, {})
+                    row[col] = row.get(col, 0) + x * y * z
+    nonzero = ((r, {col: v for col, v in row.items() if v}) for r, row in sums.items())
+    return {r: row for r, row in nonzero if row}, ld * rd * pd
 
 
 class CohomologyPresentation(NamedTuple):
@@ -405,7 +391,8 @@ def omega_kernel(cx: DeltaComplex) -> Subspace:
     """Degeneracy kernel of the cup form on C^1 (measured, never assumed zero):
     the 1-cochains whose product with every edge is a coboundary."""
     edges = Matrix.identity(cx.count(1))
-    return kernel(_cup_matrix(cx, 1, 1, edges, edges, by_right=True))
+    rows, den = _cup_rows(cx, 1, 1, edges, edges, by_right=True)
+    return kernel(Matrix._of_integers(list(rows.values()), cx.count(1), den))
 
 
 def gauge_moment(cx: DeltaComplex, a: Cochain) -> Matrix:
@@ -415,19 +402,17 @@ def gauge_moment(cx: DeltaComplex, a: Cochain) -> Matrix:
     if a.degree != 1:
         raise ValidationError("the gauge moment takes a 1-cochain")
     curvature = Matrix.column(_d_extended(a).values)
-    return _cup_matrix(cx, 2, 0, curvature, Matrix.identity(cx.count(0)))
-
-
-def _curvature_moments(cx: DeltaComplex) -> Matrix:
-    """Matrix of alpha -> (coset(d alpha cup f_j))_j over the basis 0-cochains f_j."""
-    return _cup_matrix(cx, 2, 0, cx.coboundary_matrix(1), Matrix.identity(cx.count(0)), by_right=True)
+    rows, den = _cup_rows(cx, 2, 0, curvature, Matrix.identity(cx.count(0)))
+    return Matrix._of_integers([rows.get(c, {}) for c in range(cx.cup_quotient.dim)], cx.count(0), den)
 
 
 def check_gauge_moment_identity(cx: DeltaComplex) -> bool:
     """Exact linear-map equality: alpha -> coset(d alpha cup f) equals
-    alpha -> coset(alpha cup d f) for every basis 0-cochain f."""
-    shifted = _cup_matrix(cx, 1, 1, Matrix.identity(cx.count(1)), cx.coboundary_matrix(0), by_right=True)
-    return _curvature_moments(cx) == shifted
+    alpha -> coset(alpha cup d f) for every basis 0-cochain f; both tables
+    are over the C^2/B^2 projector's denominator, as d is an integer matrix."""
+    curvature = _cup_rows(cx, 2, 0, cx.coboundary_matrix(1), Matrix.identity(cx.count(0)), by_right=True)
+    shifted = _cup_rows(cx, 1, 1, Matrix.identity(cx.count(1)), cx.coboundary_matrix(0), by_right=True)
+    return curvature == shifted
 
 
 class MomentZeroReport(NamedTuple):
@@ -440,7 +425,8 @@ class MomentZeroReport(NamedTuple):
 def moment_zero_set(cx: DeltaComplex) -> MomentZeroReport:
     """{A : the moment functional of A vanishes}, with its relation to the
     closed 1-cochains reported rather than assumed."""
-    zero = kernel(_curvature_moments(cx))
+    rows, den = _cup_rows(cx, 2, 0, cx.coboundary_matrix(1), Matrix.identity(cx.count(0)), by_right=True)
+    zero = kernel(Matrix._of_integers(list(rows.values()), cx.count(1), den))
     z1 = cx.cocycles(1)
     return MomentZeroReport(
         zero_set=zero,
@@ -477,16 +463,15 @@ def reduce_gauge(cx: DeltaComplex) -> GaugeReduction:
     # coboundary moves the product by a coboundary only. A 2-cochain is a
     # coboundary iff d^2 sends it to zero and its H^2 coordinates vanish, so
     # each product df_j cup reps_a is tested against the rows of d^2 and of
-    # the projector; the first nonzero sum fails it.
+    # the projector; any nonzero row fails it.
     tests = cx.coboundary_matrix(2).vstack(proj)
-    sums, _ = _cup_sums(cx, 1, 1, cx.coboundary_matrix(0), reps, False, tests)
-    if any(sums.values()):
+    if _cup_rows(cx, 1, 1, cx.coboundary_matrix(0), reps, proj=tests)[0]:
         raise ContractViolation("pairing is not gauge invariant")
 
     # Row a*b2 + c, column b: coordinate c of the class of reps_a cup reps_b.
-    products = _cup_matrix(cx, 1, 1, reps, reps, proj=proj)
+    products, den = _cup_rows(cx, 1, 1, reps, reps, proj=proj)
     pairing = tuple(
-        products._row_block(range(c, b1 * b2, b2))
+        Matrix._of_integers([products.get(a * b2 + c, {}) for a in range(b1)], b1, den)
         for c in range(b2)
     )
     return GaugeReduction(carrier=carrier, target=target, pairing=pairing)
@@ -506,7 +491,8 @@ def lagrangian_check(cx: DeltaComplex) -> LagrangianReport:
     z1 = cx.cocycles(1)
     if h2 != 0:
         return LagrangianReport(h2_trivial=False, z1_is_lagrangian=None, z1_dim=z1.dim, orthogonal_dim=None)
-    orth = kernel(_cup_matrix(cx, 1, 1, z1.basis, Matrix.identity(cx.count(1))))
+    rows, den = _cup_rows(cx, 1, 1, z1.basis, Matrix.identity(cx.count(1)))
+    orth = kernel(Matrix._of_integers(list(rows.values()), cx.count(1), den))
     return LagrangianReport(
         h2_trivial=True,
         z1_is_lagrangian=orth == z1,

@@ -40,10 +40,8 @@ MAX_LIE_CONSTANTS = 1920
 
 # Most cells (simplices of every degree) a complex document may list: those of
 # the 5^3 grid torus (125 + 875 + 1500 + 750). Per process on a shared 2-vCPU
-# Xeon, `gauge omega` (the cup form's kernel pairs every edge with every edge)
-# takes 1.7 s on it and 0.5-0.75 s on the 4^3 grid (1,664 cells), and `gauge
-# betti` and `gauge reduce` 0.16-0.45 s on either; in-process, `gauge omega`
-# takes 5.8 s on the 6^3 grid (5,616 cells).
+# Xeon, every `gauge` verb ends within 0.35 s on it (`moment` 0.26-0.34 s, the
+# slowest); in-process, `omega_kernel` takes 0.25 s on the 6^3 grid (5,616 cells).
 MAX_COMPLEX_CELLS = 3250
 
 # Most cells (k * n^2, entries of all components) a form document may list:
@@ -55,6 +53,12 @@ MAX_COMPLEX_CELLS = 3250
 # cap, `reduce` takes 5.0 s at n = 160, k = 1 on the first subspace, and
 # 7.4 s at n = 200, k = 3 (120,000 cells) on e1.
 MAX_FORM_CELLS = 2**14
+
+
+def check_subspace_entries(vectors: int, n: int):
+    """Refuse a subspace listing more entries (vectors x n) than a form may have cells."""
+    if vectors * n > MAX_FORM_CELLS:
+        raise ValidationError(f"subspace lists {vectors * n} entries; at most {MAX_FORM_CELLS} are supported")
 
 
 class ProblemDocument:
@@ -188,6 +192,7 @@ def document_subspace(doc: ProblemDocument, ambient_dim: int) -> Optional[Subspa
         return None
     if not isinstance(vecs, list):
         raise ValidationError("'subspace' must be a list of vectors")
+    check_subspace_entries(len(vecs), ambient_dim)
     from .exactla import Subspace
 
     return Subspace.from_vectors(

@@ -144,12 +144,17 @@ def _(res: SuiteResult, rng: random.Random, tol_scale: float):
 def _(res: SuiteResult, rng: random.Random, tol_scale: float):
     from . import randgen as rg
 
-    kernel_ok = nondeg_ok = True
+    kernel_ok = nondeg_ok = values_ok = True
     for _ in range(res.trials):
         n, k = rg.rand_dims(rng, max_n=6, max_k=4)
         form = rg.rand_vform(rng, n, k)
         a = rg.rand_subspace(rng, n)
         red = linear_reduce(form, a)
+        cols = red.carrier.section.columns()
+        values_ok &= all(
+            red.reduced_form.components[c][i, j] == value
+            for i, u in enumerate(cols) for j, v in enumerate(cols) for c, value in enumerate(form.evaluate(u, v))
+        )
         orth = orthogonal(form, a)
         double = orthogonal(form, orth)
         witness = intersect(double, orth)
@@ -162,6 +167,7 @@ def _(res: SuiteResult, rng: random.Random, tol_scale: float):
         nondeg_ok &= red.nondegenerate == (witness == core)
     res.add(f"kernel formula on {res.trials} random instances", kernel_ok)
     res.add("nondegeneracy criterion matches", nondeg_ok)
+    res.add("reduced form is the form on the section columns", values_ok)
 
 
 @_suite(

@@ -697,6 +697,30 @@ def test_form_cells_past_the_cap_exit_2_before_any_entry_is_read(tmp_path, capsy
         assert capsys.readouterr() == ("", f"error: form document has {k * n * n} cells; at most {cap} are supported\n")
 
 
+def test_subspace_entries_past_the_form_cap_exit_2_before_any_entry_is_read(tmp_path, capsys, monkeypatch):
+    # On a form with n = 1, each listed vector is one entry.
+    cap = docio.MAX_FORM_CELLS
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"kind": "form", "form": [[[0]]], "subspace": [[1]] * cap}))
+    assert run(["orth", "--file", str(path)]) == 0
+    assert run(["orth", "--file", str(path), "--subspace", ";".join(["1"] * cap)]) == 0
+    capsys.readouterr()
+
+    parsed = []
+    original = docio.parse_scalar
+    monkeypatch.setattr(docio, "parse_scalar", lambda x: parsed.append(x) or original(x))
+    error = f"error: subspace lists {cap + 1} entries; at most {cap} are supported\n"
+    path.write_text(json.dumps({"kind": "form", "form": [[[0]]], "subspace": [[1]] * (cap + 1)}))
+    assert run(["orth", "--file", str(path)]) == 2
+    assert capsys.readouterr() == ("", error)
+    path.write_text(json.dumps({"kind": "form", "form": [[[0]]]}))
+    for listed in (";".join(["1"] * (cap + 1)), ",".join(["e1"] * (cap + 1))):
+        assert run(["orth", "--file", str(path), "--subspace", listed]) == 2
+        assert capsys.readouterr() == ("", error)
+    # Only the form's one entry was read, once per run.
+    assert parsed == [0, 0, 0]
+
+
 def test_the_grid_torus_at_the_cell_cap_runs(tmp_path, capsys, monkeypatch):
     monkeypatch.syspath_prepend(str(REPO_ROOT))
     from perfbench.inputs import grid_torus_simplices
@@ -707,6 +731,11 @@ def test_the_grid_torus_at_the_cell_cap_runs(tmp_path, capsys, monkeypatch):
     path.write_text(_complex_text(simplices))
     assert run(["gauge", "betti", "--file", str(path)]) == 0
     assert "betti: 1 3 3 1\n" in capsys.readouterr().out
+    assert run(["gauge", "omega", "--file", str(path)]) == 0
+    assert "form_kernel_dim: 125\n" in capsys.readouterr().out
+    assert run(["gauge", "moment", "--file", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "zero_set_dim: 252\ncocycle_dim: 127\n" in out and "moment_identity_exact: true\n" in out
 
 
 def test_abelian_center_at_the_dim_cap_runs_in_under_a_second(tmp_path, capsys):

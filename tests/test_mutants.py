@@ -125,7 +125,7 @@ KILLS = {
         "gauge-invariance": None,
         "gauge-h1": (ContractViolation, "not contained", "d d is not zero, so B^1 leaves Z^1 and the H^1 quotient refuses it"),
     },
-    product_drops_right_denominator: {"embedding": None},
+    product_drops_right_denominator: {"embedding": None, "reduction-kernel": None},
     orthogonal_drops_last_component: {
         "cross-table": None,
         "lemma-subspaces": None,
