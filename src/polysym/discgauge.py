@@ -32,13 +32,14 @@ class DeltaComplex:
 
     A complex is never mutated after __init__. Values derived from it (the
     coboundary matrices, the cocycle spaces, cup tables, cohomology per
-    degree and the C^2/B^2 quotient) are therefore built on first request
-    and cached on it. Both kinds of quotient are `quotient` by d's own rows
-    (`_coboundary_rows`): H^p is Z^p modulo them, read only at Z^p's pivots,
-    and C^2/B^2 the whole space modulo them. `omega_disc` projects one
-    product onto C^2/B^2; the moment functions, `omega_kernel` and
-    `lagrangian_check` read theirs off one table (`_cup_rows`) of only the
-    rows some product reaches, and `reduce_gauge` projects its table onto H^2.
+    degree, the C^2/B^2 quotient and the curvature table) are therefore
+    built on first request and cached on it. Both kinds of quotient are
+    `quotient` by d's own rows (`_coboundary_rows`): H^p is Z^p modulo them,
+    read only at Z^p's pivots, and C^2/B^2 the whole space modulo them.
+    `omega_disc` projects one product onto C^2/B^2; the moment functions,
+    `omega_kernel` and `lagrangian_check` read theirs off one table
+    (`_cup_rows`) of only the rows some product reaches, and `reduce_gauge`
+    projects its table onto H^2.
     """
 
     def __init__(
@@ -214,10 +215,6 @@ class Cochain:
         return hash((self.complex, self.degree, self.values))
 
     @staticmethod
-    def zero(complex: DeltaComplex, degree: int) -> "Cochain":
-        return Cochain(complex, degree, (Fraction(0),) * complex.count(degree))
-
-    @staticmethod
     def basis(complex: DeltaComplex, degree: int, index: int) -> "Cochain":
         vals = [Fraction(0)] * complex.count(degree)
         vals[index] = Fraction(1)
@@ -227,10 +224,6 @@ class Cochain:
         if self.complex is not other.complex or self.degree != other.degree:
             raise ValidationError("cochain mismatch in addition")
         return Cochain(self.complex, self.degree, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def scale(self, c) -> "Cochain":
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        return Cochain(self.complex, self.degree, tuple(c * v for v in self.values))
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
@@ -406,11 +399,20 @@ def gauge_moment(cx: DeltaComplex, a: Cochain) -> Matrix:
     return Matrix._of_integers([rows.get(c, {}) for c in range(cx.cup_quotient.dim)], cx.count(0), den)
 
 
+def _curvature_rows(cx: DeltaComplex) -> tuple:
+    """The `_cup_rows` table of alpha -> coset(d alpha cup f) over the basis
+    0-cochains f, built once per complex: the moment zero set and the moment
+    identity both read it."""
+    return cx._memo("curvature", lambda: _cup_rows(
+        cx, 2, 0, cx.coboundary_matrix(1), Matrix.identity(cx.count(0)), by_right=True
+    ))
+
+
 def check_gauge_moment_identity(cx: DeltaComplex) -> bool:
     """Exact linear-map equality: alpha -> coset(d alpha cup f) equals
     alpha -> coset(alpha cup d f) for every basis 0-cochain f; both tables
     are over the C^2/B^2 projector's denominator, as d is an integer matrix."""
-    curvature = _cup_rows(cx, 2, 0, cx.coboundary_matrix(1), Matrix.identity(cx.count(0)), by_right=True)
+    curvature = _curvature_rows(cx)
     shifted = _cup_rows(cx, 1, 1, Matrix.identity(cx.count(1)), cx.coboundary_matrix(0), by_right=True)
     return curvature == shifted
 
@@ -425,7 +427,7 @@ class MomentZeroReport(NamedTuple):
 def moment_zero_set(cx: DeltaComplex) -> MomentZeroReport:
     """{A : the moment functional of A vanishes}, with its relation to the
     closed 1-cochains reported rather than assumed."""
-    rows, den = _cup_rows(cx, 2, 0, cx.coboundary_matrix(1), Matrix.identity(cx.count(0)), by_right=True)
+    rows, den = _curvature_rows(cx)
     zero = kernel(Matrix._of_integers(list(rows.values()), cx.count(1), den))
     z1 = cx.cocycles(1)
     return MomentZeroReport(

@@ -211,18 +211,6 @@ class Matrix:
         out = tuple(_canonical(_combine(nums, rows), d * big) for nums, d in self._ints)
         return Matrix._of(self.rows, other.cols, out)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValidationError("shape mismatch in addition")
-        out = []
-        for (a, da), (b, db) in zip(self._ints, other._ints):
-            big = lcm(da, db)
-            out.append(_canonical(_combine({0: big // da, 1: big // db}, (a, b)), big))
-        return Matrix._of(self.rows, self.cols, tuple(out))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
     def __neg__(self) -> "Matrix":
         return Matrix._of(
             self.rows, self.cols, tuple(({c: -a for c, a in nums.items()}, d) for nums, d in self._ints)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ContractViolation, ValidationError
 from .lietable import (  # noqa: F401  (re-exported)
-    BUILTIN_TRIPLES, LieAlgebra, abelian, algebra_direct_sum, bracket_form, center, centralizer,
-    heisenberg, lie_reduce, sl2, so3, structure_table,
+    BUILTIN_TRIPLES, LieAlgebra, algebra_direct_sum, bracket_form, center, centralizer, lie_reduce,
+    sl2, so3, structure_table,
 )
 
 GROUP_TOLERANCE = 1e-9

@@ -74,9 +74,6 @@ class LieAlgebra:
             if any(acc.values()):
                 raise ValidationError(f"Jacobi identity fails on basis triple ({i+1},{j+1},{k+1})")
 
-    def bracket(self, x: Sequence, y: Sequence) -> tuple:
-        return self.ad(x).apply(y)
-
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of ad_x: y -> [x, y]."""
         rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
@@ -146,14 +143,6 @@ def so3() -> LieAlgebra:
 
 def sl2() -> LieAlgebra:
     return LieAlgebra.from_triples(*BUILTIN_TRIPLES["sl2"], name="sl2")
-
-
-def heisenberg() -> LieAlgebra:
-    return LieAlgebra.from_triples(*BUILTIN_TRIPLES["heisenberg"], name="heisenberg")
-
-
-def abelian(n: int) -> LieAlgebra:
-    return LieAlgebra(n, {}, name=f"abelian{n}")
 
 
 def algebra_direct_sum(g: LieAlgebra, h: LieAlgebra) -> LieAlgebra:

@@ -5,11 +5,10 @@ values. The structure form at a point is the negative exterior derivative of
 theta, evaluated by central differences and exactly skew by construction. On
 top of that sit Hamiltonian vector-field solves (least squares over the
 stacked component system), the bracket, moment maps of potential-preserving
-actions, the section embedding into the canonical target, and
-Legendre-transform pullbacks.
+actions, and the section embedding into the canonical target.
 
-All derivatives, second and directional ones included, are central
-differences on the stencil x +- h e_a with the fixed step h = DEFAULT_FD_STEP.
+All derivatives, directional ones included, are central differences
+on the stencil x +- h e_a with the fixed step h = DEFAULT_FD_STEP.
 Each routine differentiates theta once per point, in one call on the whole
 stencil; Hamiltonians and generators take one point per call, the rotation
 generator in closed form. All sampling is low-discrepancy with an explicit seed.
@@ -133,16 +132,12 @@ def _offsets(dim: int) -> np.ndarray:
     return out
 
 
-def _stencil(x: np.ndarray, axes: Optional[Sequence[int]] = None) -> np.ndarray:
-    """x + h e_a for the i-th axis a of `axes` (default: every axis of x) in
-    row i, then x - h e_a in row len(axes) + i; h = DEFAULT_FD_STEP. Adding
-    -h e_a is the same IEEE operation as subtracting h e_a."""
+def _stencil(x: np.ndarray) -> np.ndarray:
+    """x + h e_a in row a for every axis a of x, then x - h e_a in row
+    x.size + a; h = DEFAULT_FD_STEP. Adding -h e_a is the same IEEE
+    operation as subtracting h e_a."""
     x = np.asarray(x, dtype=float)
-    off = _offsets(x.size)
-    if axes is not None:
-        axes = list(axes)
-        off = off[axes + [x.size + a for a in axes]]
-    return x + off
+    return x + _offsets(x.size)
 
 
 def _difference(values: np.ndarray) -> np.ndarray:
@@ -152,12 +147,12 @@ def _difference(values: np.ndarray) -> np.ndarray:
     return (values[:m] - values[m:]) / (2.0 * DEFAULT_FD_STEP)
 
 
-def _partials(f: Callable, x: np.ndarray, axes: Optional[Sequence[int]] = None) -> np.ndarray:
-    """out[i] = (f(x + h e_a) - f(x - h e_a)) / 2h for the i-th axis a of
-    `axes` (default: every axis of x), with f called once per point. Callers
-    that want the axis last take `.T.copy()`, so the einsum or lstsq that
-    follows reads a C-ordered array and sums in a fixed order."""
-    return _difference(np.array([f(p) for p in _stencil(x, axes)], dtype=float))
+def _partials(f: Callable, x: np.ndarray) -> np.ndarray:
+    """out[a] = (f(x + h e_a) - f(x - h e_a)) / 2h for every axis a of x,
+    with f called once per point. Callers that want the axis last take
+    `.T.copy()`, so the einsum or lstsq that follows reads a C-ordered array
+    and sums in a fixed order."""
+    return _difference(np.array([f(p) for p in _stencil(x)], dtype=float))
 
 
 def _theta_partials(patch: ExactPatch, x: np.ndarray) -> np.ndarray:
@@ -505,51 +500,4 @@ def local_embed(patch: ExactPatch) -> SectionEmbedding:
     target = canonical_theta(patch.dim_m, patch.dim_v)
     target_omega = vform_to_numpy(canonical_model(patch.dim_m, patch.dim_v))
     return SectionEmbedding(patch=patch, target=target, target_omega=target_omega)
-
-
-class FiberDerivativeResult(NamedTuple):
-    fiber_derivative: np.ndarray  # (k, n)
-    pullback_form: np.ndarray     # (k, 2n, 2n), skew
-    jacobian_rank: int
-
-
-def fiber_derivative(
-    lagrangian: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    q: np.ndarray,
-    v: np.ndarray,
-    dim_v: int,
-) -> FiberDerivativeResult:
-    """Velocity derivative of a V-valued Lagrangian and the induced form.
-
-    The map (q, v) -> (q, dL/dv) must be an immersion at the point: its
-    Jacobian (central differences of dL/dv, itself one, below an identity
-    block) needs full column rank 2n at tolerance 1e-8.
-    """
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = q.size
-    z = np.concatenate([q, v])
-
-    def l_at(zz: np.ndarray) -> np.ndarray:
-        out = np.asarray(lagrangian(zz[:n], zz[n:]), dtype=float).reshape(dim_v)
-        if not np.all(np.isfinite(out)):
-            raise ValidationError("Lagrangian returned non-finite values")
-        return out
-
-    def dl_dv(zz: np.ndarray) -> np.ndarray:  # dL_c/dv_j, ravelled in (c, j) order
-        return _partials(l_at, zz, range(n, 2 * n)).T.ravel()
-
-    fl = dl_dv(z).reshape(dim_v, n)
-    jac = np.vstack([np.eye(n, 2 * n), _partials(dl_dv, z).T])
-
-    jrank = int(np.linalg.matrix_rank(jac, tol=1e-8))
-    if jrank < 2 * n:
-        raise ContractViolation(
-            f"fiber second variation is rank deficient ({jrank} < {2 * n})"
-        )
-
-    target_omega = vform_to_numpy(canonical_model(n, dim_v))
-    pulled = _pullback(jac, target_omega)
-    pulled = 0.5 * (pulled - np.transpose(pulled, (0, 2, 1)))
-    return FiberDerivativeResult(fiber_derivative=fl, pullback_form=pulled, jacobian_rank=jrank)
 

@@ -85,23 +85,9 @@ class VForm:
 
 
 def joint_kernel(n: int, blocks: Sequence[Matrix]) -> Subspace:
-    """Vectors of Q^n killed by every block: the kernel of the blocks stacked,
-    or all of Q^n when they have no rows."""
-    stacked = reduce(Matrix.vstack, blocks, Matrix.zeros(0, n))
-    return kernel(stacked) if stacked.rows else Subspace.full(n)
-
-
-def direct_sum(forms: Sequence[VForm]) -> VForm:
-    """Concatenate the component lists of forms on the same underlying space."""
-    if not forms:
-        raise ValidationError("direct_sum of no forms")
-    n = forms[0].dim_u
-    comps = []
-    for f in forms:
-        if f.dim_u != n:
-            raise ValidationError("direct_sum requires equal underlying dimensions")
-        comps.extend(f.components)
-    return VForm(n, tuple(comps))
+    """Vectors of Q^n killed by every block: the kernel of the blocks stacked
+    (all of Q^n when they have no rows)."""
+    return kernel(reduce(Matrix.vstack, blocks, Matrix.zeros(0, n)))
 
 
 def orthogonal(omega: VForm, a: Subspace) -> Subspace:

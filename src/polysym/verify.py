@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import lietable as lt
-from .errors import ValidationError
+from .errors import ContractViolation, ValidationError
 from .exactla import Subspace, contains, intersect, kernel, sum_
 from .polycore import (
     apply_coefficient_map,
@@ -469,7 +469,9 @@ NUMERIC_SUITES = frozenset(name for name, suite in SUITES.items() if suite.numer
 
 def run_suite(name: str, seed: int = 0, trials: int = None, tolerance_scale: float = 1.0) -> SuiteResult:
     """Run the suite `name` on a fresh result and an RNG seeded with `seed`,
-    at its default trial count unless `trials` is given."""
+    at its default trial count unless `trials` is given. A ContractViolation
+    raised while the suite runs ends it as one failed check, with the
+    message as its detail."""
     if name not in SUITES:
         raise ValidationError(
             f"unknown suite {name!r}; known suites: {', '.join(sorted(SUITES))}"
@@ -480,5 +482,8 @@ def run_suite(name: str, seed: int = 0, trials: int = None, tolerance_scale: flo
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
     res = SuiteResult(suite.identity, seed, trials)
-    suite.run(res, random.Random(seed), tolerance_scale)
+    try:
+        suite.run(res, random.Random(seed), tolerance_scale)
+    except ContractViolation as exc:
+        res.add("contract", False, str(exc))
     return res

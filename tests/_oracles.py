@@ -3,8 +3,8 @@
 The oracles deliberately avoid the package's echelon/quotient machinery:
 ranks use fraction-free integer elimination (Bareiss style), bilinear-form
 facts are checked straight from definitions, and the scalar kernels of
-`exactla` (`rref`, matrix products, sums, scaling, transposes, stacking and
-the skew test) have plain `Fraction` reference versions here; `rref` also
+`exactla` (`rref`, matrix products, scaling, transposes, stacking and the
+skew test) have plain `Fraction` reference versions here; `rref` also
 has its earlier dense integer version, which can stop after the leading
 columns and fixes the rows it leaves below the pivots.
 
@@ -16,9 +16,8 @@ builtin patches one point at a time, the pointwise derivatives of
 `pointham` one central difference per axis (and the closedness defect of its
 structure form), the pointham routines that take the structure form once
 per point as they were when each took it again (the bracket, the
-preservation and moment-identity defects, the pullback defect, the fiber
-Jacobian from four-point second differences), the rotation-group left
-generator as exp, the patch's theta and a 3x3 solve (also in 40-digit
+preservation and moment-identity defects, the pullback defect), the
+rotation-group left generator as exp, the patch's theta and a 3x3 solve (also in 40-digit
 `Decimal` arithmetic, where the float version cancels), the joint kernels (orthogonal,
 centralizer, center, degeneracy kernel) by stacking the blocks one at a time
 before a single `exactla.kernel`, quotient coordinates by one
@@ -48,8 +47,7 @@ import numpy as np
 from polysym.errors import ContractViolation, ValidationError
 from polysym.exactla import Matrix, Subspace, kernel, rank, rref, solve
 from polysym.liealg import hat, so3_exp, unhat
-from polysym.pointham import DEFAULT_FD_STEP, hamiltonian_field, omega_at, vform_to_numpy
-from polysym.polycore import canonical_model
+from polysym.pointham import DEFAULT_FD_STEP, hamiltonian_field, omega_at
 
 
 def fraction_rref(rows, cols):
@@ -390,20 +388,6 @@ def looped_section_jacobian(embedding, x):
     return np.stack(cols, axis=1)
 
 
-def looped_velocity_derivative(lagrangian, q, v, dim_v, h):
-    """dL/dv at (q, v) as (k, n), one stacked column per velocity axis."""
-    z = np.concatenate([np.asarray(q, dtype=float), np.asarray(v, dtype=float)])
-    n = len(q)
-    cols = []
-    for a in range(n):
-        e = np.zeros(2 * n)
-        e[n + a] = h
-        plus = np.asarray(lagrangian((z + e)[:n], (z + e)[n:]), dtype=float).reshape(dim_v)
-        minus = np.asarray(lagrangian((z - e)[:n], (z - e)[n:]), dtype=float).reshape(dim_v)
-        cols.append((plus - minus) / (2.0 * h))
-    return np.stack(cols, axis=1)
-
-
 def looped_closedness_defect(patch, x):
     """Max coefficient of d(omega) at x, from one looped partial of
     pointham.omega_at per axis and second differences over coordinate triples."""
@@ -478,33 +462,6 @@ def omega_at_pullback_defect(embedding, x):
     j = embedding.jacobian(x)
     pulled = j.T @ (embedding.target_omega @ j)
     return float(np.max(np.abs(pulled - omega_at(embedding.patch, x))))
-
-
-def four_point_fiber_pullback(lagrangian, q, v, dim_v):
-    """fiber_derivative's pullback form from the Jacobian of (q, v) ->
-    (q, dL/dv) filled entry by entry with four-point second differences."""
-    q = np.asarray(q, dtype=float)
-    n = q.size
-    h = DEFAULT_FD_STEP
-    z = np.concatenate([q, np.asarray(v, dtype=float)])
-
-    def l_at(zz):
-        return np.asarray(lagrangian(zz[:n], zz[n:]), dtype=float).reshape(dim_v)
-
-    jac = np.zeros((n + n * dim_v, 2 * n))
-    jac[:n, :n] = np.eye(n)
-    for j in range(n):
-        ej = np.zeros(2 * n)
-        ej[n + j] = h
-        for m in range(2 * n):
-            em = np.zeros(2 * n)
-            em[m] = h
-            val = (l_at(z + ej + em) - l_at(z + ej - em) - l_at(z - ej + em) + l_at(z - ej - em)) / (4.0 * h * h)
-            for c in range(dim_v):
-                jac[n + c * n + j, m] = val[c]
-    target = vform_to_numpy(canonical_model(n, dim_v))
-    pulled = np.einsum("ia,cij,jb->cab", jac, target, jac)
-    return 0.5 * (pulled - np.transpose(pulled, (0, 2, 1)))
 
 
 # Lie algebras: dim^3 dense structure constants, brackets as dense products,
@@ -751,8 +708,8 @@ def drawn_skew(rng, n):
     """m - m^T for an n x n `randgen.rand_matrix` draw m."""
     from polysym.randgen import rand_matrix
 
-    m = rand_matrix(rng, n, n)
-    return m - m.transpose()
+    rows = rand_matrix(rng, n, n).entries
+    return Matrix(fraction_add(rows, fraction_scale(fraction_transpose(rows, n), -1)))
 
 
 def entrywise_coefficient_components(f, omega):

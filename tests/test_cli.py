@@ -88,7 +88,7 @@ class TestBuiltinRegistry:
     def test_lie_documents_render_the_algebra_triples(self):
         for name in ("so3", "sl2", "heisenberg"):
             algebra = docio.lie_to_algebra(docio.resolve_builtin(name))
-            assert algebra.components == getattr(la, name)().components
+            assert algebra.components == la.LieAlgebra.from_triples(*la.BUILTIN_TRIPLES[name]).components
 
     def test_resolving_a_form_builds_no_complex(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -364,13 +364,18 @@ class TestExitCodes:
 
     def test_defect_in_the_reduction_quotient(self, monkeypatch, capsys):
         # With intersections taken as sums, A + its orthogonal leaves the
-        # orthogonal, and linear_reduce's quotient refuses it.
+        # orthogonal, and linear_reduce's quotient refuses it. Under verify
+        # the refusal is the suite's one failed check, in its report.
         from polysym import exactla, polycore
 
         monkeypatch.setattr(polycore, "intersect", exactla.sum_)
         assert run(["verify", "--suite", "reduction-kernel"]) == 1
-        err = capsys.readouterr().err
-        assert err == "contract violation: the meet of A and its orthogonal is not contained in the orthogonal\n"
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-2:] == [
+            "check[contract]: FAIL (the meet of A and its orthogonal is not contained in the orthogonal)",
+            "summary: 0/1 pass",
+        ]
 
     def test_defect_in_the_gauge_invariance_check(self, monkeypatch, tmp_path, capsys):
         # A grid torus has the non-constant 0-cochains the check shifts by; its

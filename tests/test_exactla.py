@@ -34,7 +34,6 @@ class TestMatrix:
         assert m.transpose().shape == (2, 3)
         assert (m.transpose() @ m).shape == (2, 2)
         assert m.apply((1, 0)) == (F(1), F(3), F(5))
-        assert (m - m).is_zero()
 
     def test_fraction_literals(self):
         m = Matrix([[F(1, 2), 1], [0, F(-3, 4)]])
@@ -78,7 +77,9 @@ class TestKernel:
         assert kernel(Matrix([[1, 1], [0, 0]])) == span(2, (1, -1))
 
     def test_zero_row_matrix(self):
-        assert kernel(Matrix.zeros(0, 3)) == Subspace.full(3)
+        # joint_kernel of blocks with no rows is this kernel.
+        for n in range(6):
+            assert kernel(Matrix.zeros(0, n)) == Subspace.full(n)
 
 
 class TestLattice:
@@ -341,14 +342,12 @@ _same_shape_pairs = st.tuples(_dims, _dims).flatmap(
 @settings(max_examples=40, deadline=None)
 @given(_same_shape_pairs)
 def test_entrywise_operations_match_the_fraction_references(args):
-    from _oracles import fraction_add, fraction_hstack, fraction_scale, fraction_transpose, fraction_vstack
+    from _oracles import fraction_hstack, fraction_scale, fraction_transpose, fraction_vstack
 
     cols, left, right, c = args
     a, b = _matrix(left, cols), _matrix(right, cols)
     _assert_canonical(a)
     cases = [
-        (a + b, fraction_add(left, right)),
-        (a - b, fraction_add(left, fraction_scale(right, -1))),
         (-a, fraction_scale(left, -1)),
         (a.scale(c), fraction_scale(left, c)),
         (a.transpose(), fraction_transpose(left, cols)),
@@ -366,16 +365,17 @@ def test_entrywise_operations_match_the_fraction_references(args):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), _grids(n, n))))
 def test_is_skew_matches_the_fraction_reference(args):
-    from _oracles import fraction_is_skew
+    from _oracles import fraction_add, fraction_is_skew, fraction_scale, fraction_transpose
 
     n, grid = args
     m = _matrix(grid, n)
-    skew = m - m.transpose()
+    skew = _matrix(fraction_add(grid, fraction_scale(fraction_transpose(grid, n), -1)), n)
     assert skew.is_skew() and fraction_is_skew(skew.entries, n)
     assert m.is_skew() == fraction_is_skew(grid, n)
     if n:
         # One entry off its negated mirror.
-        bumped = skew + _matrix([[F(int((i, j) == (0, n - 1)), 3) for j in range(n)] for i in range(n)], n)
+        bump = [[F(int((i, j) == (0, n - 1)), 3) for j in range(n)] for i in range(n)]
+        bumped = _matrix(fraction_add(skew.entries, bump), n)
         assert not bumped.is_skew() and not fraction_is_skew(bumped.entries, n)
     assert not Matrix.zeros(n, n + 1).is_skew()
 
@@ -388,9 +388,9 @@ def test_is_skew_matches_the_fraction_reference(args):
 )
 def test_products_read_the_columns_of_the_right_operand_itself(args):
     """A product reads the right operand's own stored rows. Matrices derived
-    from b by negation, scaling, sums or transposes share or rebuild those
-    rows, and each product must see the derived matrix, not b."""
-    from _oracles import fraction_add, fraction_matmul, fraction_scale, fraction_transpose
+    from b by negation, scaling or transposes share or rebuild those rows,
+    and each product must see the derived matrix, not b."""
+    from _oracles import fraction_matmul, fraction_scale, fraction_transpose
 
     cols, left, right, c = args
     inner = len(right)
@@ -399,8 +399,6 @@ def test_products_read_the_columns_of_the_right_operand_itself(args):
     derived = [
         (-b, fraction_scale(right, -1)),
         (b.scale(c), fraction_scale(right, c)),
-        (b + b, fraction_add(right, right)),
-        (b - b.scale(c), fraction_add(right, fraction_scale(right, -c))),
     ]
     for m, ref in derived:
         product = a @ m
@@ -428,7 +426,6 @@ def test_equal_matrices_from_different_paths_compare_and_hash_equal(args):
         m @ Matrix.identity(cols),
         Matrix.identity(rows) @ m,
         m.scale(F(-3, 7)).scale(F(-7, 3)),
-        m + Matrix.zeros(rows, cols),
         m.hstack(Matrix.zeros(rows, 0)),
         Matrix.zeros(rows, 2).hstack(m).hstack(m)._col_block(range(2, 2 + cols)),
         Matrix._of_integers(*_integer_rows(grid, cols)),

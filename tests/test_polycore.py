@@ -22,7 +22,6 @@ from polysym.polycore import (
     canonical_model,
     check_reduction_candidate,
     classify,
-    direct_sum,
     linear_reduce,
     orthogonal,
     pullback,
@@ -269,7 +268,7 @@ class TestCoefficientMaps:
     def test_projection_recovers_summand(self):
         w1 = std_symplectic()
         w2 = VForm(2, (Matrix([[0, 2], [-2, 0]]),))
-        combined = direct_sum([w1, w2])
+        combined = VForm(2, w1.components + w2.components)
         candidate, ker = apply_coefficient_map(Matrix([[1, 0]]), combined)
         assert candidate.components[0] == w1.components[0]
         assert ker.is_zero()
@@ -289,7 +288,7 @@ class TestCoefficientMaps:
         model = canonical_model(1, 2)
         assert check_reduction_candidate(model, Matrix([[1, 0]])) is False
         assert check_reduction_candidate(model, Matrix.identity(2)) is True
-        w12 = direct_sum([std_symplectic(), VForm(2, (Matrix([[0, 3], [-3, 0]]),))])
+        w12 = VForm(2, std_symplectic().components + (Matrix([[0, 3], [-3, 0]]),))
         assert check_reduction_candidate(w12, Matrix([[1, 0]])) is True
 
     def test_non_surjective_rejected(self):
@@ -307,7 +306,7 @@ class TestCoefficientOrthogonalRelations:
         for _ in range(15):
             n = 2 * rng.randint(1, 3)
             forms = [rand_vform(rng, n, 1) for _ in range(rng.randint(2, 3))]
-            combined = direct_sum(forms)
+            combined = VForm(n, tuple(c for f in forms for c in f.components))
             a = rand_subspace(rng, n)
             expect = Subspace.full(n)
             for f in forms:
