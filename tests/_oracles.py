@@ -359,6 +359,18 @@ def looped_gradient(patch, f, x):
     return np.stack(cols, axis=-1).reshape(patch.dim_v, n)
 
 
+def looped_partials(f, x):
+    """(f(x + h e_a) - f(x - h e_a)) / 2h in row a, one axis at a time."""
+    x = np.asarray(x, dtype=float)
+    h = DEFAULT_FD_STEP
+    rows = []
+    for a in range(x.size):
+        e = np.zeros(x.size)
+        e[a] = h
+        rows.append((np.asarray(f(x + e), dtype=float) - np.asarray(f(x - e), dtype=float)) / (2.0 * h))
+    return np.array(rows)
+
+
 def looped_lie_derivative_of_theta(patch, gen, x):
     """(L_X theta)_cb with the generator Jacobian filled one row per axis."""
     x = np.asarray(x, dtype=float)

@@ -979,6 +979,35 @@ class TestFileDocumentBranches:
             with pytest.raises(ValidationError, match="at least 1"):
                 run_suite(suite, trials=trials)
 
+    def test_run_suite_records_a_contract_violation_as_one_failed_check(self, monkeypatch):
+        """The checks made before the violation stay; the violation ends the
+        run as the failed check `contract`, with its message as the detail."""
+        from polysym.errors import ContractViolation
+        from polysym.verify import Suite, run_suite
+
+        def broken(res, rng, tol_scale):
+            res.add("first", True)
+            raise ContractViolation("descent to the quotient failed")
+
+        monkeypatch.setitem(SUITES, "broken", Suite(broken, 2, "broken identity", False))
+        result = run_suite("broken", seed=3)
+        assert [(c.name, c.passed, c.detail) for c in result.checks] == [
+            ("first", True, ""),
+            ("contract", False, "descent to the quotient failed"),
+        ]
+        assert not result.passed
+        assert (result.identity, result.seed, result.trials) == ("broken identity", 3, 2)
+
+    def test_run_suite_lets_a_validation_error_through(self, monkeypatch):
+        from polysym.verify import Suite, run_suite
+
+        def refusing(res, rng, tol_scale):
+            raise ValidationError("bad input")
+
+        monkeypatch.setitem(SUITES, "refusing", Suite(refusing, 1, "refusing", False))
+        with pytest.raises(ValidationError, match="bad input"):
+            run_suite("refusing")
+
     def test_ham_field_wrong_expression_count(self, capsys):
         assert (
             run(

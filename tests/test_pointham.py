@@ -10,6 +10,7 @@ from _oracles import (
     looped_gradient,
     looped_lie_derivative_of_theta,
     looped_omega_at,
+    looped_partials,
     looped_preservation_defect,
     looped_section_jacobian,
     omega_at_pullback_defect,
@@ -573,14 +574,15 @@ class TestStencilOffsets:
 
     X = np.array([0.25, -0.0, 0.0, -1.5, 3.0])
 
-    def expected(self):
+    @staticmethod
+    def expected(x):
         h = ph.DEFAULT_FD_STEP
         plus, minus = [], []
-        for a in range(self.X.size):
-            e = np.zeros(self.X.size)
+        for a in range(x.size):
+            e = np.zeros(x.size)
             e[a] = h
-            plus.append(self.X + e)
-            minus.append(self.X - e)
+            plus.append(x + e)
+            minus.append(x - e)
         return np.array(plus + minus)
 
     def test_offsets_are_read_only(self):
@@ -589,13 +591,20 @@ class TestStencilOffsets:
         with pytest.raises(ValueError):
             off[0, 0] = 1.0
 
-    def test_rows_are_x_plus_and_minus_h_e_a_to_the_bit(self):
-        _assert_same_floats(ph._stencil(self.X), self.expected())
+    # Signed zeros; one axis; coordinates whose spacing exceeds h, so that
+    # x +- h rounds back to x; and subnormals, where h swamps x.
+    @pytest.mark.parametrize(
+        "x",
+        [X, np.array([-0.0]), np.array([1e12, -3e15, 7.0]), np.array([5e-324, -2e-310, 1e-300])],
+        ids=["signed-zeros", "one-axis", "beyond-ulp", "subnormal"],
+    )
+    def test_rows_are_x_plus_and_minus_h_e_a_to_the_bit(self, x):
+        _assert_same_floats(ph._stencil(x), self.expected(x))
 
     def test_mutating_a_stencil_leaves_the_next_one_alone(self):
         first = ph._stencil(self.X)
         first[...] = np.nan
-        _assert_same_floats(ph._stencil(self.X), self.expected())
+        _assert_same_floats(ph._stencil(self.X), self.expected(self.X))
 
 
 class TestSo3OneRowPath:
@@ -644,6 +653,22 @@ def test_solve_norms_match_linalg_norm(patch):
         b = ph.gradient(patch, f, x).reshape(-1)
         assert sol.residual == float(np.linalg.norm(a @ sol.X - b))
         assert sol.threshold == 1e-6 * 2.0 * (1.0 + float(np.linalg.norm(b)))
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 2), (3, 1), (1, 3), (2, 1)])
+def test_partials_match_per_axis_loop(n, k):
+    """`_partials` of a k-valued function on R^2n, one output nonlinear in
+    the last axis, equals the per-axis loop bit for bit."""
+
+    def f(z):
+        q, v = z[:n], z[n:]
+        base = 0.5 * v @ v + q @ v
+        return np.array([base + c * np.sin(q[0] + c) * v[-1] ** 3 for c in range(k)])
+
+    for x in ph.halton_points(2 * n, 3, seed=4):
+        got = ph._partials(f, x)
+        assert got.shape == (2 * n, k)
+        assert np.array_equal(got, looped_partials(f, x))
 
 
 def test_halton_points_reject_a_negative_count():
