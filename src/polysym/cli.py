@@ -199,11 +199,10 @@ def cmd_reduce(args) -> Report:
     cmap = docio.document_coefficient_map(doc)
     rep = Report(f"reduce {args.builtin or args.file}")
     if cmap is not None:
-        candidate, ker = pc.apply_coefficient_map(cmap, form)
+        form, ker = pc.reduction_candidate(form, cmap)
         rep.add("coefficient_map", _fmt_matrix(cmap))
         rep.add("coefficient_kernel_dim", ker.dim)
-        rep.add("reduction_candidate_ok", pc.check_reduction_candidate(form, cmap))
-        form = candidate
+        rep.add("reduction_candidate_ok", ker.is_zero())
     red = pc.linear_reduce(form, sub)
     rep.add("subspace", _fmt_subspace(sub))
     rep.add("carrier_dim", red.carrier.dim)

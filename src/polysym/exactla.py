@@ -488,9 +488,9 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
-    """True iff b is a subspace of a: stacking b's rows under a's adds no rank."""
+    """True iff b is a subspace of a: each of b's rows lies in a (`_at_pivots`)."""
     _check_same_ambient(a, b)
-    return rank(a.echelon.vstack(b.echelon)) == a.dim
+    return _at_pivots(a, b.echelon) is not None
 
 
 def _check_same_ambient(a: Subspace, b: Subspace):

@@ -44,7 +44,7 @@ class LieAlgebra:
     @cached_property
     def components(self) -> tuple:
         """Dense matrices with components[k][i, j] = c^k_ij, read off the
-        bracket table; only the bracket form reads them."""
+        bracket table; the bracket form and the center read them."""
         n = self.dim
         grids = [[[0] * n for _ in range(n)] for _ in range(n)]
         for (i, j), terms in self.brackets.items():
@@ -103,8 +103,8 @@ def structure_table(dim: int, triples: Sequence) -> dict:
 
 
 def center(g: LieAlgebra) -> Subspace:
-    """Elements commuting with the whole algebra; exact."""
-    return centralizer(g, Subspace.full(g.dim))
+    """Elements commuting with the whole algebra: the bracket form's kernel."""
+    return joint_kernel(g.dim, g.components)
 
 
 def bracket_form(g: LieAlgebra) -> VForm:

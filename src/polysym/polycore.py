@@ -78,11 +78,6 @@ class VForm:
         numerators over the components' common denominator D."""
         return reduce(Matrix.vstack, self.components)._scaled_rows()
 
-    def restrict(self, section: Matrix) -> "VForm":
-        """Form induced on the column span of section, in section coordinates."""
-        st = section.transpose()
-        return VForm(section.cols, tuple(st @ (m @ section) for m in self.components))
-
 
 def joint_kernel(n: int, blocks: Sequence[Matrix]) -> Subspace:
     """Vectors of Q^n killed by every block: the kernel of the blocks stacked
@@ -149,13 +144,17 @@ def linear_reduce(omega: VForm, a: Subspace) -> LinearReduction:
     except ValidationError:
         raise ContractViolation("the meet of A and its orthogonal is not contained in the orthogonal") from None
     section = carrier.section
-
-    # Well-definedness: the form must not see the quotiented directions.
     section_t = section.transpose()
-    if not all((section_t @ (m @ core.basis)).is_zero() for m in omega.components):
-        raise ContractViolation("descent to the quotient failed")
 
-    reduced = omega.restrict(section)
+    # Each P_c = W_c S gives the descent check C P_c = 0 (the form must not
+    # see the quotiented directions) and the reduced component S^T P_c.
+    comps = []
+    for m in omega.components:
+        p = m @ section
+        if not (core.echelon @ p).is_zero():
+            raise ContractViolation("descent to the quotient failed")
+        comps.append(section_t @ p)
+    reduced = VForm(section.cols, comps)
     ker = reduced.degeneracy_kernel()
     return LinearReduction(
         carrier=carrier,
@@ -220,7 +219,8 @@ def pullback(omega: VForm, linear_map: Matrix) -> VForm:
     """Pullback of omega along a linear map given by its matrix."""
     if linear_map.rows != omega.dim_u:
         raise ValidationError("map codomain does not match the form")
-    return omega.restrict(linear_map)
+    st = linear_map.transpose()
+    return VForm(linear_map.cols, tuple(st @ (m @ linear_map) for m in omega.components))
 
 
 def apply_coefficient_map(f: Matrix, omega: VForm) -> tuple:
@@ -240,8 +240,10 @@ def apply_coefficient_map(f: Matrix, omega: VForm) -> tuple:
     return candidate, candidate.degeneracy_kernel()
 
 
-def check_reduction_candidate(omega: VForm, f: Matrix) -> bool:
-    """True iff the surjection f carries omega to a nondegenerate form."""
-    if rank(f) != f.rows:
+def reduction_candidate(omega: VForm, f: Matrix) -> tuple:
+    """apply_coefficient_map(f, omega) for a surjection f. A map of the right
+    shape but lower rank is refused before any component is built; a wrong
+    shape raises apply_coefficient_map's ValidationError first."""
+    if f.cols == omega.dim_v and rank(f) != f.rows:
         raise ContractViolation("reduction candidates must be surjective")
-    return apply_coefficient_map(f, omega)[1].is_zero()
+    return apply_coefficient_map(f, omega)

@@ -865,6 +865,31 @@ class TestReports:
         assert "carrier_dim: 0" in out
         assert "nondegenerate: true" in out
 
+    @pytest.mark.parametrize(
+        "rows,code,err",
+        [
+            ([[1]] * 4000, 1, "contract violation: reduction candidates must be surjective\n"),
+            ([[1, 0]] * 3, 2, "error: coefficient map source does not match the form\n"),
+        ],
+        ids=["4000-rows", "source-mismatch"],
+    )
+    def test_coefficient_map_is_refused_before_it_is_applied(self, tmp_path, monkeypatch, capsys, rows, code, err):
+        # A 64 x 64 form of one component: a surjection onto it has at most
+        # one row, so 4,000 rows are refused by the rank test before any
+        # component row is combined, and a map of the wrong shape is refused
+        # as a validation error before the rank test.
+        from polysym import exactla, polycore
+
+        payload = dict(docio.resolve_builtin("canonical:32,1").payload)
+        payload["coefficient_map"] = rows
+        path = tmp_path / "doc.json"
+        path.write_text(render_document(docio.ProblemDocument(kind="form", payload=payload, seed=0)))
+        combined = []
+        monkeypatch.setattr(polycore, "_combine", lambda *a: combined.append(a) or exactla._combine(*a))
+        assert run(["reduce", "--file", str(path), "--subspace", "e1"]) == code
+        assert capsys.readouterr().err == err
+        assert combined == []
+
     def test_embed_command(self, capsys):
         assert run(["embed", "--builtin", "cross"]) == 0
         assert "pullback_exact: true" in capsys.readouterr().out

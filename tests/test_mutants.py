@@ -1,7 +1,7 @@
 """Named mutants of the product code, and the verify suites that must notice
 each one: the rows of the kill matrix in ROADMAP.md that reach the cup
-form, the coboundary, the matrix product, and the orthogonals,
-intersections and quotients under every reduction.
+form, the coboundary, the matrix product, the orthogonals, intersections
+and quotients under every reduction, and the coefficient map.
 
 A mutant is a `monkeypatch` of one routine, rebound in every package module
 that imported it by name. Each runs only against the suites it targets, at
@@ -106,6 +106,15 @@ def section_one_pivot_late(monkeypatch):
     _rebind(monkeypatch, ea.quotient, quotient)
 
 
+def coefficient_map_is_identity(monkeypatch):
+    """Post-composing with a coefficient map leaves the form unchanged."""
+
+    def apply_coefficient_map(f, omega):
+        return omega, omega.degeneracy_kernel()
+
+    _rebind(monkeypatch, pc.apply_coefficient_map, apply_coefficient_map)
+
+
 # mutant -> the suites that must notice it.
 KILLS = {
     cup_front_for_back: ("gauge-h1", "lagrangian-sphere3"),
@@ -116,6 +125,7 @@ KILLS = {
     ),
     intersect_is_sum: ("lemma-subspaces", "canonical-reduction", "reduction-kernel"),
     section_one_pivot_late: ("canonical-reduction",),
+    coefficient_map_is_identity: ("irreducibility",),
 }
 CASES = [(mutant, suite) for mutant, suites in KILLS.items() for suite in suites]
 

@@ -20,11 +20,11 @@ from polysym.polycore import (
     VForm,
     apply_coefficient_map,
     canonical_model,
-    check_reduction_candidate,
     classify,
     linear_reduce,
     orthogonal,
     pullback,
+    reduction_candidate,
     universal_embed,
 )
 from polysym.randgen import rand_dims, rand_skew, rand_subspace, rand_vform
@@ -286,18 +286,23 @@ class TestCoefficientMaps:
 
     def test_reduction_candidates(self):
         model = canonical_model(1, 2)
-        assert check_reduction_candidate(model, Matrix([[1, 0]])) is False
-        assert check_reduction_candidate(model, Matrix.identity(2)) is True
+        assert not reduction_candidate(model, Matrix([[1, 0]]))[1].is_zero()
+        assert reduction_candidate(model, Matrix.identity(2))[1].is_zero()
         w12 = VForm(2, std_symplectic().components + (Matrix([[0, 3], [-3, 0]]),))
-        assert check_reduction_candidate(w12, Matrix([[1, 0]])) is True
+        assert reduction_candidate(w12, Matrix([[1, 0]]))[1].is_zero()
 
     def test_non_surjective_rejected(self):
         with pytest.raises(ContractViolation):
-            check_reduction_candidate(canonical_model(1, 2), Matrix([[1, 0], [2, 0]]))
+            reduction_candidate(canonical_model(1, 2), Matrix([[1, 0], [2, 0]]))
 
     def test_shape_mismatch(self):
+        model = canonical_model(1, 2)
         with pytest.raises(ValidationError):
-            apply_coefficient_map(Matrix([[1, 0, 0]]), canonical_model(1, 2))
+            apply_coefficient_map(Matrix([[1, 0, 0]]), model)
+        # A shape error comes before reduction_candidate's surjectivity test.
+        for f in (Matrix([[1, 0, 0], [2, 0, 0]]), Matrix.zeros(0, 2)):
+            with pytest.raises(ValidationError):
+                reduction_candidate(model, f)
 
 
 class TestCoefficientOrthogonalRelations:
@@ -415,6 +420,39 @@ def test_orthogonal_multiplies_and_transposes_nothing(monkeypatch):
     assert [orthogonal(form, a) for form, a in cases] == [stacked_orthogonal(form, a) for form, a in cases]
 
 
+def test_linear_reduce_transposes_the_section_once(monkeypatch):
+    """Three products per component (P_c = W_c S, the core rows times P_c,
+    S^T P_c) and one transpose of the section. The other transposes build
+    the section inside `quotient` and check each reduced component's
+    skewness in `VForm`. The core is read as rows, so its column basis is
+    never built."""
+    from polysym import polycore
+
+    cases = [
+        (cross_form(), span(3, (1, 0, 0))),
+        (cross_form(), Subspace.full(3)),
+        (canonical_model(2, 2), span(6, (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 1, 0))),
+        (VForm(0, (Matrix.zeros(0, 0),)), Subspace.zero(0)),
+    ]
+    products, transposed, cores = [], [], []
+    matmul, transpose, meet = Matrix.__matmul__, Matrix.transpose, polycore.intersect
+    monkeypatch.setattr(Matrix, "__matmul__", lambda self, other: products.append(self) or matmul(self, other))
+    monkeypatch.setattr(Matrix, "transpose", lambda self: transposed.append(self) or transpose(self))
+    monkeypatch.setattr(polycore, "intersect", lambda a, b: cores.append(meet(a, b)) or cores[-1])
+    reductions = []
+    for form, a in cases:
+        products.clear(), transposed.clear(), cores.clear()
+        red = linear_reduce(form, a)
+        assert len(products) == 3 * form.dim_v
+        assert sum(m is red.carrier.section for m in transposed) == 1
+        assert len(transposed) == 2 + form.dim_v
+        assert len(cores) == 1 and cores[0]._basis is None
+        reductions.append(red)
+    monkeypatch.undo()
+    for (form, _), red in zip(cases, reductions):
+        assert red.reduced_form == pullback(form, red.carrier.section)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_coefficient_map_is_the_entrywise_sum(data):
@@ -424,7 +462,10 @@ def test_coefficient_map_is_the_entrywise_sum(data):
     assert candidate.components == entrywise_coefficient_components(f, form)
     assert ker == stacked_degeneracy_kernel(candidate)
     if rank(f) == f.rows:
-        assert check_reduction_candidate(form, f) == ker.is_zero()
+        assert reduction_candidate(form, f) == (candidate, ker)
+    else:
+        with pytest.raises(ContractViolation):
+            reduction_candidate(form, f)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
