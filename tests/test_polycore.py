@@ -402,13 +402,17 @@ def test_orthogonal_is_the_stacked_per_vector_contraction(data):
     assert contains(ob, oa)
 
 
-def test_orthogonal_multiplies_and_transposes_nothing(monkeypatch):
-    cases = [
+def _counting_cases():
+    return [
         (cross_form(), span(3, (1, 0, 0))),
         (cross_form(), Subspace.full(3)),
         (canonical_model(2, 2), span(6, (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 1, 0))),
         (VForm(0, (Matrix.zeros(0, 0),)), Subspace.zero(0)),
     ]
+
+
+def test_orthogonal_multiplies_and_transposes_nothing(monkeypatch):
+    cases = _counting_cases()
     calls = []
     for name in ("__matmul__", "transpose"):
         original = getattr(Matrix, name)
@@ -428,12 +432,7 @@ def test_linear_reduce_transposes_the_section_once(monkeypatch):
     never built."""
     from polysym import polycore
 
-    cases = [
-        (cross_form(), span(3, (1, 0, 0))),
-        (cross_form(), Subspace.full(3)),
-        (canonical_model(2, 2), span(6, (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 1, 0))),
-        (VForm(0, (Matrix.zeros(0, 0),)), Subspace.zero(0)),
-    ]
+    cases = _counting_cases()
     products, transposed, cores = [], [], []
     matmul, transpose, meet = Matrix.__matmul__, Matrix.transpose, polycore.intersect
     monkeypatch.setattr(Matrix, "__matmul__", lambda self, other: products.append(self) or matmul(self, other))
@@ -441,7 +440,7 @@ def test_linear_reduce_transposes_the_section_once(monkeypatch):
     monkeypatch.setattr(polycore, "intersect", lambda a, b: cores.append(meet(a, b)) or cores[-1])
     reductions = []
     for form, a in cases:
-        products.clear(), transposed.clear(), cores.clear()
+        del products[:], transposed[:], cores[:]
         red = linear_reduce(form, a)
         assert len(products) == 3 * form.dim_v
         assert sum(m is red.carrier.section for m in transposed) == 1
